@@ -57,14 +57,6 @@ def init_model(spec: ModelSpec, seed: int) -> Checkpoint:
     return Checkpoint(tensors)
 
 
-def spec_of(model: Checkpoint) -> ModelSpec:
-    if sorted(model.names()) != sorted(TENSOR_NAMES):
-        raise ValueError(f"not a bench model checkpoint: tensors {model.names()}")
-    h, d = model.values("layer0.weight").shape
-    c = model.values("layer1.bias").shape[0]
-    return ModelSpec(d, h, c)
-
-
 def forward(model: Checkpoint, X: np.ndarray) -> np.ndarray:
     """logits = W1 @ relu(W0 @ x + b0) + b1, row per sample."""
     w0 = model.values("layer0.weight")

@@ -95,9 +95,6 @@ class _SeedContext:
     def f1(self, model, data: Dataset) -> float:
         return macro_f1(predict(model, data.X), data.y, self.spec.class_count)
 
-    def _as_train(self, data: Dataset) -> Dataset:
-        return Dataset(data.X, data.y, "train")
-
 
 def _run_pipeline(name: str, ctx: _SeedContext):
     """Returns (test macro-F1, sweep-selection info or None)."""

@@ -18,14 +18,7 @@ from .reports import cosine, diff_stats, interference_stats
 from .tensor_store import (ArchiveError, read_archive, save_archive,
                            validate_archive)
 from .ties import DEFAULT_DENSITY, DEFAULT_LAMBDA, TiesConfig, ties_merge
-from .tv import TaskVector, extract_task_vector, is_task_vector_archive, tv_merge
-
-
-def _load_vector(path: str) -> TaskVector:
-    ckpt = read_archive(path)
-    if not is_task_vector_archive(ckpt):
-        raise ArchiveError(f"{path} is not a stored task vector archive")
-    return TaskVector.from_checkpoint(ckpt, origin=f"loaded from {path}")
+from .tv import extract_task_vector, load_task_vector, tv_merge
 
 
 def _cmd_inspect(args) -> int:
@@ -49,7 +42,7 @@ def _weighted_pairs(args):
     weights = args.weight or []
     if len(weights) != len(args.vector):
         raise ArchiveError(f"{len(args.vector)} vectors but {len(weights)} weights")
-    return [(_load_vector(v), w) for v, w in zip(args.vector, weights)]
+    return [(load_task_vector(v), w) for v, w in zip(args.vector, weights)]
 
 
 def _cmd_merge_tv(args) -> int:
@@ -89,14 +82,14 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_interference(args) -> int:
-    tvs = [_load_vector(v) for v in args.vector]
+    tvs = [load_task_vector(v) for v in args.vector]
     report = interference_stats(tvs, args.density)
-    print(report.to_json() if args.json else report.to_json())
+    print(report.to_json())
     return 0
 
 
 def _cmd_cosine(args) -> int:
-    value = cosine(_load_vector(args.a), _load_vector(args.b))
+    value = cosine(load_task_vector(args.a), load_task_vector(args.b))
     print(f"{value:.12g}")
     return 0
 
@@ -199,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interference", help="TIES interference statistics")
     p.add_argument("--vector", action="append", required=True)
     p.add_argument("--density", type=float, default=DEFAULT_DENSITY)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true",
+                   help="accepted for compatibility; the output is always JSON")
     p.set_defaults(func=_cmd_interference)
 
     p = sub.add_parser("cosine", help="cosine similarity of two task vectors")

@@ -24,7 +24,7 @@ from . import tv as tv_mod
 from .tensor_store import Checkpoint, read_archive, save_archive
 
 DEFAULT_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
-DEFAULT_SWEEP_CAP = 1000
+SWEEP_CAP = 1000
 
 _WEIGHT_SCHEMA = {
     "oneOf": [
@@ -158,7 +158,7 @@ def _with_suffix(path: str, assignment: dict[str, float]) -> str:
     return f"{root}{suffix}{ext}"
 
 
-def expand_sweep(recipe: MergeRecipe, cap: int = DEFAULT_SWEEP_CAP) -> list[MergeRecipe]:
+def expand_sweep(recipe: MergeRecipe) -> list[MergeRecipe]:
     """Cartesian product over grid axes, lexicographic in grid order.
 
     Output paths gain a suffix encoding the assignment; a grid-free
@@ -170,8 +170,8 @@ def expand_sweep(recipe: MergeRecipe, cap: int = DEFAULT_SWEEP_CAP) -> list[Merg
     size = 1
     for _, grid in axes:
         size *= len(grid)
-    if size > cap:
-        raise RecipeError(f"sweep of {size} recipes exceeds cap {cap}")
+    if size > SWEEP_CAP:
+        raise RecipeError(f"sweep of {size} recipes exceeds cap {SWEEP_CAP}")
 
     expanded = []
     indices = [0] * len(axes)
@@ -214,20 +214,13 @@ class MergeOutcome:
                 "tensor_count": self.tensor_count, "wall_time": self.wall_time}
 
 
-def _load_vector(base: Checkpoint, source: str, mismatch: str) -> tv_mod.TaskVector:
-    ckpt = read_archive(source)
-    if tv_mod.is_task_vector_archive(ckpt):
-        return tv_mod.TaskVector.from_checkpoint(ckpt, origin=f"loaded from {source}")
-    return tv_mod.extract_task_vector(base, ckpt, policy=mismatch)
-
-
 def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> MergeOutcome:
     """Run one grid-free recipe: load, merge, write atomically."""
     if recipe.grids():
         raise RecipeError("recipe still contains sweep grids; expand_sweep first")
     start = time.perf_counter()
     base = read_archive(recipe.base)
-    pairs = [(_load_vector(base, vec["source"], recipe.mismatch), float(vec["weight"]))
+    pairs = [(tv_mod.load_task_vector(vec["source"], base, recipe.mismatch), float(vec["weight"]))
              for vec in recipe.vectors]
 
     report = None
@@ -288,11 +281,9 @@ class MetricsTable:
         return table
 
 
-def select_best(table: MetricsTable, tie_break: str = "smallest-assignment") -> dict:
+def select_best(table: MetricsTable) -> dict:
     """Assignment with the maximal metric; ties go to the
     lexicographically smallest assignment vector (sorted by key)."""
-    if tie_break != "smallest-assignment":
-        raise ValueError(f"unknown tie-break rule {tie_break!r}")
     if not table.rows:
         raise ValueError("empty metrics table")
 

@@ -109,30 +109,41 @@ class ValidationReport:
         }
 
 
-def _no_duplicates(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ArchiveError(f"duplicate tensor name {key!r} in header")
-        seen.add(key)
-    return dict(pairs)
+def _parse_header(raw: bytes,
+                  duplicates: list[str] | None = None) -> tuple[dict, dict | None, int]:
+    """Split off the JSON header: (tensor entries, metadata, data-region start).
 
+    A repeated key raises, unless a `duplicates` list is given to collect
+    the messages instead.
+    """
+    def pairs_hook(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                message = f"duplicate tensor name {key!r} in header"
+                if duplicates is None:
+                    raise ArchiveError(message)
+                duplicates.append(message)
+            out[key] = value
+        return out
 
-def _parse_header(raw: bytes) -> tuple[dict, bytes]:
     if len(raw) < 8:
         raise ArchiveError(f"truncated input: {len(raw)} bytes, need at least 8 for header length")
     n = int.from_bytes(raw[:8], "little")
     if len(raw) < 8 + n:
         raise ArchiveError(f"truncated input: header length {n} exceeds remaining {len(raw) - 8} bytes")
     try:
-        header = json.loads(raw[8:8 + n].decode("utf-8"), object_pairs_hook=_no_duplicates)
-    except ArchiveError:
-        raise
+        header = json.loads(raw[8:8 + n].decode("utf-8"), object_pairs_hook=pairs_hook)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"malformed JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise ArchiveError("malformed JSON header: top level must be an object")
-    return header, raw[8 + n:]
+    metadata = header.pop(METADATA_KEY, None)
+    if metadata is not None and (
+            not isinstance(metadata, dict)
+            or any(not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items())):
+        raise ArchiveError(f"{METADATA_KEY} must be a string-to-string map")
+    return header, metadata, 8 + n
 
 
 def _spec_from_entry(name: str, entry) -> TensorSpec:
@@ -179,21 +190,15 @@ def read_archive(path_or_bytes) -> Checkpoint:
     else:
         with open(path_or_bytes, "rb") as fh:
             raw = fh.read()
-    header, data = _parse_header(raw)
-
-    metadata = header.pop(METADATA_KEY, None)
-    if metadata is not None:
-        if (not isinstance(metadata, dict)
-                or any(not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items())):
-            raise ArchiveError(f"{METADATA_KEY} must be a string-to-string map")
-
+    header, metadata, start = _parse_header(raw)
     specs = [_spec_from_entry(name, entry) for name, entry in header.items()]
-    _check_specs(specs, len(data))
+    _check_specs(specs, len(raw) - start)
 
     tensors = {}
     for spec in specs:
         begin, end = spec.data_offsets
-        tensors[spec.name] = Tensor(spec.dtype, decode(data[begin:end], spec.dtype, spec.shape))
+        raw_tensor = raw[start + begin:start + end]
+        tensors[spec.name] = Tensor(spec.dtype, decode(raw_tensor, spec.dtype, spec.shape))
     return Checkpoint(tensors, dict(metadata) if metadata else None)
 
 
@@ -251,33 +256,13 @@ def validate_archive(path) -> ValidationReport:
     with open(path, "rb") as fh:
         raw = fh.read()
 
-    if len(raw) < 8:
-        report.violations.append("truncated input: missing 8-byte header length")
-        return report
-    n = int.from_bytes(raw[:8], "little")
-    if len(raw) < 8 + n:
-        report.violations.append(f"truncated input: header length {n} exceeds file size")
-        return report
-
-    def collect(pairs):
-        out = {}
-        for key, value in pairs:
-            if key in out:
-                report.violations.append(f"duplicate tensor name {key!r}")
-            out[key] = value
-        return out
-
     try:
-        header = json.loads(raw[8:8 + n].decode("utf-8"), object_pairs_hook=collect)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        report.violations.append(f"malformed JSON header: {exc}")
+        header, _, start = _parse_header(raw, duplicates=report.violations)
+    except ArchiveError as exc:
+        report.violations.append(str(exc))
         return report
-    if not isinstance(header, dict):
-        report.violations.append("malformed JSON header: top level must be an object")
-        return report
-    header.pop(METADATA_KEY, None)
 
-    data_len = len(raw) - 8 - n
+    data_len = len(raw) - start
     specs = []
     for name, entry in header.items():
         try:
@@ -285,9 +270,6 @@ def validate_archive(path) -> ValidationReport:
             _check_specs([spec], data_len)
         except ArchiveError as exc:
             report.violations.append(str(exc))
-            continue
-        if not name or name == METADATA_KEY:
-            report.violations.append(f"invalid tensor name {name!r}")
             continue
         specs.append(spec)
 
@@ -307,7 +289,7 @@ def validate_archive(path) -> ValidationReport:
             report.violations.append(
                 f"non-contiguous data: gap of {begin - cursor} bytes before tensor {spec.name!r}")
         cursor = max(cursor, end)
-    if specs and cursor != data_len:
+    if cursor != data_len:
         report.violations.append(
             f"non-contiguous data: {data_len - cursor} trailing bytes after last tensor")
     return report

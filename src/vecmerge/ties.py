@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor_store import Checkpoint
-from .tv import MergeError, TaskVector, apply, scale
+from .tv import MergeError, TaskVector, tv_merge
 
 DEFAULT_DENSITY = 0.2
 DEFAULT_LAMBDA = 1.0
@@ -138,10 +138,10 @@ def ties_merge(base: Checkpoint, tvs: list[TaskVector], config: TiesConfig,
     trimmed = [trim(tv, config.density) for tv in tvs]
     signs = elect_signs(trimmed, config.weights)
     merged = disjoint_merge(trimmed, config.weights, signs)
-    # extras survive the pipeline for re-attachment on apply
+    # extras survive the pipeline for re-attachment by the merge
     for tv in tvs:
         for name, t in tv.extras.items():
             merged.extras.setdefault(name, t)
-    out = apply(base, scale(merged, config.lam), threads=threads)
+    out = tv_merge(base, [(merged, config.lam)], threads=threads)
     report = interference_stats(tvs, config.density)
     return out, report

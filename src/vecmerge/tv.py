@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dtypes import cast_values, memory_dtype
-from .tensor_store import Checkpoint, Tensor
+from .tensor_store import ArchiveError, Checkpoint, Tensor, read_archive
 
 TASK_VECTOR_KIND = "task_vector"
 KIND_KEY = "vecmerge.kind"
@@ -51,10 +51,8 @@ class TaskVector:
 
     @staticmethod
     def from_checkpoint(ckpt: Checkpoint, origin: str = "loaded from archive") -> "TaskVector":
-        deltas = {name: ckpt.values(name).astype(np.float64) for name in ckpt.names()}
-        for d in deltas.values():
-            d.setflags(write=False)
-        return TaskVector(deltas=deltas, origin=origin)
+        return TaskVector.from_arrays({name: ckpt.values(name) for name in ckpt.names()},
+                                      origin=origin)
 
     @staticmethod
     def from_arrays(arrays: dict[str, np.ndarray], origin: str = "constructed") -> "TaskVector":
@@ -104,6 +102,20 @@ def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
     else:
         tv.ignored = mismatched
     return tv
+
+
+def load_task_vector(path, base: Checkpoint | None = None, policy: str = "error") -> TaskVector:
+    """Read a stored task vector archive.
+
+    Any other archive is taken as a fine-tuned checkpoint whose vector is
+    extracted against `base` under `policy`; without a base it is rejected.
+    """
+    ckpt = read_archive(path)
+    if is_task_vector_archive(ckpt):
+        return TaskVector.from_checkpoint(ckpt, origin=f"loaded from {path}")
+    if base is None:
+        raise ArchiveError(f"{path} is not a stored task vector archive")
+    return extract_task_vector(base, ckpt, policy=policy)
 
 
 def scale(tv: TaskVector, lam: float) -> TaskVector:
@@ -159,29 +171,7 @@ def apply(base: Checkpoint, tv: TaskVector, threads: int = 1) -> Checkpoint:
     Tensors untouched by tv are copied bit-exactly; extras are appended
     verbatim.
     """
-    for name, d in tv.deltas.items():
-        if name not in base:
-            raise MergeError(f"task vector tensor {name!r} missing from base")
-        if base[name].shape != d.shape:
-            raise MergeError(
-                f"tensor {name!r}: shape mismatch base {base[name].shape} vs delta {d.shape}")
-
-    def one(name: str) -> Tensor:
-        tensor = base[name]
-        if name in tv.deltas:
-            return _merge_tensor(tensor, [(tv.deltas[name], 1.0)])
-        return tensor
-
-    names = base.names()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            merged = dict(zip(names, pool.map(one, names)))
-    else:
-        merged = {name: one(name) for name in names}
-    for name, t in tv.extras.items():
-        if name not in merged:
-            merged[name] = t
-    return Checkpoint(merged, dict(base.metadata) if base.metadata else None)
+    return tv_merge(base, [(tv, 1.0)], threads=threads)
 
 
 def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],

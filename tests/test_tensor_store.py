@@ -216,6 +216,43 @@ class TestValidateArchive:
         report = validate_archive(self.write(tmp_path, raw))
         assert any("non-contiguous data" in v for v in report.violations)
 
+    def test_non_string_metadata_violation(self, tmp_path):
+        raw = make_archive(
+            {"__metadata__": {"k": 1},
+             "w": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}},
+            b"\x00" * 4)
+        with pytest.raises(ArchiveError, match="string-to-string"):
+            read_archive(raw)
+        assert not validate_archive(self.write(tmp_path, raw)).valid
+
+    def test_trailing_bytes_without_tensors_violation(self, tmp_path):
+        raw = make_archive({"__metadata__": {"k": "v"}}, b"\x00" * 16)
+        report = validate_archive(self.write(tmp_path, raw))
+        assert report.violations == ["non-contiguous data: 16 trailing bytes after last tensor"]
+
+    _FUZZ_SEED = write_archive(Checkpoint.from_arrays(
+        {"a": [1.0, -2.0], "b": [[0.5]]}, "F32", metadata={"k": "v"}))
+    # edits favour JSON syntax and half the examples keep the full length,
+    # so many mutants parse and reach the per-tensor checks
+    _JSON_BYTES = list(b'0123456789-.eE{}[]:,"_ abdfnlrstu\\\x00\xff')
+
+    @given(edits=st.lists(st.tuples(st.integers(0, len(_FUZZ_SEED) - 1),
+                                    st.one_of(st.sampled_from(_JSON_BYTES), st.integers(0, 255))),
+                          max_size=4),
+           cut=st.one_of(st.just(0), st.integers(0, len(_FUZZ_SEED))))
+    @settings(max_examples=300, deadline=None)
+    def test_flags_whatever_the_reader_rejects(self, tmp_path_factory, edits, cut):
+        raw = bytearray(self._FUZZ_SEED)
+        for pos, byte in edits:
+            raw[pos] = byte
+        raw = bytes(raw[:len(raw) - cut])
+        path = tmp_path_factory.getbasetemp() / "fuzz.st"
+        path.write_bytes(raw)
+        try:
+            read_archive(raw)
+        except ArchiveError:
+            assert not validate_archive(path).valid
+
     def test_report_shape(self, tmp_path):
         ckpt = random_checkpoint(np.random.default_rng(9), n_tensors=3)
         report = validate_archive(self.write(tmp_path, write_archive(ckpt)))

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from vecmerge import (Checkpoint, TaskVector, TiesConfig, disjoint_merge,
-                      elect_signs, tv_merge, ties_merge, trim, write_archive)
+from vecmerge import (Checkpoint, TaskVector, TiesConfig, apply, disjoint_merge,
+                      elect_signs, scale, tv_merge, ties_merge, trim, write_archive)
+from vecmerge.recipes import DEFAULT_GRID
 
-from helpers import naive_ties_vector, naive_trim
+from helpers import DTYPES, naive_ties_vector, naive_trim
 
 
 def tv_of(values):
@@ -119,6 +120,20 @@ class TestTiesMerge:
             w = want.values("w")
             assert np.all(np.abs(g.astype(np.float64) - w.astype(np.float64))
                           <= 2 * np.spacing(np.abs(w)))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_lambda_fold_matches_scale_then_apply(self, dtype):
+        rng = np.random.default_rng(12)
+        base = Checkpoint.from_arrays({"a": rng.normal(size=(6, 5)), "b": rng.normal(size=9)},
+                                      dtype)
+        tvs = [TaskVector.from_arrays({"a": rng.normal(size=(6, 5)), "b": rng.normal(size=9)})
+               for _ in range(3)]
+        weights, density = [1.0, 0.5, 2.0], 0.4
+        trimmed = [trim(tv, density) for tv in tvs]
+        merged = disjoint_merge(trimmed, weights, elect_signs(trimmed, weights))
+        for lam in DEFAULT_GRID + [-0.7]:
+            got, _ = ties_merge(base, tvs, TiesConfig(density, weights, lam))
+            assert write_archive(got) == write_archive(apply(base, scale(merged, lam)))
 
     def test_lambda_zero_identity(self):
         base = Checkpoint.from_arrays({"w": [1.0, -2.0]}, "F16")
