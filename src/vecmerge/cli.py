@@ -117,6 +117,11 @@ def _cmd_run(args) -> int:
         try:
             with open(args.metrics) as fh:
                 table = MetricsTable.from_csv(fh.read())
+            axes = {name for name, _ in recipe.grids()}
+            for assignment, _ in table.rows:
+                if axes and set(assignment) != axes:
+                    raise RecipeError(f"metrics row {assignment} does not match "
+                                      f"the sweep axes {sorted(axes)}")
             result["selected"] = select_best(table)
         except (OSError, RecipeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)

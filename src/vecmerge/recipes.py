@@ -162,7 +162,9 @@ def expand_sweep(recipe: MergeRecipe) -> list[MergeRecipe]:
     """Cartesian product over grid axes, lexicographic in grid order.
 
     Output paths gain a suffix encoding the assignment; a grid-free
-    recipe expands to itself.
+    recipe expands to itself. Two points whose suffixes coincide (equal
+    values, or values alike to 6 significant digits) raise RecipeError,
+    since one output would overwrite the other.
     """
     axes = recipe.grids()
     if not axes:
@@ -174,13 +176,19 @@ def expand_sweep(recipe: MergeRecipe) -> list[MergeRecipe]:
         raise RecipeError(f"sweep of {size} recipes exceeds cap {SWEEP_CAP}")
 
     expanded = []
+    owners: dict[str, dict[str, float]] = {}
     indices = [0] * len(axes)
     while True:
         assignment = {name: grid[i] for (name, grid), i in zip(axes, indices)}
+        output = _with_suffix(recipe.output, assignment)
+        if output in owners:
+            raise RecipeError(f"sweep points {owners[output]} and {assignment} "
+                              f"both write {output!r}")
+        owners[output] = assignment
         clone = MergeRecipe(
             base=recipe.base, method=recipe.method,
             vectors=copy.deepcopy(recipe.vectors),
-            output=_with_suffix(recipe.output, assignment),
+            output=output,
             density=recipe.density, lam=recipe.lam,
             mismatch=recipe.mismatch, dtype=recipe.dtype)
         for i, vec in enumerate(clone.vectors):

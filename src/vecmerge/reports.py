@@ -152,23 +152,25 @@ def interference_stats(tvs: list[TaskVector], density: float) -> InterferenceRep
     glob_zero = 0
     for name in names:
         mass = []
-        for tv, tr in zip(tvs, trimmed):
+        for t, (tv, tr) in enumerate(zip(tvs, trimmed)):
             if name in tv.deltas:
                 all_mass = float(np.sum(np.abs(tv.deltas[name])))
                 kept_mass = float(np.sum(np.abs(tr.deltas[name])))
+                glob_all[t] += all_mass
+                glob_kept[t] += kept_mass
             else:
                 all_mass = kept_mass = 0.0
             mass.append(kept_mass / all_mass if all_mass else 1.0)
         agreement = {}
+        sgn = [np.sign(tr.deltas[name]).astype(np.int8) if name in tr.deltas else None
+               for tr in trimmed]
         for i, j in pair_idx:
             key = f"{i}-{j}"
-            di = trimmed[i].deltas.get(name)
-            dj = trimmed[j].deltas.get(name)
-            if di is None or dj is None:
+            if sgn[i] is None or sgn[j] is None:
                 continue
-            joint = (di != 0) & (dj != 0)
-            n_joint = int(np.count_nonzero(joint))
-            n_agree = int(np.count_nonzero(joint & (np.sign(di) == np.sign(dj))))
+            both = sgn[i] * sgn[j]  # +1 agree, -1 disagree, 0 unless both kept
+            n_joint = int(np.count_nonzero(both))
+            n_agree = int(np.count_nonzero(both > 0))
             if n_joint:
                 agreement[key] = n_agree / n_joint
             glob_agree[key][0] += n_agree
@@ -176,10 +178,6 @@ def interference_stats(tvs: list[TaskVector], density: float) -> InterferenceRep
         zero_count = int(np.count_nonzero(signs.signs[name] == 0))
         report.per_tensor[name] = TensorInterference(mass, agreement, zero_count)
         glob_zero += zero_count
-        for t, tv in enumerate(tvs):
-            if name in tv.deltas:
-                glob_all[t] += float(np.sum(np.abs(tv.deltas[name])))
-                glob_kept[t] += float(np.sum(np.abs(trimmed[t].deltas[name])))
 
     report.trimmed_mass = [k / a if a else 1.0 for k, a in zip(glob_kept, glob_all)]
     report.sign_agreement = {key: (v[0] / v[1] if v[1] else 1.0)

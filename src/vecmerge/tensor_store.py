@@ -21,6 +21,8 @@ import numpy as np
 from .dtypes import DTYPE_SIZES, cast_values, decode, dtype_size, encode
 
 METADATA_KEY = "__metadata__"
+MAX_DIMS = 32  # numpy 1.x's limit; numpy 2 allows 64
+_MAX_NBYTES = int(np.iinfo(np.intp).max)
 
 
 class ArchiveError(ValueError):
@@ -155,6 +157,11 @@ def _spec_from_entry(name: str, entry) -> TensorSpec:
     shape = entry["shape"]
     if not isinstance(shape, list) or any(not isinstance(s, int) or s < 0 for s in shape):
         raise ArchiveError(f"tensor {name!r}: shape must be a list of non-negative integers")
+    # a zero-element shape passes the byte-range checks whatever its other
+    # dims, so bound it here; every tensor is widened to float64 for merging
+    if (len(shape) > MAX_DIMS
+            or math.prod(s for s in shape if s) * DTYPE_SIZES["F64"] > _MAX_NBYTES):
+        raise ArchiveError(f"tensor {name!r}: shape {shape} cannot be represented in memory")
     offs = entry["data_offsets"]
     if (not isinstance(offs, list) or len(offs) != 2
             or any(not isinstance(o, int) or o < 0 for o in offs) or offs[1] < offs[0]):

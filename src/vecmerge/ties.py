@@ -48,25 +48,30 @@ class SignMap:
 def trim(tv: TaskVector, density: float) -> TaskVector:
     """Keep the ceil(density*numel) largest-|value| entries per tensor.
 
-    Ties at the magnitude threshold keep the smaller flattened index.
+    Selection is a linear-time partition threshold: entries above it are
+    kept, and entries equal to it fill the remaining slots in ascending
+    flattened index order, so ties keep the smaller index. Non-finite
+    deltas raise MergeError at every density, since they have no rank.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
     out = TaskVector(extras=dict(tv.extras), ignored=list(tv.ignored),
                      origin=f"trim({tv.origin}, density={density})")
-    if density == 1.0:
-        out.deltas = dict(tv.deltas)
-        return out
     for name, d in tv.deltas.items():
         flat = d.reshape(-1)
-        k = math.ceil(density * flat.size)
-        kept = np.zeros_like(flat)
-        if k > 0:
-            # stable sort on -|v|: equal magnitudes keep ascending index order
-            order = np.argsort(-np.abs(flat), kind="stable")
-            keep_idx = order[:k]
-            kept[keep_idx] = flat[keep_idx]
-        kept = kept.reshape(d.shape)
+        n = flat.size
+        mag = np.abs(flat)
+        if n and not np.isfinite(mag.max()):
+            raise MergeError(f"tensor {name!r}: non-finite delta cannot be trimmed")
+        k = math.ceil(density * n)
+        if k == n:
+            out.deltas[name] = d
+            continue
+        threshold = np.partition(mag, n - k)[n - k]
+        keep = mag > threshold
+        room = k - int(np.count_nonzero(keep))
+        keep[np.flatnonzero(mag == threshold)[:room]] = True
+        kept = np.where(keep, flat, 0.0).reshape(d.shape)
         kept.setflags(write=False)
         out.deltas[name] = kept
     return out
@@ -118,9 +123,10 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
             if name not in tv.deltas:
                 continue
             d = tv.deltas[name]
-            agree = (np.sign(d) == gamma) & (gamma != 0)
+            # sign(d) == gamma != 0 exactly when d * gamma > 0 (gamma is -1/0/+1)
+            agree = d * gamma > 0
             num += np.where(agree, float(w) * d, 0.0)
-            den += np.where(agree, float(w), 0.0)
+            den += agree * float(w)
         merged = np.divide(num, den, out=np.zeros(shape, dtype=np.float64), where=den != 0)
         merged.setflags(write=False)
         out.deltas[name] = merged

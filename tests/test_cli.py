@@ -139,6 +139,22 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["selected"] == {"w0": 0.2}
 
+    def run_lambda_sweep(self, workspace, capsys, rows):
+        metrics = workspace / "m.csv"
+        metrics.write_text("assignment,metric\n" + rows)
+        path = self.recipe(workspace, method="ties", **{"lambda": {"grid": [0.5, 1.0]}})
+        return run(capsys, "run", "--recipe", path, "--sweep", "--metrics", metrics, "--select")
+
+    def test_metrics_on_sweep_axes_selected(self, workspace, capsys):
+        code, out, _ = self.run_lambda_sweep(workspace, capsys,
+                                             "lambda=0.5,0.1\nlambda=1.0,0.3\n")
+        assert code == 0 and json.loads(out)["selected"] == {"lambda": 1.0}
+
+    @pytest.mark.parametrize("rows", ["w0=0.5,0.7\n", "lambda=0.5,0.1\nlambda=1.0;w0=1.0,0.7\n"])
+    def test_metrics_off_sweep_axes_exit_2(self, workspace, capsys, rows):
+        code, _, err = self.run_lambda_sweep(workspace, capsys, rows)
+        assert code == 2 and err.startswith("error:") and "sweep axes" in err
+
 
 class TestBenchCommand:
     def test_single_scenario(self, tmp_path, capsys):

@@ -90,6 +90,12 @@ class TestExpandSweep:
         assert [r.lam for r in out] == [0.5, 1.0]
         assert out[0].output == "o_lambda=0.5.st"
 
+    @pytest.mark.parametrize("grid", [[0.1234567, 0.1234568], [0.5, 0.5]])
+    def test_colliding_outputs_rejected(self, grid):
+        recipe = parse_recipe(minimal(method="ties", **{"lambda": {"grid": grid}}))
+        with pytest.raises(RecipeError, match="both write 'o_lambda="):
+            expand_sweep(recipe)
+
     def test_cap(self):
         recipe = parse_recipe(minimal(
             vectors=[{"source": "a.st", "weight": {"grid": list(np.linspace(0, 1, 40))}},

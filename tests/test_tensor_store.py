@@ -230,6 +230,13 @@ class TestValidateArchive:
         report = validate_archive(self.write(tmp_path, raw))
         assert report.violations == ["non-contiguous data: 16 trailing bytes after last tensor"]
 
+    @pytest.mark.parametrize("shape", [[0, 10 ** 20], [0, 2 ** 62, 2 ** 62]])
+    def test_unrepresentable_empty_shape(self, tmp_path, shape):
+        raw = make_archive({"w": {"dtype": "F32", "shape": shape, "data_offsets": [0, 0]}}, b"")
+        with pytest.raises(ArchiveError, match="cannot be represented"):
+            read_archive(raw)
+        assert not validate_archive(self.write(tmp_path, raw)).valid
+
     _FUZZ_SEED = write_archive(Checkpoint.from_arrays(
         {"a": [1.0, -2.0], "b": [[0.5]]}, "F32", metadata={"k": "v"}))
     # edits favour JSON syntax and half the examples keep the full length,

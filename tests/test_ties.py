@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from vecmerge import (Checkpoint, TaskVector, TiesConfig, apply, disjoint_merge,
-                      elect_signs, scale, tv_merge, ties_merge, trim, write_archive)
+from vecmerge import (Checkpoint, MergeError, TaskVector, TiesConfig, apply,
+                      disjoint_merge, elect_signs, interference_stats, save_archive,
+                      scale, tv_merge, ties_merge, trim, write_archive)
+from vecmerge.cli import main
 from vecmerge.recipes import DEFAULT_GRID
 
 from helpers import DTYPES, naive_ties_vector, naive_trim
@@ -47,6 +52,56 @@ class TestTrim:
             density = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
             got = trim(tv_of(values), density).deltas["w"]
             np.testing.assert_array_equal(got, naive_trim(values, density))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_tie_heavy_matches_naive_bits(self, data):
+        # few distinct integer magnitudes (with both zeros) put many ties at
+        # the threshold, where the lower-index rule decides what is kept
+        shape = data.draw(st.one_of(st.tuples(st.integers(1, 2000)),
+                                    st.tuples(st.integers(1, 44), st.integers(1, 44))))
+        magnitudes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+        elements = st.sampled_from([sign * float(m) for m in magnitudes for sign in (1.0, -1.0)])
+        values = data.draw(arrays(np.float64, shape, elements=elements))
+        density = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+        got = trim(tv_of(values), density).deltas["w"].reshape(-1)
+        want = np.array(naive_trim(values, density), dtype=np.float64)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestNonFinite:
+    """Non-finite deltas have no magnitude rank: TIES rejects them, TV passes them on."""
+
+    @pytest.fixture(params=[np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def bad(self, request):
+        return tv_of([0.5, request.param, -1.0, 2.0, 0.25])
+
+    @pytest.mark.parametrize("density", [0.2, 1.0])
+    def test_ties_rejects(self, bad, density):
+        good = tv_of([1.0, 1.0, 1.0, 1.0, 1.0])
+        base = Checkpoint.from_arrays({"w": np.zeros(5)})
+        with pytest.raises(MergeError, match="non-finite"):
+            trim(bad, density)
+        with pytest.raises(MergeError, match="non-finite"):
+            ties_merge(base, [good, bad], TiesConfig(density, [1.0, 1.0], 1.0))
+        with pytest.raises(MergeError, match="non-finite"):
+            interference_stats([good, bad], density)
+
+    @pytest.mark.parametrize("density", ["0.2", "1.0"])
+    def test_cli_merge_ties_exits_1(self, bad, density, tmp_path, capsys):
+        save_archive(Checkpoint.from_arrays({"w": np.zeros(5)}, "F32"), tmp_path / "base.st")
+        save_archive(bad.to_checkpoint(), tmp_path / "tv.st")
+        code = main(["merge", "ties", "--base", str(tmp_path / "base.st"),
+                     "--vector", str(tmp_path / "tv.st"), "--weight", "1.0",
+                     "--density", density, "--out", str(tmp_path / "out.st")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "non-finite" in err
+        assert not (tmp_path / "out.st").exists()
+
+    def test_tv_merge_passes_through(self, bad):
+        base = Checkpoint.from_arrays({"w": np.ones(5)})
+        out = tv_merge(base, [(bad, 1.0)])
+        np.testing.assert_array_equal(out.values("w"), 1.0 + bad.deltas["w"])
 
 
 class TestElectSigns:
