@@ -38,9 +38,17 @@ def memory_dtype(dtype: str):
 
 
 def _f32_to_bf16_bits(arr32: np.ndarray) -> np.ndarray:
-    """Round float32 to bfloat16 bit patterns (round-to-nearest-even)."""
+    """Round float32 to bfloat16 bit patterns (round-to-nearest-even).
+
+    The sum u + 0x7FFF + lsb wraps in uint32 only for u > 0xFFFF8000,
+    which are all NaN patterns, and the NaN branch overwrites those.
+    """
     u = np.ascontiguousarray(arr32, dtype="<f4").view(np.uint32)
-    rounded = ((u.astype(np.uint64) + 0x7FFF + ((u >> 16) & 1)) >> 16).astype(np.uint16)
+    r = (u >> 16) & 1
+    r += u
+    r += 0x7FFF
+    r >>= 16
+    rounded = r.astype(np.uint16)
     nan = np.isnan(arr32)
     if nan.any():
         # keep NaNs NaN: set the quiet bit, drop the rounding result
@@ -59,13 +67,19 @@ def encode(values: np.ndarray, dtype: str) -> bytes:
     return np.ascontiguousarray(values, dtype=_NUMPY_STORAGE[dtype]).tobytes()
 
 
-def decode(buf: bytes, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Deserialize raw little-endian bytes into the in-memory representation."""
+def decode(buf, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Deserialize raw little-endian bytes into the in-memory representation.
+
+    F64/F32/F16 results are views of `buf` unless its data is misaligned
+    for the dtype, in which case they are aligned copies.
+    """
     if dtype == "BF16":
         bits = np.frombuffer(buf, dtype="<u2")
         out = _bf16_bits_to_f32(bits).reshape(shape)  # the shift already copies
     else:
-        out = np.frombuffer(buf, dtype=_NUMPY_STORAGE[dtype]).reshape(shape).copy()
+        out = np.frombuffer(buf, dtype=_NUMPY_STORAGE[dtype]).reshape(shape)
+        if not out.flags.aligned:
+            out = out.copy()
     out.setflags(write=False)
     return out
 

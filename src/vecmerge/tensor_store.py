@@ -7,13 +7,19 @@ UTF-8 JSON `{name: {"dtype", "shape", "data_offsets"}}` (plus an optional
 The writer is canonical: tensors are serialized in lexicographic name
 order with offsets packed contiguously from 0, so equal checkpoints
 produce byte-equal archives.
+
+Files are read through a read-only memory map, and F64/F32/F16 tensors
+whose data is aligned are views of it; files are written one tensor at
+a time to a temp file that is then renamed into place.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,7 +117,7 @@ class ValidationReport:
         }
 
 
-def _parse_header(raw: bytes,
+def _parse_header(raw: bytes | memoryview,
                   duplicates: list[str] | None = None) -> tuple[dict, dict | None, int]:
     """Split off the JSON header: (tensor entries, metadata, data-region start).
 
@@ -135,7 +141,7 @@ def _parse_header(raw: bytes,
     if len(raw) < 8 + n:
         raise ArchiveError(f"truncated input: header length {n} exceeds remaining {len(raw) - 8} bytes")
     try:
-        header = json.loads(raw[8:8 + n].decode("utf-8"), object_pairs_hook=pairs_hook)
+        header = json.loads(str(raw[8:8 + n], "utf-8"), object_pairs_hook=pairs_hook)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"malformed JSON header: {exc}") from exc
     if not isinstance(header, dict):
@@ -190,13 +196,26 @@ def _check_specs(specs: list[TensorSpec], data_len: int) -> None:
                 f"overlaps {prev.name!r} ending at offset {prev.data_offsets[1]}")
 
 
+def _open_archive(path):
+    """The bytes of an archive file, as a memoryview of a read-only map.
+
+    Empty and non-regular files (pipes, /dev/stdin) cannot be mapped and
+    are read whole. Slice the memoryview, never the map: slicing an mmap
+    copies.
+    """
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size:
+            return memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+        return fh.read()
+
+
 def read_archive(path_or_bytes) -> Checkpoint:
     """Parse an archive from a path or a bytes object into a Checkpoint."""
     if isinstance(path_or_bytes, (bytes, bytearray, memoryview)):
         raw = bytes(path_or_bytes)
     else:
-        with open(path_or_bytes, "rb") as fh:
-            raw = fh.read()
+        raw = _open_archive(path_or_bytes)
     header, metadata, start = _parse_header(raw)
     specs = [_spec_from_entry(name, entry) for name, entry in header.items()]
     _check_specs(specs, len(raw) - start)
@@ -209,48 +228,55 @@ def read_archive(path_or_bytes) -> Checkpoint:
     return Checkpoint(tensors, dict(metadata) if metadata else None)
 
 
-def write_archive(checkpoint: Checkpoint, dtype_policy: str = "keep",
-                  allow_nonfinite: bool = True) -> bytes:
-    """Serialize a Checkpoint canonically; `dtype_policy` is "keep" or a dtype name."""
+def _serialize(checkpoint: Checkpoint, dtype_policy: str,
+               allow_nonfinite: bool):
+    """Yield an archive's bytes: the header, then one encoded tensor at a time."""
     if dtype_policy != "keep" and dtype_policy not in DTYPE_SIZES:
         raise ValueError(f"invalid dtype policy {dtype_policy!r}")
 
     header: dict[str, dict] = {}
     if checkpoint.metadata:
         header[METADATA_KEY] = dict(sorted(checkpoint.metadata.items()))
-    chunks = []
     offset = 0
     for name in checkpoint.names():
         if not name or name == METADATA_KEY:
             raise ArchiveError(f"invalid tensor name {name!r}")
         tensor = checkpoint[name]
         dtype = tensor.dtype if dtype_policy == "keep" else dtype_policy
+        nbytes = tensor.values.size * dtype_size(dtype)
+        header[name] = {
+            "dtype": dtype,
+            "shape": list(tensor.shape),
+            "data_offsets": [offset, offset + nbytes],
+        }
+        offset += nbytes
+
+    header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    yield len(header_bytes).to_bytes(8, "little") + header_bytes
+    for name in checkpoint.names():
+        tensor = checkpoint[name]
+        dtype = header[name]["dtype"]
         values = tensor.values
         if dtype != tensor.dtype:
             values = cast_values(values.astype(np.float64), dtype, allow_nonfinite=allow_nonfinite)
         elif not allow_nonfinite and not np.isfinite(values).all():
             raise ValueError(f"tensor {name!r}: non-finite value with allow_nonfinite=False")
-        raw = encode(values, dtype)
-        header[name] = {
-            "dtype": dtype,
-            "shape": list(tensor.shape),
-            "data_offsets": [offset, offset + len(raw)],
-        }
-        chunks.append(raw)
-        offset += len(raw)
+        yield encode(values, dtype)
 
-    header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    return len(header_bytes).to_bytes(8, "little") + header_bytes + b"".join(chunks)
+
+def write_archive(checkpoint: Checkpoint, dtype_policy: str = "keep",
+                  allow_nonfinite: bool = True) -> bytes:
+    """Serialize a Checkpoint canonically; `dtype_policy` is "keep" or a dtype name."""
+    return b"".join(_serialize(checkpoint, dtype_policy, allow_nonfinite))
 
 
 def save_archive(checkpoint: Checkpoint, path, dtype_policy: str = "keep",
                  allow_nonfinite: bool = True) -> None:
-    """Write atomically: serialize to a temp file, then rename into place."""
-    blob = write_archive(checkpoint, dtype_policy, allow_nonfinite)
+    """Write atomically: stream to a temp file, then rename into place."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            fh.writelines(_serialize(checkpoint, dtype_policy, allow_nonfinite))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -260,9 +286,7 @@ def save_archive(checkpoint: Checkpoint, path, dtype_policy: str = "keep",
 def validate_archive(path) -> ValidationReport:
     """Inspect an archive, reporting format violations instead of raising."""
     report = ValidationReport()
-    with open(path, "rb") as fh:
-        raw = fh.read()
-
+    raw = _open_archive(path)
     try:
         header, _, start = _parse_header(raw, duplicates=report.violations)
     except ArchiveError as exc:

@@ -30,12 +30,16 @@ class TiesConfig:
     def validate(self, n_vectors: int) -> None:
         if not 0.0 < self.density <= 1.0:
             raise ValueError(f"density must be in (0, 1], got {self.density}")
-        if len(self.weights) != n_vectors:
-            raise ValueError(f"{len(self.weights)} weights for {n_vectors} vectors")
-        if any(w <= 0 or not np.isfinite(w) for w in self.weights):
-            raise ValueError("weights must be positive and finite")
+        _check_weights(self.weights, n_vectors)
         if not np.isfinite(self.lam):
             raise ValueError(f"non-finite lambda {self.lam}")
+
+
+def _check_weights(weights: list[float], n_vectors: int) -> None:
+    if len(weights) != n_vectors:
+        raise ValueError(f"{len(weights)} weights for {n_vectors} vectors")
+    if any(w <= 0 or not np.isfinite(w) for w in weights):
+        raise ValueError("weights must be positive and finite")
 
 
 @dataclass
@@ -90,8 +94,7 @@ def _union_shapes(tvs: list[TaskVector]) -> dict[str, tuple[int, ...]]:
 
 def elect_signs(trimmed: list[TaskVector], weights: list[float]) -> SignMap:
     """gamma = sign(sum_t w_t * tau_t) per element; sign(0) elects 0."""
-    if len(trimmed) != len(weights):
-        raise ValueError(f"{len(weights)} weights for {len(trimmed)} vectors")
+    _check_weights(weights, len(trimmed))
     shapes = _union_shapes(trimmed)
     signmap = SignMap()
     for name, shape in shapes.items():
@@ -111,8 +114,7 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
     A_p = {t : sign(tau_tp) = gamma_p}; elected sign 0 or empty A_p
     gives 0.
     """
-    if len(trimmed) != len(weights):
-        raise ValueError(f"{len(weights)} weights for {len(trimmed)} vectors")
+    _check_weights(weights, len(trimmed))
     shapes = _union_shapes(trimmed)
     out = TaskVector(origin=f"ties disjoint merge of {len(trimmed)} vectors")
     for name, shape in shapes.items():

@@ -1,20 +1,32 @@
 import json
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecmerge import (ArchiveError, Checkpoint, Tensor, read_archive,
-                      validate_archive, write_archive)
-from vecmerge.dtypes import cast_values
+from vecmerge import (ArchiveError, Checkpoint, TaskVector, Tensor, read_archive,
+                      save_archive, validate_archive, write_archive)
+from vecmerge.cli import main
+from vecmerge.dtypes import _f32_to_bf16_bits, cast_values
 
 from helpers import DTYPES, random_checkpoint
 
 
 def make_archive(header: dict, data: bytes) -> bytes:
     blob = json.dumps(header, separators=(",", ":")).encode()
+    return len(blob).to_bytes(8, "little") + blob + data
+
+
+def padded_archive(header: dict, data: bytes, misalign: int) -> bytes:
+    """Like make_archive, with the data region starting `misalign` bytes
+    past an 8-byte boundary (JSON allows trailing spaces in the header)."""
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    blob += b" " * ((misalign - len(blob)) % 8)
     return len(blob).to_bytes(8, "little") + blob + data
 
 
@@ -92,6 +104,114 @@ class TestReadArchive:
         p = tmp_path / "a.st"
         p.write_bytes(make_archive({}, b""))
         assert len(read_archive(p)) == 0
+
+
+class TestMappedRead:
+    def test_aligned_f64_is_read_without_copying(self, tmp_path):
+        values = np.arange(1 << 20, dtype="<f8")
+        raw = padded_archive(
+            {"w": {"dtype": "F64", "shape": [values.size], "data_offsets": [0, values.nbytes]}},
+            values.tobytes(), 0)
+        path = tmp_path / "a.st"
+        path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            ckpt = read_archive(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * len(raw), f"read peak {peak} bytes for a {len(raw)}-byte file"
+        np.testing.assert_array_equal(ckpt.values("w"), values)
+
+    @pytest.mark.parametrize("misalign", [1, 2, 5])
+    @pytest.mark.parametrize("dtype,storage", [("F64", "<f8"), ("F32", "<f4"), ("F16", "<f2")])
+    def test_misaligned_data_reads_back_aligned(self, tmp_path, dtype, storage, misalign):
+        rng = np.random.default_rng(misalign)
+        a = rng.normal(size=3).astype(storage)
+        b = rng.normal(size=(4, 5)).astype(storage)
+        raw = padded_archive(
+            {"a": {"dtype": dtype, "shape": [3], "data_offsets": [0, a.nbytes]},
+             "b": {"dtype": dtype, "shape": [4, 5], "data_offsets": [a.nbytes, a.nbytes + b.nbytes]}},
+            a.tobytes() + b.tobytes(), misalign)
+        path = tmp_path / "a.st"
+        path.write_bytes(raw)
+        for ckpt in (read_archive(path), read_archive(raw)):
+            for name, want in (("a", a), ("b", b)):
+                got = ckpt.values(name)
+                assert got.flags.aligned and not got.flags.writeable
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.st"
+        path.write_bytes(b"")
+        with pytest.raises(ArchiveError, match="truncated input: 0 bytes"):
+            read_archive(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe(self, tmp_path):
+        ckpt = random_checkpoint(np.random.default_rng(4), n_tensors=8, max_numel=4096)
+        blob = write_archive(ckpt)
+        fifo = tmp_path / "pipe.st"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        again = read_archive(fifo)
+        writer.join(timeout=10)
+        assert write_archive(again) == blob
+
+    def test_merge_in_place_matches_fresh_output(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        base = Checkpoint.from_arrays(
+            {"w": rng.normal(size=(32, 32)), "norm": rng.normal(size=32)}, "F32")
+        save_archive(base, tmp_path / "base.st")
+        save_archive(TaskVector.from_arrays({"w": rng.normal(size=(32, 32))}).to_checkpoint(),
+                     tmp_path / "tv.st")
+        argv = ["merge", "tv", "--base", str(tmp_path / "base.st"),
+                "--vector", str(tmp_path / "tv.st"), "--weight", "0.3", "--out"]
+        assert main(argv + [str(tmp_path / "fresh.st")]) == 0
+        assert main(argv + [str(tmp_path / "base.st")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "base.st").read_bytes() == (tmp_path / "fresh.st").read_bytes()
+
+    def test_mapped_input_survives_replacement(self, tmp_path):
+        values = np.arange(4096, dtype="<f8")
+        path = tmp_path / "a.st"
+        path.write_bytes(padded_archive(
+            {"w": {"dtype": "F64", "shape": [4096], "data_offsets": [0, values.nbytes]}},
+            values.tobytes(), 0))
+        old = read_archive(path)
+        assert not old.values("w").flags.owndata  # a view of the map
+        save_archive(Checkpoint.from_arrays({"w": -values}), path)
+        np.testing.assert_array_equal(old.values("w"), values)
+        np.testing.assert_array_equal(read_archive(path).values("w"), -values)
+
+
+class TestSaveArchive:
+    @pytest.mark.parametrize("policy", ["keep", "BF16"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_file_bytes_equal_write_archive(self, tmp_path, dtype, policy):
+        ckpt = random_checkpoint(np.random.default_rng(8), n_tensors=5, dtypes=[dtype])
+        ckpt.metadata = {"k": "v", "a": "b"}
+        path = tmp_path / "out.st"
+        save_archive(ckpt, path, dtype_policy=policy)
+        assert path.read_bytes() == write_archive(ckpt, dtype_policy=policy)
+
+    def test_empty_checkpoint(self, tmp_path):
+        path = tmp_path / "out.st"
+        save_archive(Checkpoint(), path)
+        assert path.read_bytes() == write_archive(Checkpoint())
+
+    @pytest.mark.parametrize("policy", ["keep", "BF16"])
+    def test_nonfinite_last_tensor_keeps_destination(self, tmp_path, policy):
+        path = tmp_path / "out.st"
+        path.write_bytes(b"old bytes")
+        ckpt = Checkpoint({"a": Tensor("F32", np.zeros(1000, dtype=np.float32)),
+                           "z": Tensor("F32", np.array([1.0, np.nan], dtype=np.float32))})
+        with pytest.raises(ValueError, match="non-finite"):
+            save_archive(ckpt, path, dtype_policy=policy, allow_nonfinite=False)
+        assert path.read_bytes() == b"old bytes"
+        assert list(tmp_path.glob("*.tmp.*")) == []
 
 
 class TestWriteArchive:
@@ -265,6 +385,25 @@ class TestValidateArchive:
         report = validate_archive(self.write(tmp_path, write_archive(ckpt)))
         d = report.to_dict()
         assert set(d) == {"dtype_counts", "tensor_count", "total_bytes", "valid", "violations"}
+
+
+class TestBF16Round:
+    def test_matches_uint64_oracle_on_every_high_half(self):
+        high = np.arange(1 << 16, dtype=np.uint32) << np.uint32(16)
+        low = np.array([0, 1, 0x7FFF, 0x8000, 0x8001, 0xFFFF], dtype=np.uint32)
+        u = (high[:, None] | low[None, :]).reshape(-1)
+        for pattern in (0x00000000, 0x80000000,  # +-0
+                        0x7F800000, 0xFF800000,  # +-inf
+                        0x7F7FFFFF, 0xFF7FFFFF,  # +-max finite, rounds to inf
+                        0x3F808000, 0x3F818000,  # ties to even, down and up
+                        0x7FC00000, 0xFFC00000,  # quiet NaN
+                        0x7F800001, 0xFF800001,  # signalling NaN, payload in the low half
+                        0x7FA00000, 0xFFFFFFFF):  # signalling NaN, all-ones NaN
+            assert pattern in u
+        f = u.view(np.float32)
+        want = ((u.astype(np.uint64) + 0x7FFF + ((u >> 16) & 1)) >> 16).astype(np.uint16)
+        want = np.where(np.isnan(f), ((u >> 16) | 0x0040).astype(np.uint16), want)
+        np.testing.assert_array_equal(_f32_to_bf16_bits(f), want)
 
 
 class TestCastValues:

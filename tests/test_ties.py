@@ -154,6 +154,17 @@ class TestDisjointMerge:
             np.sign(merged.deltas["w"])[nz], signs.signs["w"][nz])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_elect_and_disjoint_reject_bad_weights(bad):
+    vs = [tv_of([1.0, -2.0, 0.5]), tv_of([2.0, 1.0, -0.5])]
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        elect_signs(vs, [1.0, bad])
+    signs = elect_signs(vs, [1.0, 1.0])
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        disjoint_merge(vs, [1.0, bad], signs)
+
+
 class TestTiesMerge:
     def test_full_pipeline_hand_case(self):
         base = Checkpoint.from_arrays({"w": [0.0, 0.0, 0.0, 0.0]})
