@@ -4,8 +4,13 @@ Class k of the L1 population is centered at +2*e_{k mod d}; L2 mirrors it
 at -2*e_{k mod d}. A mixed sample is a convex combination of one draw
 from each population with the same label, alpha ~ uniform(0.3, 0.7).
 Draw order per sample: alpha (mixed only), then d gaussians per
-constituent. Additive gaussian noise sigma = 0.5; labels are balanced
-round-robin.
+constituent, each constituent's from its own 2*ceil(d/2) uniforms (for
+odd d the final sin is dropped), exactly as per-sample `uniform` and
+`gaussians(d)` calls would draw them. A dataset's uniforms are drawn
+in blocks of whole samples (`SplitMix64.uniform_block`) and turned into
+gaussians by the same `box_muller` that `gaussians` uses, so the bits
+do not depend on the block size. Additive gaussian noise sigma = 0.5;
+labels are balanced round-robin.
 """
 
 from __future__ import annotations
@@ -14,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import SplitMix64, box_muller
 
 NOISE_SIGMA = 0.5
 ALPHA_LO, ALPHA_HI = 0.3, 0.7
 CLASS_SCALE = 2.0
+_BLOCK = 1 << 13  # uniforms per draw; bounds the temporaries, not the bits
 
 KINDS = ("L1", "L2", "mixed")
 
@@ -44,14 +50,10 @@ class Dataset:
         return len(self.y)
 
 
-def _class_mean(kind: str, label: int, d: int) -> np.ndarray:
-    mean = np.zeros(d)
-    mean[label % d] = CLASS_SCALE if kind == "L1" else -CLASS_SCALE
-    return mean
-
-
-def _draw(rng: SplitMix64, kind: str, label: int, d: int) -> np.ndarray:
-    return _class_mean(kind, label, d) + NOISE_SIGMA * np.array(rng.gaussians(d))
+def _class_means(kind: str, labels: np.ndarray, d: int) -> np.ndarray:
+    means = np.zeros((len(labels), d))
+    means[np.arange(len(labels)), labels % d] = CLASS_SCALE if kind == "L1" else -CLASS_SCALE
+    return means
 
 
 def gen_dataset(kind: str, n: int, spec: ModelSpec, seed: int,
@@ -64,15 +66,20 @@ def gen_dataset(kind: str, n: int, spec: ModelSpec, seed: int,
     rng = SplitMix64(seed)
     X = np.empty((n, d))
     y = np.arange(n, dtype=np.int64) % c  # balanced round-robin
-    for i in range(n):
-        label = int(y[i])
+    width = 2 * ((d + 1) // 2)  # uniforms per constituent
+    per_sample = 1 + 2 * width if kind == "mixed" else width
+    rows = max(1, _BLOCK // per_sample)
+    for lo in range(0, n, rows):
+        labels = y[lo:lo + rows]
+        u = rng.uniform_block(len(labels) * per_sample).reshape(len(labels), per_sample)
         if kind == "mixed":
-            alpha = rng.uniform_range(ALPHA_LO, ALPHA_HI)
-            x1 = _draw(rng, "L1", label, d)
-            x2 = _draw(rng, "L2", label, d)
-            X[i] = alpha * x1 + (1.0 - alpha) * x2
+            alpha = ALPHA_LO + (ALPHA_HI - ALPHA_LO) * u[:, :1]
+            g = box_muller(u[:, 1:])
+            x1 = _class_means("L1", labels, d) + NOISE_SIGMA * g[:, :d]
+            x2 = _class_means("L2", labels, d) + NOISE_SIGMA * g[:, width:width + d]
+            X[lo:lo + rows] = alpha * x1 + (1.0 - alpha) * x2
         else:
-            X[i] = _draw(rng, kind, label, d)
+            X[lo:lo + rows] = _class_means(kind, labels, d) + NOISE_SIGMA * box_muller(u)[:, :d]
     return Dataset(X, y, split)
 
 

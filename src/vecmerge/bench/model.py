@@ -8,6 +8,7 @@ archive, merge, and diff machinery as any other checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,24 +77,50 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def loss_and_grads(model: Checkpoint, X: np.ndarray, y: np.ndarray):
-    """Mean softmax cross-entropy and analytic gradients per tensor."""
+class _Workspace(NamedTuple):
+    """The n x h buffers of one training step, reused across epochs."""
+
+    z: np.ndarray
+    hidden: np.ndarray
+    d_z: np.ndarray
+    inactive: np.ndarray  # bool: not z > 0 (NaN included)
+    rows: np.ndarray  # arange(n)
+
+
+def _workspace(n: int, h: int) -> _Workspace:
+    return _Workspace(np.empty((n, h)), np.empty((n, h)), np.empty((n, h)),
+                      np.empty((n, h), dtype=bool), np.arange(n))
+
+
+def loss_and_grads(model: Checkpoint, X: np.ndarray, y: np.ndarray,
+                   work: _Workspace | None = None):
+    """Mean softmax cross-entropy and analytic gradients per tensor.
+
+    `work` holds the n x h intermediates; without one, fresh buffers are
+    allocated. The returned gradients never alias it.
+    """
     w0 = model.values("layer0.weight")
     b0 = model.values("layer0.bias")
     w1 = model.values("layer1.weight")
     n = len(y)
-    z = X @ w0.T + b0
-    hidden = np.maximum(z, 0.0)
+    if work is None:
+        work = _workspace(n, w0.shape[0])
+    z, hidden, d_z, inactive, rows = work
+    np.matmul(X, w0.T, out=z)
+    z += b0
+    np.maximum(z, 0.0, out=hidden)
     logits = hidden @ w1.T + model.values("layer1.bias")
     probs = softmax(logits)
     with np.errstate(divide="ignore"):
         # a zero probability yields inf loss, reported as divergence upstream
-        loss = float(-np.mean(np.log(probs[np.arange(n), y])))
+        loss = float(-np.mean(np.log(probs[rows, y])))
     g = probs.copy()
-    g[np.arange(n), y] -= 1.0
+    g[rows, y] -= 1.0
     g /= n
-    d_hidden = g @ w1
-    d_z = np.where(z > 0.0, d_hidden, 0.0)
+    np.matmul(g, w1, out=d_z)
+    np.greater(z, 0.0, out=inactive)
+    np.logical_not(inactive, out=inactive)
+    np.copyto(d_z, 0.0, where=inactive)
     grads = {
         "layer0.bias": d_z.sum(axis=0),
         "layer0.weight": d_z.T @ X,
@@ -104,19 +131,25 @@ def loss_and_grads(model: Checkpoint, X: np.ndarray, y: np.ndarray):
 
 
 def train(model: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
-    """Full-batch gradient descent; returns a new checkpoint, input untouched."""
+    """Full-batch gradient descent; returns a new checkpoint, input untouched.
+
+    The step's n x h buffers are allocated once per call, never shared
+    between calls, so concurrent calls from several threads are safe.
+    """
     if data.split != "train":
         raise ValueError(f"training requires a train split, got {data.split!r}")
     params = {name: model.values(name).copy() for name in sorted(model.names())}
-    current = Checkpoint({n: Tensor("F64", v) for n, v in params.items()})
+    # read-only views of the arrays that each epoch updates in place
+    current = Checkpoint({n: Tensor("F64", v.view()) for n, v in params.items()})
     X = np.asarray(data.X, dtype=np.float64)
+    work = _workspace(len(data.y), params["layer0.weight"].shape[0])
     for epoch in range(cfg.epochs):
-        loss, grads = loss_and_grads(current, X, data.y)
+        loss, grads = loss_and_grads(current, X, data.y, work)
         if not np.isfinite(loss):
             raise DivergenceError(epoch)
-        params = {name: params[name] - cfg.learning_rate * grads[name]
-                  for name in sorted(params)}
-        current = Checkpoint({n: Tensor("F64", v) for n, v in params.items()})
+        for name, grad in grads.items():
+            grad *= cfg.learning_rate
+            params[name] -= grad
     return current
 
 

@@ -28,6 +28,7 @@ from .dtypes import DTYPE_SIZES, cast_values, decode, dtype_size, encode
 
 METADATA_KEY = "__metadata__"
 MAX_DIMS = 32  # numpy 1.x's limit; numpy 2 allows 64
+MAX_HEADER_BYTES = 100_000_000  # the safetensors limit
 _MAX_NBYTES = int(np.iinfo(np.intp).max)
 
 
@@ -138,11 +139,17 @@ def _parse_header(raw: bytes | memoryview,
     if len(raw) < 8:
         raise ArchiveError(f"truncated input: {len(raw)} bytes, need at least 8 for header length")
     n = int.from_bytes(raw[:8], "little")
+    if n > MAX_HEADER_BYTES:
+        raise ArchiveError(f"header length {n} exceeds the limit of {MAX_HEADER_BYTES} bytes")
     if len(raw) < 8 + n:
         raise ArchiveError(f"truncated input: header length {n} exceeds remaining {len(raw) - 8} bytes")
     try:
         header = json.loads(str(raw[8:8 + n], "utf-8"), object_pairs_hook=pairs_hook)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ArchiveError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8 or JSON, an integer over Python's digit limit, or
+        # nesting deeper than the recursion limit
         raise ArchiveError(f"malformed JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise ArchiveError("malformed JSON header: top level must be an object")

@@ -1,16 +1,24 @@
 import json
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vecmerge import Checkpoint, Tensor, extract_task_vector, scale, tv_merge, apply
 from vecmerge.bench import (BenchSizes, Dataset, DivergenceError, ModelSpec,
                             SplitMix64, TrainConfig, derive_stream, forward,
                             gen_dataset, init_model, loss_and_grads, macro_f1,
                             predict, run_bench, run_scenario, train)
+from vecmerge.bench import data as bench_data
 from vecmerge.bench.model import softmax
 from vecmerge.bench.scenarios import _SeedContext
+
+from helpers import naive_gaussians, naive_gen_dataset, naive_loss_and_grads, naive_train
 
 
 SMALL = BenchSizes(input_dim=6, hidden_dim=8, class_count=3, n_target=30,
@@ -63,6 +71,25 @@ class TestPrng:
         a, b = SplitMix64(987), SplitMix64(987)
         assert a.gaussians(11) == b.gaussians(11)
 
+    @given(seed=st.integers(0, 2 ** 64 - 1), m=st.integers(0, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_uniform_block_matches_sequential_draws(self, seed, m):
+        block, seq = SplitMix64(seed), SplitMix64(seed)
+        got = block.uniform_block(m)
+        want = np.array([seq.uniform() for _ in range(m)])
+        assert got.dtype == np.float64
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert block.state == seq.state
+        assert block.next_u64() == seq.next_u64()
+
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 41))
+    @settings(max_examples=100, deadline=None)
+    def test_gaussians_match_naive_bits(self, seed, n):
+        block, seq = SplitMix64(seed), SplitMix64(seed)
+        got, want = block.gaussians(n), naive_gaussians(seq, n)
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+        assert block.state == seq.state
+
     def test_derive_stream_deterministic(self):
         assert derive_stream(5, 2) == derive_stream(5, 2)
         assert derive_stream(5, 2) != derive_stream(5, 3)
@@ -100,6 +127,19 @@ class TestGenDataset:
         x1 = np.array([2.0, 0, 0, 0, 0, 0]) + 0.5 * np.array(rng.gaussians(6))
         x2 = np.array([-2.0, 0, 0, 0, 0, 0]) + 0.5 * np.array(rng.gaussians(6))
         np.testing.assert_array_equal(data.X[0], alpha * x1 + (1 - alpha) * x2)
+
+    @given(d=st.integers(1, 20), c=st.integers(1, 7), extra=st.integers(0, 120),
+           kind=st.sampled_from(["L1", "L2", "mixed"]), seed=st.integers(0, 2 ** 64 - 1),
+           block=st.integers(1, 400))
+    @example(d=17, c=3, extra=100, kind="mixed", seed=0, block=8192)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_bits_whatever_the_block(self, d, c, extra, kind, seed, block):
+        n = c + extra
+        want_X, want_y = naive_gen_dataset(kind, n, d, c, seed)
+        with mock.patch.object(bench_data, "_BLOCK", block):
+            data = gen_dataset(kind, n, ModelSpec(d, 4, c), seed)
+        assert data.X.view(np.uint64).tolist() == want_X.view(np.uint64).tolist()
+        np.testing.assert_array_equal(data.y, want_y)
 
     def test_population_means_mirror(self):
         big1 = gen_dataset("L1", 900, self.spec, seed=1)
@@ -216,6 +256,83 @@ class TestTrain:
         model = init_model(self.spec, 1)
         with pytest.raises(DivergenceError):
             train(model, self.dataset(), TrainConfig(1e6, 50))
+
+    @given(d=st.integers(1, 7), h=st.integers(1, 9), c=st.integers(1, 4),
+           extra=st.integers(0, 40), kind=st.sampled_from(["L1", "mixed"]),
+           seed=st.integers(0, 2 ** 32 - 1), lr=st.sampled_from([0.0, 0.03, 0.5]),
+           epochs=st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_bits(self, d, h, c, extra, kind, seed, lr, epochs):
+        spec = ModelSpec(d, h, c)
+        model = init_model(spec, seed)
+        data = gen_dataset(kind, c + extra, spec, seed + 1)
+        params = {n: model.values(n) for n in model.names()}
+        loss, grads = loss_and_grads(model, data.X, data.y)
+        want_loss, want_grads = naive_loss_and_grads(params, data.X, data.y)
+        assert np.float64(loss).view(np.uint64) == np.float64(want_loss).view(np.uint64)
+        for name, g in grads.items():
+            assert g.view(np.uint64).tolist() == want_grads[name].view(np.uint64).tolist()
+        want, diverged = naive_train(params, data.X, data.y, lr, epochs)
+        assert diverged is None
+        out = train(model, data, TrainConfig(lr, epochs))
+        for name in out.names():
+            assert out.values(name).view(np.uint64).tolist() == want[name].view(np.uint64).tolist()
+
+    def test_nan_pre_activations_match_naive_bits(self):
+        model = init_model(self.spec, 1)
+        w0 = model.values("layer0.weight").copy()
+        w0[2, 0] = np.nan
+        w0[4] = np.inf
+        model = Checkpoint({**model.tensors, "layer0.weight": Tensor("F64", w0)})
+        data = self.dataset()
+        params = {n: model.values(n) for n in model.names()}
+        with np.errstate(invalid="ignore"):
+            loss, grads = loss_and_grads(model, data.X, data.y)
+            want_loss, want_grads = naive_loss_and_grads(params, data.X, data.y)
+        assert np.isnan(loss) and np.isnan(want_loss)
+        for name, g in grads.items():
+            assert g.view(np.uint64).tolist() == want_grads[name].view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_divergence_epoch_matches_naive(self, seed):
+        model = init_model(self.spec, seed)
+        data = self.dataset(seed=seed)
+        params = {n: model.values(n) for n in model.names()}
+        _, epoch = naive_train(params, data.X, data.y, 1e6, 50)
+        assert epoch is not None
+        with pytest.raises(DivergenceError) as info:
+            train(model, data, TrainConfig(1e6, 50))
+        assert info.value.epoch == epoch
+
+    def test_concurrent_calls_share_no_buffers(self):
+        # more threads than cores and a short switch interval, so calls
+        # with equal and with different n interleave inside their epochs;
+        # four of six share n, so two of them start back to back
+        jobs = [(init_model(self.spec, i), self.dataset(seed=i, n=n))
+                for i, n in enumerate([20, 37, 37, 37, 37, 54])]
+        cfg = TrainConfig(0.1, 200)
+        alone = [train(model, data, cfg) for model, data in jobs]
+        results = [None] * len(jobs)
+        start = threading.Barrier(len(jobs))
+
+        def work(i):
+            start.wait(timeout=60)
+            results[i] = train(*jobs[i], cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, alone):
+            for name in want.names():
+                assert got.values(name).tobytes() == want.values(name).tobytes()
 
     def test_requires_train_split(self):
         model = init_model(self.spec, 1)

@@ -6,13 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vecmerge import (ArchiveError, Checkpoint, TaskVector, Tensor, read_archive,
                       save_archive, validate_archive, write_archive)
 from vecmerge.cli import main
 from vecmerge.dtypes import _f32_to_bf16_bits, cast_values
+from vecmerge.tensor_store import MAX_HEADER_BYTES
 
 from helpers import DTYPES, random_checkpoint
 
@@ -310,6 +311,51 @@ class TestRoundTrip:
             assert all(isinstance(s, int) for s in entry["shape"])
 
 
+def _prefixed(blob: bytes) -> bytes:
+    return len(blob).to_bytes(8, "little") + blob
+
+
+class TestHostileHeader:
+    # json.loads raises RecursionError and a digit-limit ValueError on these
+    CASES = {
+        "deep_nesting": _prefixed(b'{"a":' + b"[" * 100_000),
+        "huge_integer": _prefixed(
+            b'{"w":{"dtype":"F32","shape":[' + b"9" * 5000 + b'],"data_offsets":[0,4]}}')
+        + b"\x00" * 4,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reader_raises_archive_error(self, tmp_path, case):
+        raw = self.CASES[case]
+        path = tmp_path / "hostile.st"
+        path.write_bytes(raw)
+        for source in (raw, path):
+            with pytest.raises(ArchiveError, match="malformed JSON header"):
+                read_archive(source)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_inspect_reports_invalid(self, tmp_path, capsys, case):
+        path = tmp_path / "hostile.st"
+        path.write_bytes(self.CASES[case])
+        assert main(["inspect", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert not report["valid"]
+        assert report["violations"][0].startswith("malformed JSON header")
+
+    def test_header_length_over_cap(self, tmp_path, capsys):
+        raw = (MAX_HEADER_BYTES + 1).to_bytes(8, "little")
+        path = tmp_path / "cap.st"
+        path.write_bytes(raw)
+        for source in (raw, path):
+            with pytest.raises(ArchiveError, match="exceeds the limit of 100000000 bytes"):
+                read_archive(source)
+        assert main(["inspect", str(path)]) == 1
+        assert not json.loads(capsys.readouterr().out)["valid"]
+        # at the cap, the length is checked against the file instead
+        with pytest.raises(ArchiveError, match="truncated input"):
+            read_archive(MAX_HEADER_BYTES.to_bytes(8, "little"))
+
+
 class TestValidateArchive:
     def write(self, tmp_path, blob):
         p = tmp_path / "a.st"
@@ -379,6 +425,36 @@ class TestValidateArchive:
             read_archive(raw)
         except ArchiveError:
             assert not validate_archive(path).valid
+
+    # runs of the tokens that reach json's recursion and digit limits
+    _RUN_TOKENS = [b"[", b"{", b'{"a":', b"9"]
+    _HEADER_LEN = int.from_bytes(_FUZZ_SEED[:8], "little")
+
+    @given(edits=st.lists(
+               st.tuples(st.integers(0, _HEADER_LEN), st.booleans(),
+                         st.one_of(st.sampled_from(_JSON_BYTES).map(lambda b: bytes([b])),
+                                   st.builds(lambda token, k: token * k,
+                                             st.sampled_from(_RUN_TOKENS), st.integers(1, 6000)))),
+               max_size=4),
+           fix_length=st.booleans())
+    @example(edits=[(_FUZZ_SEED.index(b"[") - 8, True, b"[" * 2000)], fix_length=True)
+    @example(edits=[(_FUZZ_SEED.index(b"[") - 7, True, b"9" * 5000)], fix_length=True)
+    @settings(max_examples=300, deadline=None)
+    def test_reader_raises_only_archive_error(self, tmp_path_factory, edits, fix_length):
+        """Edits insert into (or overwrite) the JSON header; the length
+        prefix is either rewritten to cover them or left stale."""
+        header = bytearray(self._FUZZ_SEED[8:8 + self._HEADER_LEN])
+        for pos, insert, chunk in edits:
+            header[pos:pos if insert else pos + len(chunk)] = chunk
+        length = len(header) if fix_length else self._HEADER_LEN
+        raw = length.to_bytes(8, "little") + bytes(header) + self._FUZZ_SEED[8 + self._HEADER_LEN:]
+        path = tmp_path_factory.getbasetemp() / "hostile-fuzz.st"
+        path.write_bytes(raw)
+        report = validate_archive(path)
+        try:
+            read_archive(raw)
+        except ArchiveError:
+            assert not report.valid
 
     def test_report_shape(self, tmp_path):
         ckpt = random_checkpoint(np.random.default_rng(9), n_tensors=3)
