@@ -18,7 +18,7 @@ from .reports import cosine, diff_stats, interference_stats
 from .tensor_store import (ArchiveError, read_archive, save_archive,
                            validate_archive)
 from .ties import DEFAULT_DENSITY, DEFAULT_LAMBDA, TiesConfig, ties_merge
-from .tv import extract_task_vector, load_task_vector, tv_merge
+from .tv import extract_task_vector, load_task_vector, tv_merge_lazy
 
 
 def _cmd_inspect(args) -> int:
@@ -47,7 +47,7 @@ def _weighted_pairs(args):
 
 def _cmd_merge_tv(args) -> int:
     base = read_archive(args.base)
-    merged = tv_merge(base, _weighted_pairs(args), threads=args.threads)
+    merged = tv_merge_lazy(base, _weighted_pairs(args), threads=args.threads)
     save_archive(merged, args.out)
     print(json.dumps({"out": args.out, "tensor_count": len(merged)}, sort_keys=True))
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -21,7 +22,7 @@ import jsonschema
 
 from . import ties as ties_mod
 from . import tv as tv_mod
-from .tensor_store import Checkpoint, read_archive, save_archive
+from .tensor_store import read_archive, save_archive
 
 DEFAULT_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 SWEEP_CAP = 1000
@@ -233,7 +234,7 @@ def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> MergeOutcome:
 
     report = None
     if recipe.method == "tv":
-        merged = tv_mod.tv_merge(base, pairs, threads=threads)
+        merged = tv_mod.tv_merge_lazy(base, pairs, threads=threads)
     else:
         config = ties_mod.TiesConfig(
             density=recipe.density,
@@ -246,7 +247,7 @@ def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> MergeOutcome:
     metadata = dict(merged.metadata or {})
     metadata["vecmerge.recipe"] = json.dumps(recipe.to_dict(), sort_keys=True,
                                              separators=(",", ":"))
-    merged = Checkpoint(merged.tensors, metadata)
+    merged = dataclasses.replace(merged, metadata=metadata)
     save_archive(merged, recipe.output, dtype_policy=recipe.dtype)
     return MergeOutcome(
         output=recipe.output,

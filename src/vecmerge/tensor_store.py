@@ -9,8 +9,10 @@ order with offsets packed contiguously from 0, so equal checkpoints
 produce byte-equal archives.
 
 Files are read through a read-only memory map, and F64/F32/F16 tensors
-whose data is aligned are views of it; files are written one tensor at
-a time to a temp file that is then renamed into place.
+whose data is aligned are views of it; a checkpoint's `release(name)`
+drops the mapped pages of a tensor it no longer needs. Files are written
+one tensor at a time to a temp file that is then renamed into place, and
+a `LazyCheckpoint` makes each tensor only when the writer reaches it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import math
 import mmap
 import os
 import stat
+import weakref
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,12 +71,21 @@ class Tensor:
         return tuple(self.values.shape)
 
 
+def _keep_pages(name: str) -> None:
+    """The release of a checkpoint that maps no file: there is nothing to drop."""
+
+
 @dataclass
 class Checkpoint:
-    """Immutable-by-convention ordered map of named tensors."""
+    """Immutable-by-convention ordered map of named tensors.
+
+    `release(name)` tells the checkpoint that tensor `name` will not be
+    read again soon; a mapped checkpoint drops its pages (see read_archive).
+    """
 
     tensors: dict[str, Tensor] = field(default_factory=dict)
     metadata: dict[str, str] | None = None
+    release: Callable[[str], None] = field(default=_keep_pages, repr=False, compare=False)
 
     def __contains__(self, name: str) -> bool:
         return name in self.tensors
@@ -89,12 +102,49 @@ class Checkpoint:
     def values(self, name: str) -> np.ndarray:
         return self.tensors[name].values
 
+    def specs(self) -> list[tuple[str, str, tuple[int, ...]]]:
+        """(name, dtype, shape) of every tensor, in name order."""
+        return [(name, self[name].dtype, self[name].shape) for name in self.names()]
+
+    def items(self) -> Iterator[tuple[str, Tensor]]:
+        """(name, tensor) pairs in name order."""
+        return ((name, self[name]) for name in self.names())
+
     @staticmethod
     def from_arrays(arrays: dict[str, np.ndarray], dtype: str = "F64",
                     metadata: dict[str, str] | None = None) -> "Checkpoint":
         tensors = {name: Tensor(dtype, cast_values(np.asarray(a, dtype=np.float64), dtype))
                    for name, a in arrays.items()}
         return Checkpoint(tensors, metadata)
+
+
+@dataclass
+class LazyCheckpoint:
+    """A checkpoint whose tensors are made one at a time, as they are read.
+
+    `layout` maps each name to its (dtype, shape), known before any
+    tensor is made, so an archive header can be written first. `produce()`
+    yields (name, Tensor) pairs in name order, making each tensor once.
+    """
+
+    layout: dict[str, tuple[str, tuple[int, ...]]]
+    produce: Callable[[], Iterator[tuple[str, Tensor]]]
+    metadata: dict[str, str] | None = None
+
+    def __len__(self) -> int:
+        return len(self.layout)
+
+    def names(self) -> list[str]:
+        return sorted(self.layout)
+
+    def specs(self) -> list[tuple[str, str, tuple[int, ...]]]:
+        return [(name, *self.layout[name]) for name in self.names()]
+
+    def items(self) -> Iterator[tuple[str, Tensor]]:
+        return self.produce()
+
+    def materialize(self) -> Checkpoint:
+        return Checkpoint(dict(self.produce()), self.metadata)
 
 
 @dataclass
@@ -217,8 +267,36 @@ def _open_archive(path):
         return fh.read()
 
 
+def _page_release(raw, start: int, specs: list[TensorSpec]) -> Callable[[str], None]:
+    """A release(name) that drops the mapped pages lying wholly inside a
+    tensor's bytes; a later read of them faults them back in from the file.
+
+    It holds the map weakly, so it never keeps alive a map that no tensor
+    views.
+    """
+    if not isinstance(raw, memoryview) or not hasattr(mmap, "MADV_DONTNEED"):
+        return _keep_pages
+    mapped = weakref.ref(raw.obj)
+    ranges = {s.name: (start + s.data_offsets[0], start + s.data_offsets[1]) for s in specs}
+
+    def release(name: str) -> None:
+        mm = mapped()
+        if mm is None or name not in ranges:
+            return
+        begin, end = ranges[name]
+        lo = -(-begin // mmap.PAGESIZE) * mmap.PAGESIZE
+        hi = end // mmap.PAGESIZE * mmap.PAGESIZE
+        if hi > lo:
+            mm.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+
+    return release
+
+
 def read_archive(path_or_bytes) -> Checkpoint:
-    """Parse an archive from a path or a bytes object into a Checkpoint."""
+    """Parse an archive from a path or a bytes object into a Checkpoint.
+
+    The pages of tensors decoded into copies are released at once.
+    """
     if isinstance(path_or_bytes, (bytes, bytearray, memoryview)):
         raw = bytes(path_or_bytes)
     else:
@@ -227,62 +305,90 @@ def read_archive(path_or_bytes) -> Checkpoint:
     specs = [_spec_from_entry(name, entry) for name, entry in header.items()]
     _check_specs(specs, len(raw) - start)
 
+    release = _page_release(raw, start, specs)
+    region = np.frombuffer(raw, dtype=np.uint8)
     tensors = {}
     for spec in specs:
         begin, end = spec.data_offsets
-        raw_tensor = raw[start + begin:start + end]
-        tensors[spec.name] = Tensor(spec.dtype, decode(raw_tensor, spec.dtype, spec.shape))
-    return Checkpoint(tensors, dict(metadata) if metadata else None)
+        values = decode(raw[start + begin:start + end], spec.dtype, spec.shape)
+        if not np.may_share_memory(values, region):
+            release(spec.name)
+        tensors[spec.name] = Tensor(spec.dtype, values)
+    return Checkpoint(tensors, dict(metadata) if metadata else None, release)
 
 
-def _serialize(checkpoint: Checkpoint, dtype_policy: str,
+def _serialize(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str,
                allow_nonfinite: bool):
-    """Yield an archive's bytes: the header, then one encoded tensor at a time."""
+    """Yield an archive's bytes: the header, then one encoded tensor at a time.
+
+    The header needs only each tensor's dtype and shape; each tensor is
+    taken from the checkpoint just before it is encoded.
+    """
     if dtype_policy != "keep" and dtype_policy not in DTYPE_SIZES:
         raise ValueError(f"invalid dtype policy {dtype_policy!r}")
 
+    specs = checkpoint.specs()
     header: dict[str, dict] = {}
     if checkpoint.metadata:
         header[METADATA_KEY] = dict(sorted(checkpoint.metadata.items()))
     offset = 0
-    for name in checkpoint.names():
+    for name, dtype, shape in specs:
         if not name or name == METADATA_KEY:
             raise ArchiveError(f"invalid tensor name {name!r}")
-        tensor = checkpoint[name]
-        dtype = tensor.dtype if dtype_policy == "keep" else dtype_policy
-        nbytes = tensor.values.size * dtype_size(dtype)
+        stored = dtype if dtype_policy == "keep" else dtype_policy
+        nbytes = math.prod(shape) * dtype_size(stored)
         header[name] = {
-            "dtype": dtype,
-            "shape": list(tensor.shape),
+            "dtype": stored,
+            "shape": list(shape),
             "data_offsets": [offset, offset + nbytes],
         }
         offset += nbytes
 
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
     yield len(header_bytes).to_bytes(8, "little") + header_bytes
-    for name in checkpoint.names():
-        tensor = checkpoint[name]
-        dtype = header[name]["dtype"]
+    for (name, dtype, shape), (got, tensor) in zip(specs, checkpoint.items(), strict=True):
+        if (got, tensor.dtype, tensor.shape) != (name, dtype, shape):
+            raise ValueError(f"tensor {got!r} {tensor.dtype} {list(tensor.shape)} was made "
+                             f"where the header holds {name!r} {dtype} {list(shape)}")
+        stored = header[name]["dtype"]
         values = tensor.values
-        if dtype != tensor.dtype:
-            values = cast_values(values.astype(np.float64), dtype, allow_nonfinite=allow_nonfinite)
+        if stored != dtype:
+            values = cast_values(values.astype(np.float64), stored, allow_nonfinite=allow_nonfinite)
         elif not allow_nonfinite and not np.isfinite(values).all():
             raise ValueError(f"tensor {name!r}: non-finite value with allow_nonfinite=False")
-        yield encode(values, dtype)
+        yield encode(values, stored)
 
 
-def write_archive(checkpoint: Checkpoint, dtype_policy: str = "keep",
+def write_archive(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str = "keep",
                   allow_nonfinite: bool = True) -> bytes:
     """Serialize a Checkpoint canonically; `dtype_policy` is "keep" or a dtype name."""
     return b"".join(_serialize(checkpoint, dtype_policy, allow_nonfinite))
 
 
-def save_archive(checkpoint: Checkpoint, path, dtype_policy: str = "keep",
+def _create_temp(path) -> tuple[str, int]:
+    """Create a new file beside `path` under a unique name; (name, fd).
+
+    The file gets the mode open() would give it, 0o666 & ~umask, where
+    tempfile.mkstemp would make it 0o600; O_EXCL keeps names unique.
+    """
+    while True:
+        tmp = f"{os.fspath(path)}.tmp.{os.urandom(6).hex()}"
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+
+
+def save_archive(checkpoint: Checkpoint | LazyCheckpoint, path, dtype_policy: str = "keep",
                  allow_nonfinite: bool = True) -> None:
-    """Write atomically: stream to a temp file, then rename into place."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+    """Write atomically: stream to a temp file, then rename into place.
+
+    A LazyCheckpoint's tensors are made while the file is written, so at
+    most a few of them are held at once.
+    """
+    tmp, fd = _create_temp(path)
     try:
-        with open(tmp, "wb") as fh:
+        with open(fd, "wb") as fh:
             fh.writelines(_serialize(checkpoint, dtype_policy, allow_nonfinite))
         os.replace(tmp, path)
     finally:

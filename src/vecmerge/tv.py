@@ -3,18 +3,21 @@
 All arithmetic accumulates in float64 regardless of storage dtype; the
 cast back to the base tensor's dtype happens exactly once per output
 tensor. Large tensors are processed in fixed-size chunks so merge
-overhead stays small relative to checkpoint size.
+overhead stays small relative to checkpoint size, and a merge made for
+writing (`tv_merge_lazy`) holds only the few tensors in flight.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dtypes import cast_values, memory_dtype
-from .tensor_store import ArchiveError, Checkpoint, Tensor, read_archive
+from .tensor_store import ArchiveError, Checkpoint, LazyCheckpoint, Tensor, read_archive
 
 TASK_VECTOR_KIND = "task_vector"
 KIND_KEY = "vecmerge.kind"
@@ -34,13 +37,16 @@ class TaskVector:
 
     `extras` carries fine-tuned-only tensors (e.g. task heads) under the
     copy_from_finetuned policy, for verbatim re-attachment on apply.
-    `ignored` lists tensors dropped under the ignore policy.
+    `ignored` lists tensors dropped under the ignore policy. `release`
+    is the release of the checkpoint the deltas were loaded from.
     """
 
     deltas: dict[str, np.ndarray] = field(default_factory=dict)
     extras: dict[str, Tensor] = field(default_factory=dict)
     ignored: list[str] = field(default_factory=list)
     origin: str = "constructed"
+    release: Callable[[str], None] = field(default=Checkpoint.release, repr=False,
+                                           compare=False)
 
     def names(self) -> list[str]:
         return sorted(self.deltas)
@@ -51,8 +57,10 @@ class TaskVector:
 
     @staticmethod
     def from_checkpoint(ckpt: Checkpoint, origin: str = "loaded from archive") -> "TaskVector":
-        return TaskVector.from_arrays({name: ckpt.values(name) for name in ckpt.names()},
-                                      origin=origin)
+        tv = TaskVector.from_arrays({name: ckpt.values(name) for name in ckpt.names()},
+                                    origin=origin)
+        tv.release = ckpt.release
+        return tv
 
     @staticmethod
     def from_arrays(arrays: dict[str, np.ndarray], origin: str = "constructed") -> "TaskVector":
@@ -174,12 +182,48 @@ def apply(base: Checkpoint, tv: TaskVector, threads: int = 1) -> Checkpoint:
     return tv_merge(base, [(tv, 1.0)], threads=threads)
 
 
-def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
-             threads: int = 1) -> Checkpoint:
-    """Scaled vector addition: out = base + sum(lam_i * tv_i).
+def _in_order(fn: Callable, items: list, sizes: list[int], threads: int) -> Iterator:
+    """fn over items, yielded in order. At most `threads` calls run at once,
+    and the next item is started only while the sizes of those started
+    and not yet yielded sum to under `threads` times the largest size."""
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    budget = threads * max(sizes, default=0)
+    queue = deque(zip(items, sizes))
+    window = deque()
+    held = 0
+    with ThreadPoolExecutor(max_workers=threads) as pool:
 
-    Accumulation happens once in float64 across all vectors, followed by
-    a single cast per tensor (never iterated casting).
+        def fill():
+            nonlocal held
+            while queue and (not window or held < budget):
+                item, size = queue.popleft()
+                window.append((pool.submit(fn, item), size))
+                held += size
+
+        try:
+            fill()
+            while window:
+                future, size = window.popleft()
+                held -= size
+                result = future.result()
+                fill()  # before yielding, so the pool works while the caller uses result
+                yield result
+        finally:
+            for future, _ in window:
+                future.cancel()
+
+
+def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
+                  threads: int = 1) -> LazyCheckpoint:
+    """tv_merge for writing: the operands are checked now, and each tensor
+    is merged only when it is read, in name order.
+
+    At most `threads` tensors are merged at once, and merging runs ahead
+    of the reader by under `threads` times the largest tensor's elements,
+    so small tensors between large ones do not leave threads idle. Once a
+    tensor is merged, the pages of its mapped inputs are released.
     """
     if not weighted:
         raise MergeError("tv_merge requires at least one (vector, weight) pair")
@@ -197,21 +241,30 @@ def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
                     f"tensor {name!r}: shape mismatch base {base[name].shape} vs delta {d.shape}")
             per_name.setdefault(name, []).append((d, float(lam)))
         for name, t in tv.extras.items():
-            extras.setdefault(name, t)
+            if name not in base:
+                extras.setdefault(name, t)
+    layout = {name: (t.dtype, t.shape) for name, t in (*base.items(), *extras.items())}
 
-    def one(name: str) -> Tensor:
-        tensor = base[name]
-        if name in per_name:
-            return _merge_tensor(tensor, per_name[name])
-        return tensor
+    def one(name: str) -> tuple[str, Tensor]:
+        if name not in per_name:
+            return name, base[name] if name in base else extras[name]
+        tensor = _merge_tensor(base[name], per_name[name])
+        base.release(name)
+        for tv, _ in weighted:
+            tv.release(name)
+        return name, tensor
 
-    names = base.names()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            merged = dict(zip(names, pool.map(one, names)))
-    else:
-        merged = {name: one(name) for name in names}
-    for name, t in extras.items():
-        if name not in merged:
-            merged[name] = t
-    return Checkpoint(merged, dict(base.metadata) if base.metadata else None)
+    names = sorted(layout)
+    sizes = [base[n].values.size if n in per_name else 0 for n in names]
+    return LazyCheckpoint(layout, lambda: _in_order(one, names, sizes, threads),
+                          dict(base.metadata) if base.metadata else None)
+
+
+def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
+             threads: int = 1) -> Checkpoint:
+    """Scaled vector addition: out = base + sum(lam_i * tv_i).
+
+    Accumulation happens once in float64 across all vectors, followed by
+    a single cast per tensor (never iterated casting).
+    """
+    return tv_merge_lazy(base, weighted, threads=threads).materialize()

@@ -5,15 +5,21 @@ lines as they pass.
 """
 
 import json
+import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vecmerge import (Checkpoint, MetricsTable, TaskVector, Tensor, TiesConfig,
-                      apply, elect_signs, expand_sweep, extract_task_vector,
-                      parse_recipe, read_archive, select_best, ties_merge,
+import vecmerge
+from vecmerge import (Checkpoint, LazyCheckpoint, MetricsTable, TaskVector, Tensor,
+                      TiesConfig, apply, elect_signs, expand_sweep, extract_task_vector,
+                      parse_recipe, read_archive, save_archive, select_best, ties_merge,
                       trim, tv_merge, write_archive)
 from vecmerge.bench import run_bench
 from vecmerge.bench.model import init_model, loss_and_grads
@@ -235,6 +241,86 @@ def test_criterion_9_throughput():
     tracemalloc.stop()
     assert peak < 3 * ckpt_bytes, f"peak {peak / 1e6:.0f}MB >= 3x checkpoint"
     ok(9, "10M-parameter merge throughput and memory")
+
+
+_LAYERS = {f"layer{i:02d}": (512, 1024) for i in range(16)}  # 8M params
+_STORAGE = {"F32": "<f4", "F64": "<f8"}
+_TV_META = {"vecmerge.kind": "task_vector"}
+
+# Runs argv[1:] and prints its exit code and its own peak RSS in KiB.
+_CHILD_PEAK = """\
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _layer(seed, name, dtype):
+    rng = np.random.default_rng([seed, int(name[5:])])
+    return rng.normal(size=_LAYERS[name]).astype(_STORAGE[dtype])
+
+
+def _write_aligned(path, dtype, seed, metadata=None):
+    """An archive whose data region starts 8-byte aligned (the header is
+    padded with spaces), so every F32/F64 tensor is read as a view."""
+    header, offset = ({"__metadata__": metadata} if metadata else {}), 0
+    for name, shape in sorted(_LAYERS.items()):
+        nbytes = math.prod(shape) * np.dtype(_STORAGE[dtype]).itemsize
+        header[name] = {"dtype": dtype, "shape": list(shape),
+                        "data_offsets": [offset, offset + nbytes]}
+        offset += nbytes
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    blob += b" " * (-len(blob) % 8)
+    with open(path, "wb") as fh:
+        fh.write(len(blob).to_bytes(8, "little") + blob)
+        for name in sorted(_LAYERS):
+            fh.write(_layer(seed, name, dtype).tobytes())
+
+
+def _write_plain(path, dtype, seed, metadata=None):
+    """An archive from vecmerge's own writer; its data is misaligned, so
+    the reader copies every tensor."""
+    layout = {name: (dtype, shape) for name, shape in _LAYERS.items()}
+    save_archive(LazyCheckpoint(
+        layout, lambda: ((n, Tensor(dtype, _layer(seed, n, dtype))) for n in sorted(layout)),
+        metadata), path)
+    with open(path, "rb") as fh:
+        assert (8 + int.from_bytes(fh.read(8), "little")) % 4 != 0
+
+
+def _merge_tv_peak(base, vectors, out) -> int:
+    """Peak RSS in bytes of a `vecmerge merge tv` child, from its own wait4
+    rusage. A fresh small interpreter starts it, because a child forked
+    from this grown process would begin with this process's peak."""
+    argv = [sys.executable, "-m", "vecmerge.cli", "merge", "tv", "--base", str(base),
+            "--out", str(out)]
+    for path in vectors:
+        argv += ["--vector", str(path), "--weight", "0.5"]
+    env = dict(os.environ, PYTHONPATH=str(Path(vecmerge.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _CHILD_PEAK, *argv], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    code, kib = map(int, done.stdout.split())
+    assert code == 0
+    return kib * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("write,bound", [(_write_aligned, 1.0), (_write_plain, 1.75)],
+                         ids=["aligned_views", "misaligned_copies"])
+def test_criterion_9_merge_tv_child_memory(tmp_path, write, bound):
+    """`merge tv` streams: its peak tracks the tensors in flight, not the
+    checkpoint. With aligned inputs it stays below the inputs' size; with
+    inputs that are copied at read, at most the copies are added."""
+    base, vectors = tmp_path / "base.st", [tmp_path / "tau0.st", tmp_path / "tau1.st"]
+    write(base, "F32", 0)
+    for k, path in enumerate(vectors, 1):
+        write(path, "F64", k, _TV_META)
+    inputs = sum(os.path.getsize(p) for p in [base, *vectors])
+    peak = _merge_tv_peak(base, vectors, tmp_path / "merged.st")
+    assert peak < bound * inputs, \
+        f"peak {peak / 2**20:.0f} MiB >= {bound} x {inputs / 2**20:.0f} MiB of inputs"
+    ok(9, f"merge tv child peak {peak / 2**20:.0f} MiB for {inputs / 2**20:.0f} MiB of inputs")
 
 
 def test_criterion_10_determinism(bench_runs):

@@ -1,16 +1,23 @@
+import gc
 import json
 import os
+import signal
 import struct
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vecmerge import (ArchiveError, Checkpoint, TaskVector, Tensor, read_archive,
-                      save_archive, validate_archive, write_archive)
+import vecmerge
+from vecmerge import (ArchiveError, Checkpoint, LazyCheckpoint, TaskVector, Tensor,
+                      read_archive, save_archive, validate_archive, write_archive)
 from vecmerge.cli import main
 from vecmerge.dtypes import _f32_to_bf16_bits, cast_values
 from vecmerge.tensor_store import MAX_HEADER_BYTES
@@ -29,6 +36,23 @@ def padded_archive(header: dict, data: bytes, misalign: int) -> bytes:
     blob = json.dumps(header, separators=(",", ":")).encode()
     blob += b" " * ((misalign - len(blob)) % 8)
     return len(blob).to_bytes(8, "little") + blob + data
+
+
+def mapped_rss(path) -> int | None:
+    """Resident bytes of this process's maps of `path`, or None where
+    /proc/self/smaps is missing."""
+    try:
+        lines = Path("/proc/self/smaps").read_text().splitlines()
+    except OSError:
+        return None
+    target, total, inside = str(Path(path).resolve()), 0, False
+    for line in lines:
+        fields = line.split()
+        if "-" in fields[0] and ":" not in fields[0]:  # a mapping's first line
+            inside = len(fields) >= 6 and fields[5] == target
+        elif inside and fields[0] == "Rss:":
+            total += int(fields[1]) * 1024
+    return total
 
 
 class TestReadArchive:
@@ -187,6 +211,54 @@ class TestMappedRead:
         np.testing.assert_array_equal(old.values("w"), values)
         np.testing.assert_array_equal(read_archive(path).values("w"), -values)
 
+    def test_release_drops_a_tensors_mapped_pages(self, tmp_path):
+        values = np.arange(1 << 20, dtype="<f8")
+        path = tmp_path / "a.st"
+        path.write_bytes(padded_archive(
+            {"w": {"dtype": "F64", "shape": [values.size], "data_offsets": [0, values.nbytes]}},
+            values.tobytes(), 0))
+        ckpt = read_archive(path)
+        assert float(ckpt.values("w").sum()) == float(values.sum())  # touches every page
+        touched = mapped_rss(path)
+        if touched is None:
+            pytest.skip("needs /proc/self/smaps")
+        assert touched >= values.nbytes - 8192
+        ckpt.release("w")
+        assert mapped_rss(path) <= 8192  # at most the header page and a partial last page
+        np.testing.assert_array_equal(ckpt.values("w"), values)  # read back from the file
+        ckpt.release("not a tensor")
+
+    @pytest.mark.parametrize("dtype,misalign", [("BF16", 0), ("F64", 3)])
+    def test_release_keeps_no_unviewed_map_alive(self, tmp_path, dtype, misalign):
+        values = np.arange(1 << 16, dtype="<u2" if dtype == "BF16" else "<f8")
+        path = tmp_path / "a.st"
+        path.write_bytes(padded_archive(
+            {"w": {"dtype": dtype, "shape": [values.size], "data_offsets": [0, values.nbytes]}},
+            values.tobytes(), misalign))
+        ckpt = read_archive(path)  # every tensor is a copy, so nothing views the map
+        gc.collect()
+        if mapped_rss(path) is None:
+            pytest.skip("needs /proc/self/smaps")
+        assert str(path.resolve()) not in Path("/proc/self/maps").read_text()
+        ckpt.release("w")
+        assert ckpt.values("w").size == values.size
+
+    def test_copied_tensor_pages_are_released_at_read(self, tmp_path):
+        view = np.arange(1024, dtype="<f8")
+        copied = np.arange(1 << 20, dtype="<u2")
+        path = tmp_path / "a.st"
+        path.write_bytes(padded_archive(
+            {"v": {"dtype": "F64", "shape": [view.size], "data_offsets": [0, view.nbytes]},
+             "w": {"dtype": "BF16", "shape": [copied.size],
+                   "data_offsets": [view.nbytes, view.nbytes + copied.nbytes]}},
+            view.tobytes() + copied.tobytes(), 0))
+        ckpt = read_archive(path)
+        resident = mapped_rss(path)
+        if resident is None:
+            pytest.skip("needs /proc/self/smaps")
+        assert not ckpt.values("v").flags.owndata  # the view keeps the map alive
+        assert resident < 64 * 1024, f"{resident} bytes of a decoded tensor still resident"
+
 
 class TestSaveArchive:
     @pytest.mark.parametrize("policy", ["keep", "BF16"])
@@ -213,6 +285,110 @@ class TestSaveArchive:
             save_archive(ckpt, path, dtype_policy=policy, allow_nonfinite=False)
         assert path.read_bytes() == b"old bytes"
         assert list(tmp_path.glob("*.tmp.*")) == []
+
+    def test_concurrent_saves_to_one_path(self, tmp_path):
+        path = tmp_path / "out.st"
+        both_open = threading.Barrier(2, timeout=30)
+
+        def lazy(fill, gate):
+            layout = {f"t{i}": ("F32", (1 << 16,)) for i in range(4)}
+
+            def produce():
+                for i, name in enumerate(sorted(layout)):
+                    if i == 1:
+                        gate()
+                    yield name, Tensor("F32", np.full(1 << 16, fill + i, dtype=np.float32))
+
+            return LazyCheckpoint(layout, produce, {"fill": str(fill)})
+
+        fills = (1.0, -1.0)
+        wanted = {write_archive(lazy(fill, lambda: None)) for fill in fills}
+        # each save waits until both temp files are open and partly written
+        ckpts = [lazy(fill, both_open.wait) for fill in fills]
+        errors = []
+
+        def save(ckpt):
+            try:
+                save_archive(ckpt, path)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=save, args=(c,)) for c in ckpts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_bytes() in wanted
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.st"]
+        with open(tmp_path / "plain", "wb"):
+            pass
+        assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode
+
+
+class TestInterruptedWrite:
+    @staticmethod
+    def lazy(fail_at=None, bad_shape_at=None):
+        layout = {name: ("F32", (1000,)) for name in "abcd"}
+
+        def produce():
+            for i, name in enumerate(sorted(layout)):
+                if i == fail_at:
+                    raise RuntimeError("tensor could not be made")
+                shape = 999 if i == bad_shape_at else 1000
+                yield name, Tensor("F32", np.zeros(shape, dtype=np.float32))
+
+        return LazyCheckpoint(layout, produce)
+
+    def test_failure_while_a_tensor_is_made_keeps_destination(self, tmp_path):
+        path = tmp_path / "out.st"
+        path.write_bytes(b"old bytes")
+        with pytest.raises(RuntimeError, match="could not be made"):
+            save_archive(self.lazy(fail_at=2), path)
+        assert path.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.st"]
+
+    def test_tensor_unlike_its_header_entry_keeps_destination(self, tmp_path):
+        path = tmp_path / "out.st"
+        path.write_bytes(b"old bytes")
+        with pytest.raises(ValueError, match="where the header holds 'c'"):
+            save_archive(self.lazy(bad_shape_at=2), path)
+        assert path.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.st"]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_killed_merge_keeps_destination(self, tmp_path):
+        rng = np.random.default_rng(12)
+        shapes = {f"w{i}": (256,) for i in range(4)}
+        save_archive(Checkpoint.from_arrays({n: rng.normal(size=s) for n, s in shapes.items()},
+                                            "F32"), tmp_path / "base.st")
+        save_archive(TaskVector.from_arrays({n: rng.normal(size=s) for n, s in shapes.items()})
+                     .to_checkpoint(), tmp_path / "tv.st")
+        out = tmp_path / "out.st"
+        out.write_bytes(b"old bytes")
+        # The merge kernel stalls, so the kill lands while the temp file is written.
+        script = ("import sys, time\n"
+                  "import vecmerge.tv\n"
+                  "vecmerge.tv._merge_tensor = lambda *args: time.sleep(600)\n"
+                  "from vecmerge.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(vecmerge.__file__).parents[1]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, "merge", "tv", "--base", str(tmp_path / "base.st"),
+             "--vector", str(tmp_path / "tv.st"), "--weight", "0.5", "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob("out.st.tmp.*")):
+                assert child.poll() is None, "the merge exited before writing"
+                assert time.monotonic() < deadline, "no temp file appeared"
+                time.sleep(0.01)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+        assert child.returncode == -signal.SIGKILL
+        assert out.read_bytes() == b"old bytes"
 
 
 class TestWriteArchive:

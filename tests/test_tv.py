@@ -1,13 +1,17 @@
 import itertools
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecmerge import (Checkpoint, MergeError, TaskVector, add_vectors, apply,
-                      extract_task_vector, read_archive, scale, tv_merge,
-                      write_archive)
+from vecmerge import (Checkpoint, MergeError, TaskVector, Tensor, add_vectors, apply,
+                      extract_task_vector, read_archive, save_archive, scale, tv_merge,
+                      tv_merge_lazy, write_archive)
+from vecmerge import tv as tv_mod
 from vecmerge.tv import is_task_vector_archive
 
 from helpers import random_checkpoint
@@ -168,6 +172,103 @@ class TestTvMerge:
         serial = tv_merge(base, [(tv, 0.7)], threads=1)
         parallel = tv_merge(base, [(tv, 0.7)], threads=4)
         assert write_archive(serial) == write_archive(parallel)
+
+
+class TestLazyMerge:
+    def operands(self):
+        rng = np.random.default_rng(21)
+        base = random_checkpoint(rng, n_tensors=12, max_numel=4000, dtypes=["F32", "BF16"])
+        tvs = [TaskVector.from_arrays({n: rng.normal(size=base[n].shape) for n in base.names()})
+               for _ in range(2)]
+        tvs[1].extras["zz.head"] = Tensor("F16", np.ones(3, dtype=np.float16))
+        return base, [(tvs[0], 0.3), (tvs[1], -0.6)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_each_tensor_is_merged_once_within_the_window(self, tmp_path, monkeypatch, threads):
+        base, pairs = self.operands()
+        want = write_archive(tv_merge(base, pairs))
+        name_of = {id(base[n]): n for n in base.names()}
+        lock = threading.Lock()
+        merged, workers, live, peak = [], set(), [0], [0]
+        kernel = tv_mod._merge_tensor
+
+        def counted(tensor, deltas):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+                workers.add(threading.get_ident())
+            time.sleep(0.002)  # gives the window time to fill
+            try:
+                return kernel(tensor, deltas)
+            finally:
+                with lock:
+                    live[0] -= 1
+                    merged.append(name_of[id(tensor)])
+
+        pools = []
+
+        class Pool(tv_mod.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tv_mod, "_merge_tensor", counted)
+        monkeypatch.setattr(tv_mod, "ThreadPoolExecutor", Pool)
+        lazy = tv_merge_lazy(base, pairs, threads=threads)
+        assert len(lazy) == len(base) + 1 and lazy.names()[-1] == "zz.head"
+        assert merged == []  # nothing is merged before the writer reads it
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            save_archive(lazy, tmp_path / "out.st")
+        finally:
+            sys.setswitchinterval(interval)
+        assert (tmp_path / "out.st").read_bytes() == want
+        assert sorted(merged) == base.names()  # each tensor once
+        assert peak[0] <= threads
+        if threads == 1:
+            assert pools == [] and workers == {threading.get_ident()}
+
+    def test_window_runs_ahead_past_small_items(self):
+        second_started = threading.Event()
+
+        def fn(item):
+            if item == "big2":
+                second_started.set()
+            return item, item != "big1" or second_started.wait(timeout=10)
+
+        items = ["big1", "s1", "s2", "s3", "big2", "s4"]
+        out = list(tv_mod._in_order(fn, items, [100, 1, 1, 1, 100, 1], threads=2))
+        assert out == [(item, True) for item in items]  # both large items ran at once
+
+    def test_operands_are_checked_before_any_tensor(self):
+        base, pairs = self.operands()
+        name = base.names()[0]
+        bad = TaskVector.from_arrays({name: np.zeros(base[name].values.size + 1)})
+        with pytest.raises(MergeError, match="shape mismatch"):
+            tv_merge_lazy(base, [*pairs, (bad, 1.0)])
+        with pytest.raises(MergeError, match="missing from base"):
+            tv_merge_lazy(base, [(TaskVector.from_arrays({"nope": [1.0]}), 1.0)])
+        with pytest.raises(ValueError, match="non-finite merge weight"):
+            tv_merge_lazy(base, [(pairs[0][0], float("nan"))])
+
+    def test_kernel_failure_reaches_the_writer(self, tmp_path, monkeypatch):
+        base, pairs = self.operands()
+        calls = []
+
+        def failing(tensor, deltas):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("kernel failed")
+            return tensor
+
+        monkeypatch.setattr(tv_mod, "_merge_tensor", failing)
+        path = tmp_path / "out.st"
+        path.write_bytes(b"old bytes")
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            save_archive(tv_merge_lazy(base, pairs, threads=2), path)
+        assert path.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.st"]
 
 
 class TestInversion:
