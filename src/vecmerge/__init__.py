@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .tensor_store import (ArchiveError, Checkpoint, LazyCheckpoint, Tensor,
                            TensorSpec, ValidationReport, read_archive, save_archive,
                            validate_archive, write_archive)
-from .tv import (MergeError, TaskVector, add_vectors, apply,
-                 extract_task_vector, scale, tv_merge, tv_merge_lazy)
+from .tv import (MergeError, TaskVector, apply, extract_task_vector, scale,
+                 tv_merge, tv_merge_lazy)
 from .ties import (SignMap, TiesConfig, disjoint_merge, elect_signs,
                    ties_merge, trim)
 from .recipes import (MergeOutcome, MergeRecipe, MetricsTable, RecipeError,
@@ -17,7 +17,7 @@ from .reports import (DiffReport, InterferenceReport, cosine, diff_stats,
 __all__ = [
     "ArchiveError", "Checkpoint", "LazyCheckpoint", "Tensor", "TensorSpec", "ValidationReport",
     "read_archive", "save_archive", "validate_archive", "write_archive",
-    "MergeError", "TaskVector", "add_vectors", "apply", "extract_task_vector",
+    "MergeError", "TaskVector", "apply", "extract_task_vector",
     "scale", "tv_merge", "tv_merge_lazy",
     "SignMap", "TiesConfig", "disjoint_merge", "elect_signs", "ties_merge", "trim",
     "MergeOutcome", "MergeRecipe", "MetricsTable", "RecipeError",

@@ -116,7 +116,7 @@ def _run_pipeline(name: str, ctx: _SeedContext):
                 merged = tv_merge(ctx.base, [(ctx.aux_vector, lam)])
             else:
                 config = TiesConfig(density=DEFAULT_DENSITY, weights=[1.0], lam=lam)
-                merged, _ = ties_merge(ctx.base, [ctx.aux_vector], config)
+                merged = ties_merge(ctx.base, [ctx.aux_vector], config)
             model = train(merged, ctx.target_train, cfg)
             trained[lam] = model
             table.rows.append(({"lambda": lam}, ctx.f1(model, ctx.target_dev)))

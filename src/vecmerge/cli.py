@@ -58,12 +58,12 @@ def _cmd_merge_ties(args) -> int:
     pairs = _weighted_pairs(args)
     config = TiesConfig(density=args.density, weights=[w for _, w in pairs],
                         lam=args.lam)
-    merged, report = ties_merge(base, [t for t, _ in pairs], config,
-                                threads=args.threads)
+    tvs = [t for t, _ in pairs]
+    merged = ties_merge(base, tvs, config, threads=args.threads)
     save_archive(merged, args.out)
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(report.to_json())
+            fh.write(interference_stats(tvs, args.density).to_json())
     print(json.dumps({"out": args.out, "tensor_count": len(merged)}, sort_keys=True))
     return 0
 

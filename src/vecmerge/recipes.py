@@ -13,60 +13,21 @@ import copy
 import csv
 import dataclasses
 import io
+import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
 
-import jsonschema
-
 from . import ties as ties_mod
 from . import tv as tv_mod
+from .dtypes import DTYPE_SIZES
+from .reports import interference_stats
 from .tensor_store import read_archive, save_archive
 
 DEFAULT_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 SWEEP_CAP = 1000
-
-_WEIGHT_SCHEMA = {
-    "oneOf": [
-        {"type": "number"},
-        {
-            "type": "object",
-            "properties": {"grid": {"oneOf": [
-                {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                {"const": "default"},
-            ]}},
-            "required": ["grid"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-RECIPE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "base": {"type": "string"},
-        "method": {"enum": ["tv", "ties"]},
-        "vectors": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "properties": {"source": {"type": "string"}, "weight": _WEIGHT_SCHEMA},
-                "required": ["source", "weight"],
-                "additionalProperties": False,
-            },
-        },
-        "density": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "lambda": _WEIGHT_SCHEMA,
-        "mismatch": {"enum": ["error", "ignore", "copy_from_finetuned"]},
-        "dtype": {"enum": ["keep", "F32", "F64", "F16", "BF16"]},
-        "output": {"type": "string"},
-    },
-    "required": ["base", "method", "vectors", "output"],
-    "additionalProperties": False,
-}
-
 
 class RecipeError(ValueError):
     """Invalid recipe document."""
@@ -119,38 +80,102 @@ def _resolve_grid(spec: dict) -> list[float]:
     return [float(g) for g in grid]
 
 
+_REQUIRED = ("base", "method", "vectors", "output")
+_KEYS = _REQUIRED + ("density", "lambda", "mismatch", "dtype")
+_ENUMS = {"method": ("tv", "ties"), "mismatch": tv_mod.MISMATCH_MODES,
+          "dtype": ("keep", *DTYPE_SIZES)}
+
+
+def _violation(path: str, message: str) -> RecipeError:
+    return RecipeError(f"schema violation at {path}: {message}")
+
+
+def _check_number(x, path: str, positive: bool = False) -> None:
+    """A finite JSON number (never a bool) that fits in a float64."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise _violation(path, f"{x!r} is not a number")
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:  # an int beyond the float64 range
+        finite = False
+    if not finite:
+        raise _violation(path, "number is not finite in float64")
+    if positive and x <= 0:
+        raise _violation(path, f"{x!r} is not positive, as TIES weights must be")
+
+
+def _check_weight(w, path: str, positive: bool = False) -> None:
+    """A number, or {"grid": [numbers, at least one] | "default"}."""
+    if not isinstance(w, dict):
+        _check_number(w, path, positive)
+    elif w != {"grid": "default"}:
+        grid = w.get("grid")
+        if set(w) != {"grid"} or not isinstance(grid, list) or not grid:
+            raise _violation(path, 'expected a number or {"grid": [numbers] | "default"}')
+        for g in grid:
+            _check_number(g, path, positive)
+
+
+def _check_recipe(doc) -> None:
+    """Raise RecipeError naming the first part of `doc` that breaks the recipe format."""
+    if not isinstance(doc, dict):
+        raise _violation("$", "a recipe is a JSON object")
+    unknown = sorted(set(doc) - set(_KEYS))
+    if unknown:
+        raise _violation("$", f"unknown keys {unknown}")
+    missing = [k for k in _REQUIRED if k not in doc]
+    if missing:
+        raise _violation("$", f"missing keys {missing}")
+    for key in ("base", "output"):
+        if not isinstance(doc[key], str):
+            raise _violation(f"$.{key}", f"{doc[key]!r} is not a string")
+    for key, allowed in _ENUMS.items():
+        if key in doc and doc[key] not in allowed:
+            raise _violation(f"$.{key}", f"{doc[key]!r} is not one of {list(allowed)}")
+    vectors = doc["vectors"]
+    if not isinstance(vectors, list) or not vectors:
+        raise _violation("$.vectors", "expected a non-empty list")
+    ties = doc["method"] == "ties"
+    for i, vec in enumerate(vectors):
+        path = f"$.vectors[{i}]"
+        if not isinstance(vec, dict) or set(vec) != {"source", "weight"}:
+            raise _violation(path, 'expected {"source": ..., "weight": ...}')
+        if not isinstance(vec["source"], str):
+            raise _violation(f"{path}.source", f"{vec['source']!r} is not a string")
+        _check_weight(vec["weight"], f"{path}.weight", positive=ties)
+    if "density" in doc:
+        _check_number(doc["density"], "$.density")
+        if not 0 < doc["density"] <= 1:
+            raise _violation("$.density", f"{doc['density']!r} is not in (0, 1]")
+    if "lambda" in doc:
+        _check_weight(doc["lambda"], "$.lambda")
+    for key in ("density", "lambda"):
+        if key in doc and not ties:
+            raise _violation(f"$.{key}", 'only valid with method "ties"')
+
+
 def parse_recipe(text: str) -> MergeRecipe:
-    """Parse and validate a JSON recipe, filling documented defaults."""
+    """Parse and validate a JSON recipe, filling documented defaults.
+
+    Every number must be finite in float64, and TIES weights positive, so
+    a recipe the merge would reject fails here, before any output is
+    written. Parsed values are kept as written (an int stays an int).
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past Python's digit limit
         raise RecipeError(f"invalid JSON: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(RECIPE_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
-    if errors:
-        err = errors[0]
-        raise RecipeError(f"schema violation at {err.json_path}: {err.message}")
-    if doc["method"] != "ties" and ("density" in doc or "lambda" in doc):
-        present = [k for k in ("density", "lambda") if k in doc]
-        raise RecipeError(f"{'/'.join(present)} only valid with method \"ties\"")
-    for i, vec in enumerate(doc["vectors"]):
-        w = vec["weight"]
-        if isinstance(w, (int, float)) and not _finite(w):
-            raise RecipeError(f"schema violation at $.vectors[{i}].weight: non-finite weight")
+    _check_recipe(doc)
     return MergeRecipe(
         base=doc["base"],
         method=doc["method"],
-        vectors=copy.deepcopy(doc["vectors"]),
+        vectors=doc["vectors"],
         output=doc["output"],
         density=doc.get("density", ties_mod.DEFAULT_DENSITY),
         lam=doc.get("lambda", ties_mod.DEFAULT_LAMBDA),
         mismatch=doc.get("mismatch", "error"),
         dtype=doc.get("dtype", "keep"),
     )
-
-
-def _finite(x) -> bool:
-    return x == x and abs(x) != float("inf")
 
 
 def _with_suffix(path: str, assignment: dict[str, float]) -> str:
@@ -170,45 +195,24 @@ def expand_sweep(recipe: MergeRecipe) -> list[MergeRecipe]:
     axes = recipe.grids()
     if not axes:
         return [recipe]
-    size = 1
-    for _, grid in axes:
-        size *= len(grid)
+    size = math.prod(len(grid) for _, grid in axes)
     if size > SWEEP_CAP:
         raise RecipeError(f"sweep of {size} recipes exceeds cap {SWEEP_CAP}")
 
     expanded = []
     owners: dict[str, dict[str, float]] = {}
-    indices = [0] * len(axes)
-    while True:
-        assignment = {name: grid[i] for (name, grid), i in zip(axes, indices)}
+    for point in itertools.product(*(grid for _, grid in axes)):  # last axis fastest
+        assignment = {name: value for (name, _), value in zip(axes, point)}
         output = _with_suffix(recipe.output, assignment)
         if output in owners:
             raise RecipeError(f"sweep points {owners[output]} and {assignment} "
                               f"both write {output!r}")
         owners[output] = assignment
-        clone = MergeRecipe(
-            base=recipe.base, method=recipe.method,
-            vectors=copy.deepcopy(recipe.vectors),
-            output=output,
-            density=recipe.density, lam=recipe.lam,
-            mismatch=recipe.mismatch, dtype=recipe.dtype)
-        for i, vec in enumerate(clone.vectors):
-            key = f"w{i}"
-            if key in assignment:
-                vec["weight"] = assignment[key]
-        if "lambda" in assignment:
-            clone.lam = assignment["lambda"]
-        expanded.append(clone)
-        # odometer increment, last axis fastest
-        pos = len(axes) - 1
-        while pos >= 0:
-            indices[pos] += 1
-            if indices[pos] < len(axes[pos][1]):
-                break
-            indices[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return expanded
+        vectors = [dict(vec, weight=assignment.get(f"w{i}", vec["weight"]))
+                   for i, vec in enumerate(recipe.vectors)]
+        expanded.append(dataclasses.replace(recipe, vectors=vectors, output=output,
+                                            lam=assignment.get("lambda", recipe.lam)))
+    return expanded
 
 
 @dataclass
@@ -240,9 +244,9 @@ def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> MergeOutcome:
             density=recipe.density,
             weights=[w for _, w in pairs],
             lam=float(recipe.lam))
-        merged, interference = ties_mod.ties_merge(
-            base, [t for t, _ in pairs], config, threads=threads)
-        report = interference.to_dict()
+        tvs = [t for t, _ in pairs]
+        merged = ties_mod.ties_merge(base, tvs, config, threads=threads)
+        report = interference_stats(tvs, recipe.density).to_dict()
 
     metadata = dict(merged.metadata or {})
     metadata["vecmerge.recipe"] = json.dumps(recipe.to_dict(), sort_keys=True,
@@ -284,7 +288,7 @@ class MetricsTable:
                     raise RecipeError(f"bad assignment {row[0]!r}")
                 assignment[key] = float(value)
             metric = float(row[1])
-            if not _finite(metric):
+            if not math.isfinite(metric):
                 raise RecipeError(f"non-finite metric in row {row!r}")
             table.rows.append((assignment, metric))
         return table

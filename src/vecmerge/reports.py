@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor_store import Checkpoint
+from .ties import elect_signs, trim
 from .tv import MergeError, TaskVector
 
 MAX_ALL_PAIRS = 8  # above this, only adjacent pairs (quadratic blowup guard)
@@ -134,8 +135,6 @@ def interference_stats(tvs: list[TaskVector], density: float) -> InterferenceRep
     Agreement is computed only at positions where both vectors keep a
     nonzero entry. A single vector yields trim-mass only.
     """
-    from .ties import elect_signs, trim
-
     if not tvs:
         raise MergeError("interference_stats requires at least one task vector")
     if not 0.0 < density <= 1.0:

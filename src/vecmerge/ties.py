@@ -136,10 +136,8 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
 
 
 def ties_merge(base: Checkpoint, tvs: list[TaskVector], config: TiesConfig,
-               threads: int = 1):
-    """Full TIES pipeline; returns (merged checkpoint, InterferenceReport)."""
-    from .reports import interference_stats  # cycle: reports reuses trim/elect
-
+               threads: int = 1) -> Checkpoint:
+    """Full TIES pipeline: trim, elect signs, disjoint mean, then base + lam * merged."""
     if not tvs:
         raise MergeError("ties_merge requires at least one task vector")
     config.validate(len(tvs))
@@ -150,6 +148,4 @@ def ties_merge(base: Checkpoint, tvs: list[TaskVector], config: TiesConfig,
     for tv in tvs:
         for name, t in tv.extras.items():
             merged.extras.setdefault(name, t)
-    out = tv_merge(base, [(merged, config.lam)], threads=threads)
-    report = interference_stats(tvs, config.density)
-    return out, report
+    return tv_merge(base, [(merged, config.lam)], threads=threads)

@@ -127,7 +127,12 @@ def load_task_vector(path, base: Checkpoint | None = None, policy: str = "error"
 
 
 def scale(tv: TaskVector, lam: float) -> TaskVector:
-    """Multiply every delta by `lam` (float64). lam=-1 negates the vector."""
+    """Multiply every delta by `lam` (float64). lam=-1 negates the vector.
+
+    The merges fold their weights into one accumulation and never call
+    this. It stays as the plain reference that tests compare them with,
+    and perfbench traces it by name.
+    """
     if not np.isfinite(lam):
         raise ValueError(f"non-finite scale factor {lam}")
     out = TaskVector(extras=dict(tv.extras), ignored=list(tv.ignored),
@@ -136,27 +141,6 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
         s = d * float(lam)
         s.setflags(write=False)
         out.deltas[name] = s
-    return out
-
-
-def add_vectors(tvs: list[TaskVector]) -> TaskVector:
-    """Element-wise float64 sum over the union of names, in list order."""
-    if not tvs:
-        raise MergeError("add_vectors requires at least one task vector")
-    out = TaskVector(origin="sum of {} vectors".format(len(tvs)))
-    for tv in tvs:
-        for name, d in tv.deltas.items():
-            if name in out.deltas:
-                if out.deltas[name].shape != d.shape:
-                    raise MergeError(
-                        f"tensor {name!r}: shape conflict {out.deltas[name].shape} vs {d.shape}")
-                out.deltas[name] = out.deltas[name] + d
-            else:
-                out.deltas[name] = d.copy()
-        for name, t in tv.extras.items():
-            out.extras.setdefault(name, t)
-    for d in out.deltas.values():
-        d.setflags(write=False)
     return out
 
 

@@ -1,5 +1,7 @@
 """Shared test helpers: random checkpoint generation and naive references."""
 
+import copy
+import json
 import math
 
 import numpy as np
@@ -148,3 +150,91 @@ def naive_train(params, X, y, learning_rate, epochs):
             return None, epoch
         params = {name: params[name] - learning_rate * grads[name] for name in sorted(params)}
     return params, None
+
+
+# --- the recipe validator before the hand-written pass: jsonschema plus post-checks ---
+
+_REFERENCE_WEIGHT_SCHEMA = {
+    "oneOf": [
+        {"type": "number"},
+        {
+            "type": "object",
+            "properties": {"grid": {"oneOf": [
+                {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                {"const": "default"},
+            ]}},
+            "required": ["grid"],
+            "additionalProperties": False,
+        },
+    ]
+}
+
+REFERENCE_RECIPE_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "base": {"type": "string"},
+        "method": {"enum": ["tv", "ties"]},
+        "vectors": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "properties": {"source": {"type": "string"},
+                               "weight": _REFERENCE_WEIGHT_SCHEMA},
+                "required": ["source", "weight"],
+                "additionalProperties": False,
+            },
+        },
+        "density": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "lambda": _REFERENCE_WEIGHT_SCHEMA,
+        "mismatch": {"enum": ["error", "ignore", "copy_from_finetuned"]},
+        "dtype": {"enum": ["keep", "F32", "F64", "F16", "BF16"]},
+        "output": {"type": "string"},
+    },
+    "required": ["base", "method", "vectors", "output"],
+    "additionalProperties": False,
+}
+
+
+def reference_schema_paths(doc) -> set[str]:
+    """The `$` paths of every error jsonschema reports for `doc`."""
+    import jsonschema
+
+    validator = jsonschema.Draft202012Validator(REFERENCE_RECIPE_SCHEMA)
+    return {err.json_path for err in validator.iter_errors(doc)}
+
+
+def reference_parse_recipe(text: str):
+    """parse_recipe as it was: jsonschema's first error by path, then the
+    ties-only and non-finite-weight post-checks."""
+    import jsonschema
+
+    from vecmerge.recipes import MergeRecipe, RecipeError
+    from vecmerge.ties import DEFAULT_DENSITY, DEFAULT_LAMBDA
+
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise RecipeError(f"invalid JSON: {exc}") from exc
+    validator = jsonschema.Draft202012Validator(REFERENCE_RECIPE_SCHEMA)
+    errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
+    if errors:
+        err = errors[0]
+        raise RecipeError(f"schema violation at {err.json_path}: {err.message}")
+    if doc["method"] != "ties" and ("density" in doc or "lambda" in doc):
+        present = [k for k in ("density", "lambda") if k in doc]
+        raise RecipeError(f"{'/'.join(present)} only valid with method \"ties\"")
+    for i, vec in enumerate(doc["vectors"]):
+        w = vec["weight"]
+        if isinstance(w, (int, float)) and not (w == w and abs(w) != float("inf")):
+            raise RecipeError(f"schema violation at $.vectors[{i}].weight: non-finite weight")
+    return MergeRecipe(
+        base=doc["base"],
+        method=doc["method"],
+        vectors=copy.deepcopy(doc["vectors"]),
+        output=doc["output"],
+        density=doc.get("density", DEFAULT_DENSITY),
+        lam=doc.get("lambda", DEFAULT_LAMBDA),
+        mismatch=doc.get("mismatch", "error"),
+        dtype=doc.get("dtype", "keep"),
+    )

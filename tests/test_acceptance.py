@@ -80,7 +80,7 @@ def test_criterion_3_lambda_zero_identity():
         canonical = write_archive(base)
         merged_tv = tv_merge(base, [(tv, 0.0), (tv, 0.0)])
         assert write_archive(merged_tv) == canonical
-        merged_ties, _ = ties_merge(base, [tv], TiesConfig(0.5, [1.0], 0.0))
+        merged_ties = ties_merge(base, [tv], TiesConfig(0.5, [1.0], 0.0))
         assert write_archive(merged_ties) == canonical
     ok(3, "lambda-zero identity")
 
@@ -99,7 +99,7 @@ def _random_ties_instance(rng):
 def _run_ties_instance(base_vals, vectors, weights, density, lam, threads=1):
     base = Checkpoint.from_arrays({"w": base_vals})
     tvs = [TaskVector.from_arrays({"w": v}) for v in vectors]
-    out, _ = ties_merge(base, tvs, TiesConfig(density, weights, lam), threads=threads)
+    out = ties_merge(base, tvs, TiesConfig(density, weights, lam), threads=threads)
     signs = elect_signs([trim(t, density) for t in tvs], weights)
     return out, signs
 
@@ -130,7 +130,7 @@ def test_criterion_5_reduction_law():
         lam = float(rng.uniform(-2.0, 2.0))
         if lam == 0.0:
             lam = 1.0
-        got, _ = ties_merge(base, [tv], TiesConfig(1.0, [1.0], lam))
+        got = ties_merge(base, [tv], TiesConfig(1.0, [1.0], lam))
         want = tv_merge(base, [(tv, lam)])
         for name in base.names():
             g = got.values(name).astype(np.float64)

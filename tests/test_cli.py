@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +128,32 @@ class TestRun:
         code, _, err = run(capsys, "run", "--recipe", path)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("method, key, raw", [
+        ("tv", "weight", '{"grid": [0.5, NaN]}'),
+        ("tv", "weight", "1" + "0" * 400),  # past float64
+        ("tv", "weight", "9" * 5000),  # past Python's int digit limit
+        ("ties", "weight", '{"grid": [1.0, -1.0]}'),
+        ("ties", "weight", "0"),
+        ("ties", "density", "NaN"),
+        ("ties", "lambda", "Infinity"),
+        ("ties", "lambda", '{"grid": [0.5, -Infinity]}'),
+    ], ids=["grid-nan", "int-1e400", "int-5000-digits", "ties-grid-negative", "ties-zero",
+            "density-nan", "lambda-inf", "lambda-grid-inf"])
+    def test_sweep_rejects_bad_numbers_before_any_output(self, workspace, capsys,
+                                                        method, key, raw):
+        doc = {"base": str(workspace / "base.st"), "method": method,
+               "vectors": [{"source": str(workspace / "tv.st"), "weight": 1.0}],
+               "output": str(workspace / "out.st")}
+        if key == "weight":
+            doc["vectors"][0]["weight"] = "@"
+        else:
+            doc[key] = "@"
+        path = workspace / "recipe.json"
+        path.write_text(json.dumps(doc).replace('"@"', raw))
+        code, _, err = run(capsys, "run", "--recipe", path, "--sweep")
+        assert code == 2 and err.startswith("error:")
+        assert not list(workspace.glob("out*"))
+
     def test_merge_error_exit_3(self, workspace, capsys):
         path = self.recipe(workspace, vectors=[
             {"source": str(workspace / "missing.st"), "weight": 1.0}])
@@ -154,6 +183,15 @@ class TestRun:
     def test_metrics_off_sweep_axes_exit_2(self, workspace, capsys, rows):
         code, _, err = self.run_lambda_sweep(workspace, capsys, rows)
         assert code == 2 and err.startswith("error:") and "sweep axes" in err
+
+
+def test_cli_import_loads_no_schema_library():
+    code = ("import sys, vecmerge.cli; "
+            "print(sorted({'jsonschema', 'referencing', 'rpds', 'attrs'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestBenchCommand:

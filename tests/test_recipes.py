@@ -1,13 +1,20 @@
+import copy
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vecmerge import (Checkpoint, MetricsTable, RecipeError, execute_recipe,
                       expand_sweep, extract_task_vector, parse_recipe,
                       read_archive, save_archive, select_best, tv_merge,
                       write_archive, TaskVector, apply)
 from vecmerge.recipes import DEFAULT_GRID
+
+from helpers import reference_parse_recipe, reference_schema_paths
 
 
 def minimal(**overrides):
@@ -60,6 +67,144 @@ class TestParseRecipe:
     def test_invalid_json(self):
         with pytest.raises(RecipeError, match="invalid JSON"):
             parse_recipe("{nope")
+
+
+# --- the hand-written validator against the jsonschema reference it replaced ---
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-2 ** 64, 2 ** 64))
+POSITIVE = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                     st.integers(1, 2 ** 64))
+# mutations edit documents in place, so every drawn container is a fresh copy
+NOT_NUMBERS = st.sampled_from([True, False, "1", "0.5", None, [1.0], {}]).map(copy.deepcopy)
+NOT_OBJECTS = st.sampled_from([[], ["base"], "recipe", 1, 0.5, None, True]).map(copy.deepcopy)
+MUTATIONS = ["drop", "unknown", "not_number", "not_string", "enum", "empty_vectors",
+             "empty_grid", "grid_token", "density", "ties_key", "vector_item", "top_level"]
+
+
+def weights(numbers):
+    return st.one_of(numbers,
+                     st.fixed_dictionaries({"grid": st.lists(numbers, min_size=1, max_size=3)}),
+                     st.builds(dict, grid=st.just("default")))
+
+
+@st.composite
+def valid_recipes(draw):
+    """Recipes both validators accept: finite numbers, TIES weights positive."""
+    ties = draw(st.booleans())
+    vector = st.fixed_dictionaries({"source": st.text(max_size=3),
+                                    "weight": weights(POSITIVE if ties else FINITE)})
+    optional = {"mismatch": st.sampled_from(["error", "ignore", "copy_from_finetuned"]),
+                "dtype": st.sampled_from(["keep", "F32", "F64", "F16", "BF16"])}
+    if ties:
+        optional["density"] = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1))
+        optional["lambda"] = weights(FINITE)
+    return draw(st.fixed_dictionaries(
+        {"base": st.text(max_size=3), "method": st.just("ties" if ties else "tv"),
+         "vectors": st.lists(vector, min_size=1, max_size=3), "output": st.text(max_size=3)},
+        optional=optional))
+
+
+def number_slots(holders):
+    """(container, key) of every number held at `holders`, grid entries included."""
+    slots = []
+    for parent, key in holders:
+        value = parent[key]
+        if not isinstance(value, dict):
+            slots.append((parent, key))
+        elif value["grid"] != "default":
+            slots += [(value["grid"], j) for j in range(len(value["grid"]))]
+    return slots
+
+
+def weight_slots(doc):
+    return number_slots([(vec, "weight") for vec in doc["vectors"]])
+
+
+def all_number_slots(doc):
+    return weight_slots(doc) + number_slots([(doc, k) for k in ("density", "lambda") if k in doc])
+
+
+@st.composite
+def mutated_recipes(draw):
+    """A valid recipe with up to two mutations applied."""
+    doc = draw(valid_recipes())
+    slots = all_number_slots(doc)
+    n = draw(st.sampled_from([0, 1, 1, 2]))
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=n, max_size=n)):
+        vectors = doc.get("vectors")
+        items = [v for v in vectors if isinstance(v, dict)] if isinstance(vectors, list) else []
+        if kind in ("drop", "unknown"):
+            grids = [v["weight"] for v in items if isinstance(v.get("weight"), dict)]
+            target = draw(st.sampled_from([doc] + items + grids))
+            if kind == "drop" and target:
+                del target[draw(st.sampled_from(sorted(target)))]
+            elif kind == "unknown":
+                target[draw(st.text(max_size=3).filter(lambda k: k not in target))] = 1.0
+        elif kind == "not_number" and slots:
+            parent, key = draw(st.sampled_from(slots))
+            parent[key] = draw(NOT_NUMBERS)
+        elif kind == "not_string":
+            doc[draw(st.sampled_from(["base", "output", "method"]))] = draw(NOT_NUMBERS)
+        elif kind == "enum":
+            doc[draw(st.sampled_from(["method", "mismatch", "dtype"]))] = draw(
+                st.sampled_from(["average", "I8", "", "TV", True, 1]))
+        elif kind == "empty_vectors":
+            doc["vectors"] = []
+        elif kind in ("empty_grid", "grid_token") and items:
+            grid = [] if kind == "empty_grid" else draw(
+                st.sampled_from(["Default", "defaults", "", "default ", None]))
+            draw(st.sampled_from(items))["weight"] = {"grid": grid}
+        elif kind == "density":
+            doc["density"] = draw(st.sampled_from([0, 0.0, 1, 1.0, math.nextafter(1.0, 2.0)]))
+        elif kind == "ties_key":  # valid values, which only a TIES recipe may carry
+            doc[draw(st.sampled_from(["density", "lambda"]))] = draw(
+                st.sampled_from([0.5, 1, {"grid": [0.5]}]).map(copy.deepcopy))
+        elif kind == "vector_item" and isinstance(vectors, list) and vectors:
+            vectors[draw(st.integers(0, len(vectors) - 1))] = draw(NOT_OBJECTS)
+        elif kind == "top_level":
+            return draw(NOT_OBJECTS)
+    return doc
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text), None
+    except RecipeError as exc:
+        return None, str(exc)
+
+
+class TestValidatorMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(doc=mutated_recipes())
+    def test_same_verdict_recipe_and_error_path(self, doc):
+        text = json.dumps(doc)
+        old, old_error = parse_outcome(reference_parse_recipe, text)
+        new, new_error = parse_outcome(parse_recipe, text)
+        assert (new_error is None) == (old_error is None), (new_error, old_error)
+        if new_error is None:
+            assert new == old and repr(new) == repr(old)  # repr tells 1 from 1.0
+            return
+        path = re.fullmatch(r"schema violation at (\$\S*): .+", new_error, re.S).group(1)
+        if old_error.startswith("schema violation"):
+            assert path in reference_schema_paths(doc), (new_error, old_error)
+        else:  # the reference's ties-only post-check, which jsonschema passes
+            assert path[2:] in old_error.split(" ")[0].split("/"), (new_error, old_error)
+
+    @settings(max_examples=500, deadline=None)
+    @given(doc=valid_recipes(), data=st.data())
+    def test_numbers_the_merge_rejects_are_rejected(self, doc, data):
+        ties_weights = weight_slots(doc) if doc["method"] == "ties" else []
+        if ties_weights and data.draw(st.booleans()):
+            slots, bad = ties_weights, st.one_of(st.floats(max_value=0.0), st.integers(max_value=0))
+        else:
+            slots, bad = all_number_slots(doc), st.sampled_from(
+                [math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400)])
+        assume(slots)
+        parent, key = data.draw(st.sampled_from(slots))
+        parent[key] = data.draw(bad)
+        with pytest.raises(RecipeError, match=r"^schema violation at \$"):
+            parse_recipe(json.dumps(doc))
 
 
 class TestExpandSweep:

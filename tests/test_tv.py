@@ -1,4 +1,3 @@
-import itertools
 import sys
 import threading
 import time
@@ -8,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecmerge import (Checkpoint, MergeError, TaskVector, Tensor, add_vectors, apply,
-                      extract_task_vector, read_archive, save_archive, scale, tv_merge,
-                      tv_merge_lazy, write_archive)
+from vecmerge import (Checkpoint, MergeError, TaskVector, Tensor, apply, extract_task_vector,
+                      read_archive, save_archive, scale, tv_merge, tv_merge_lazy,
+                      write_archive)
 from vecmerge import tv as tv_mod
 from vecmerge.tv import is_task_vector_archive
 
@@ -74,37 +73,6 @@ class TestScaleAdd:
     def test_scale_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             scale(TaskVector.from_arrays({"w": [1.0]}), float("nan"))
-
-    def test_add(self):
-        a = TaskVector.from_arrays({"w": [1.0, 2.0]})
-        b = TaskVector.from_arrays({"w": [3.0, -1.0]})
-        np.testing.assert_array_equal(add_vectors([a, b]).deltas["w"], [4.0, 1.0])
-
-    def test_add_disjoint_union(self):
-        a = TaskVector.from_arrays({"w": [1.0, 2.0]})
-        b = TaskVector.from_arrays({"v": [5.0]})
-        out = add_vectors([a, b])
-        assert out.names() == ["v", "w"]
-        np.testing.assert_array_equal(out.deltas["v"], [5.0])
-
-    def test_add_single_identity(self):
-        a = TaskVector.from_arrays({"w": [1.0, 2.0]})
-        np.testing.assert_array_equal(add_vectors([a]).deltas["w"], a.deltas["w"])
-
-    def test_add_shape_conflict(self):
-        with pytest.raises(MergeError, match="shape conflict"):
-            add_vectors([TaskVector.from_arrays({"w": [1.0]}),
-                         TaskVector.from_arrays({"w": [1.0, 2.0]})])
-
-    def test_add_order_independent_small_lists(self):
-        # dyadic-rational values keep every partial sum exact in float64
-        rng = np.random.default_rng(5)
-        tvs = [TaskVector.from_arrays(
-            {"w": rng.integers(-2 ** 20, 2 ** 20, size=6) / 1024.0}) for _ in range(5)]
-        reference = add_vectors(tvs).deltas["w"]
-        for perm in itertools.permutations(range(5)):
-            np.testing.assert_array_equal(
-                add_vectors([tvs[i] for i in perm]).deltas["w"], reference)
 
 
 class TestApply:
