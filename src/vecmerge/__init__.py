@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .tensor_store import (ArchiveError, Checkpoint, LazyCheckpoint, Tensor,
+from .tensor_store import (ArchiveError, Checkpoint, EncodedTensor, LazyCheckpoint, Tensor,
                            TensorSpec, ValidationReport, read_archive, save_archive,
                            validate_archive, write_archive)
 from .tv import (MergeError, TaskVector, apply, extract_task_vector, scale,
@@ -15,7 +15,8 @@ from .reports import (DiffReport, InterferenceReport, cosine, diff_stats,
                       interference_stats)
 
 __all__ = [
-    "ArchiveError", "Checkpoint", "LazyCheckpoint", "Tensor", "TensorSpec", "ValidationReport",
+    "ArchiveError", "Checkpoint", "EncodedTensor", "LazyCheckpoint", "Tensor", "TensorSpec",
+    "ValidationReport",
     "read_archive", "save_archive", "validate_archive", "write_archive",
     "MergeError", "TaskVector", "apply", "extract_task_vector",
     "scale", "tv_merge", "tv_merge_lazy",

@@ -94,6 +94,23 @@ def _cmd_cosine(args) -> int:
     return 0
 
 
+def _select_from_metrics(path, recipe) -> dict:
+    """The best row of a metrics CSV whose every row names a point of the
+    recipe's sweep grid (any row, when the recipe has no grid)."""
+    with open(path) as fh:
+        table = MetricsTable.from_csv(fh.read())
+    grids = dict(recipe.grids())
+    for assignment, _ in table.rows if grids else ():
+        if set(assignment) != set(grids):
+            raise RecipeError(f"metrics row {assignment} does not match "
+                              f"the sweep axes {sorted(grids)}")
+        for name, value in assignment.items():
+            if value not in grids[name]:
+                raise RecipeError(f"metrics row {assignment}: {name}={value} is not "
+                                  f"a point of the sweep grid {grids[name]}")
+    return select_best(table)
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.recipe) as fh:
@@ -101,7 +118,10 @@ def _cmd_run(args) -> int:
         recipes = expand_sweep(recipe) if args.sweep else [recipe]
         if not args.sweep and recipe.grids():
             raise RecipeError("recipe contains sweep grids; pass --sweep")
-    except (OSError, RecipeError) as exc:
+        if args.select and not args.metrics:
+            raise RecipeError("--select requires --metrics")
+        selected = _select_from_metrics(args.metrics, recipe) if args.metrics else None
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -110,22 +130,8 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     result = {"outcomes": [o.to_dict() for o in outcomes]}
-    if args.select and not args.metrics:
-        print("error: --select requires --metrics", file=sys.stderr)
-        return 2
-    if args.metrics:
-        try:
-            with open(args.metrics) as fh:
-                table = MetricsTable.from_csv(fh.read())
-            axes = {name for name, _ in recipe.grids()}
-            for assignment, _ in table.rows:
-                if axes and set(assignment) != axes:
-                    raise RecipeError(f"metrics row {assignment} does not match "
-                                      f"the sweep axes {sorted(axes)}")
-            result["selected"] = select_best(table)
-        except (OSError, RecipeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if selected is not None:
+        result["selected"] = selected
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 

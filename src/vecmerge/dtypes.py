@@ -3,6 +3,11 @@
 In-memory representation: F64/F32/F16 map onto the native numpy dtypes.
 BF16 has no numpy dtype, so BF16 tensors are held as float32 arrays whose
 values are exactly representable in bfloat16; encode/decode is then exact.
+
+Stored form: a tensor's archive encoding as a numpy array, little-endian
+F64/F32/F16 floats, and BF16 as its uint16 bit patterns. Merge kernels
+`widen` either form to float64 and `narrow` float64 back to the stored
+form, rounding once.
 """
 
 from __future__ import annotations
@@ -11,10 +16,11 @@ import numpy as np
 
 DTYPE_SIZES = {"F64": 8, "F32": 4, "F16": 2, "BF16": 2}
 
-_NUMPY_STORAGE = {
+_STORAGE = {
     "F64": np.dtype("<f8"),
     "F32": np.dtype("<f4"),
     "F16": np.dtype("<f2"),
+    "BF16": np.dtype("<u2"),
 }
 
 _MEMORY_DTYPE = {
@@ -31,10 +37,10 @@ def dtype_size(dtype: str) -> int:
     return DTYPE_SIZES[dtype]
 
 
-def memory_dtype(dtype: str):
-    if dtype not in _MEMORY_DTYPE:
+def storage_dtype(dtype: str) -> np.dtype:
+    if dtype not in _STORAGE:
         raise ValueError(f"unknown dtype {dtype!r}")
-    return _MEMORY_DTYPE[dtype]
+    return _STORAGE[dtype]
 
 
 def _f32_to_bf16_bits(arr32: np.ndarray) -> np.ndarray:
@@ -57,14 +63,39 @@ def _f32_to_bf16_bits(arr32: np.ndarray) -> np.ndarray:
 
 
 def _bf16_bits_to_f32(bits: np.ndarray) -> np.ndarray:
-    return (bits.astype(np.uint32) << 16).view(np.float32)
+    u = bits.astype(np.uint32)
+    u <<= 16
+    return u.view(np.float32)
 
 
-def encode(values: np.ndarray, dtype: str) -> bytes:
-    """Serialize an in-memory tensor to little-endian raw bytes."""
+def _quiet_bf16_nans(bits: np.ndarray) -> np.ndarray:
+    """BF16 bits with every NaN quiet, as rounding from float32 leaves them."""
+    nan = (bits & 0x7FFF) > 0x7F80
+    return np.where(nan, bits | 0x0040, bits).astype("<u2") if nan.any() else bits
+
+
+def encode(values: np.ndarray, dtype: str) -> np.ndarray:
+    """A tensor's archive bytes, as a contiguous little-endian array.
+
+    `values` is the in-memory representation or the stored form; stored
+    data that needs no change is returned as it is, not copied.
+    """
     if dtype == "BF16":
-        return _f32_to_bf16_bits(np.asarray(values, dtype=np.float32).ravel()).astype("<u2").tobytes()
-    return np.ascontiguousarray(values, dtype=_NUMPY_STORAGE[dtype]).tobytes()
+        if values.dtype == np.uint16:
+            return _quiet_bf16_nans(np.ascontiguousarray(values, dtype="<u2"))
+        return _f32_to_bf16_bits(np.asarray(values, dtype=np.float32).ravel())
+    return np.ascontiguousarray(values, dtype=_STORAGE[dtype])
+
+
+def stored_view(buf, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only view of raw little-endian bytes in `dtype`'s stored form.
+
+    It is never copied, so it may be misaligned; numpy computes on it with
+    the same results, more slowly.
+    """
+    out = np.frombuffer(buf, dtype=_STORAGE[dtype]).reshape(shape)
+    out.setflags(write=False)
+    return out
 
 
 def decode(buf, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -73,15 +104,44 @@ def decode(buf, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     F64/F32/F16 results are views of `buf` unless its data is misaligned
     for the dtype, in which case they are aligned copies.
     """
+    out = stored_view(buf, dtype, shape)
     if dtype == "BF16":
-        bits = np.frombuffer(buf, dtype="<u2")
-        out = _bf16_bits_to_f32(bits).reshape(shape)  # the shift already copies
-    else:
-        out = np.frombuffer(buf, dtype=_NUMPY_STORAGE[dtype]).reshape(shape)
-        if not out.flags.aligned:
-            out = out.copy()
+        out = _bf16_bits_to_f32(out)  # the shift already copies
+    elif not out.flags.aligned:
+        out = out.copy()
     out.setflags(write=False)
     return out
+
+
+def widen(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`data` as float64, from in-memory values or a stored form (uint16
+    data is BF16 bits). Written into `out` if given; without `out`, float64
+    data is returned as it is."""
+    if data.dtype == np.uint16:
+        data = _bf16_bits_to_f32(data)
+    if out is None:
+        return np.asarray(data, dtype=np.float64)
+    np.copyto(out, data)
+    return out
+
+
+def narrow(acc: np.ndarray, dtype: str, out: np.ndarray) -> None:
+    """Round float64 `acc` into `out`, an array in `dtype`'s stored form.
+
+    Rounding is round-to-nearest-even at every narrowing step; BF16 goes
+    through float32, as `cast_values` does.
+    """
+    if dtype == "BF16":
+        out[...] = _f32_to_bf16_bits(acc.astype(np.float32))
+    else:
+        np.copyto(out, acc, casting="unsafe")
+
+
+def all_finite(data: np.ndarray) -> bool:
+    """Whether in-memory values or a stored form hold no NaN or ±inf."""
+    if data.dtype == np.uint16:
+        return not ((data & 0x7F80) == 0x7F80).any()
+    return bool(np.isfinite(data).all())
 
 
 def cast_values(values: np.ndarray, dtype: str, allow_nonfinite: bool = True) -> np.ndarray:

@@ -287,6 +287,8 @@ class MetricsTable:
                 if not key or not value:
                     raise RecipeError(f"bad assignment {row[0]!r}")
                 assignment[key] = float(value)
+                if not math.isfinite(assignment[key]):
+                    raise RecipeError(f"non-finite assignment value in row {row!r}")
             metric = float(row[1])
             if not math.isfinite(metric):
                 raise RecipeError(f"non-finite metric in row {row!r}")

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dtypes import widen
 from .tensor_store import Checkpoint
 from .ties import elect_signs, trim
 from .tv import MergeError, TaskVector
@@ -103,8 +104,8 @@ def diff_stats(a: Checkpoint, b: Checkpoint) -> DiffReport:
     equal = 0
     total = 0
     for name in shared:
-        va = a.values(name).astype(np.float64)
-        vb = b.values(name).astype(np.float64)
+        va = widen(a[name].data)
+        vb = widen(b[name].data)
         d = vb - va
         n_eq = int(np.count_nonzero(va == vb))
         t = TensorDiff(

@@ -8,11 +8,13 @@ The writer is canonical: tensors are serialized in lexicographic name
 order with offsets packed contiguously from 0, so equal checkpoints
 produce byte-equal archives.
 
-Files are read through a read-only memory map, and F64/F32/F16 tensors
-whose data is aligned are views of it; a checkpoint's `release(name)`
-drops the mapped pages of a tensor it no longer needs. Files are written
-one tensor at a time to a temp file that is then renamed into place, and
-a `LazyCheckpoint` makes each tensor only when the writer reaches it.
+Files are read through a read-only memory map, and nothing is copied
+at read: F64/F32/F16 tensors whose data is aligned are views of it, and
+BF16 or misaligned tensors stay in their archive encoding until they are
+read. A checkpoint's `release(name)` drops the mapped pages of a tensor
+it no longer needs. Files are written one tensor at a time to a temp
+file that is then renamed into place, and a `LazyCheckpoint` makes each
+tensor only when the writer reaches it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dtypes import DTYPE_SIZES, cast_values, decode, dtype_size, encode
+from .dtypes import (DTYPE_SIZES, all_finite, cast_values, decode, dtype_size, encode,
+                     stored_view)
 
 METADATA_KEY = "__metadata__"
 MAX_DIMS = 32  # numpy 1.x's limit; numpy 2 allows 64
@@ -70,8 +73,34 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return tuple(self.values.shape)
 
+    @property
+    def data(self) -> np.ndarray:
+        """What merge kernels read; see EncodedTensor.data."""
+        return self.values
 
-def _keep_pages(name: str) -> None:
+
+@dataclass(frozen=True)
+class EncodedTensor:
+    """A tensor kept in its archive encoding: `data` is its stored form
+    (uint16 bits for BF16, and possibly misaligned), and `values` decodes
+    it anew at each read, caching nothing."""
+
+    dtype: str
+    data: np.ndarray
+
+    def __post_init__(self):
+        self.data.setflags(write=False)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(self.data.shape)
+
+    @property
+    def values(self) -> np.ndarray:
+        return decode(self.data, self.dtype, self.shape)
+
+
+def _keep_pages(name: str, stop: int | None = None) -> None:
     """The release of a checkpoint that maps no file: there is nothing to drop."""
 
 
@@ -80,17 +109,19 @@ class Checkpoint:
     """Immutable-by-convention ordered map of named tensors.
 
     `release(name)` tells the checkpoint that tensor `name` will not be
-    read again soon; a mapped checkpoint drops its pages (see read_archive).
+    read again soon, and `release(name, stop)` that its first `stop`
+    elements will not; a mapped checkpoint drops their pages (see
+    read_archive).
     """
 
-    tensors: dict[str, Tensor] = field(default_factory=dict)
+    tensors: dict[str, Tensor | EncodedTensor] = field(default_factory=dict)
     metadata: dict[str, str] | None = None
-    release: Callable[[str], None] = field(default=_keep_pages, repr=False, compare=False)
+    release: Callable[..., None] = field(default=_keep_pages, repr=False, compare=False)
 
     def __contains__(self, name: str) -> bool:
         return name in self.tensors
 
-    def __getitem__(self, name: str) -> Tensor:
+    def __getitem__(self, name: str) -> Tensor | EncodedTensor:
         return self.tensors[name]
 
     def __len__(self) -> int:
@@ -106,7 +137,7 @@ class Checkpoint:
         """(name, dtype, shape) of every tensor, in name order."""
         return [(name, self[name].dtype, self[name].shape) for name in self.names()]
 
-    def items(self) -> Iterator[tuple[str, Tensor]]:
+    def items(self) -> Iterator[tuple[str, Tensor | EncodedTensor]]:
         """(name, tensor) pairs in name order."""
         return ((name, self[name]) for name in self.names())
 
@@ -267,9 +298,10 @@ def _open_archive(path):
         return fh.read()
 
 
-def _page_release(raw, start: int, specs: list[TensorSpec]) -> Callable[[str], None]:
-    """A release(name) that drops the mapped pages lying wholly inside a
-    tensor's bytes; a later read of them faults them back in from the file.
+def _page_release(raw, start: int, specs: list[TensorSpec]) -> Callable[..., None]:
+    """A release(name, stop=None) that drops the mapped pages lying wholly
+    inside a tensor's bytes, or inside its first `stop` elements; a later
+    read of them faults them back in from the file.
 
     It holds the map weakly, so it never keeps alive a map that no tensor
     views.
@@ -277,13 +309,16 @@ def _page_release(raw, start: int, specs: list[TensorSpec]) -> Callable[[str], N
     if not isinstance(raw, memoryview) or not hasattr(mmap, "MADV_DONTNEED"):
         return _keep_pages
     mapped = weakref.ref(raw.obj)
-    ranges = {s.name: (start + s.data_offsets[0], start + s.data_offsets[1]) for s in specs}
+    ranges = {s.name: (start + s.data_offsets[0], start + s.data_offsets[1],
+                       dtype_size(s.dtype)) for s in specs}
 
-    def release(name: str) -> None:
+    def release(name: str, stop: int | None = None) -> None:
         mm = mapped()
         if mm is None or name not in ranges:
             return
-        begin, end = ranges[name]
+        begin, end, itemsize = ranges[name]
+        if stop is not None:
+            end = min(end, begin + stop * itemsize)
         lo = -(-begin // mmap.PAGESIZE) * mmap.PAGESIZE
         hi = end // mmap.PAGESIZE * mmap.PAGESIZE
         if hi > lo:
@@ -295,7 +330,9 @@ def _page_release(raw, start: int, specs: list[TensorSpec]) -> Callable[[str], N
 def read_archive(path_or_bytes) -> Checkpoint:
     """Parse an archive from a path or a bytes object into a Checkpoint.
 
-    The pages of tensors decoded into copies are released at once.
+    Only the header is read. Aligned F64/F32/F16 tensors are views of the
+    file's map; BF16 and misaligned tensors are EncodedTensors over it, so
+    each read of their `values` decodes them again.
     """
     if isinstance(path_or_bytes, (bytes, bytearray, memoryview)):
         raw = bytes(path_or_bytes)
@@ -305,16 +342,16 @@ def read_archive(path_or_bytes) -> Checkpoint:
     specs = [_spec_from_entry(name, entry) for name, entry in header.items()]
     _check_specs(specs, len(raw) - start)
 
-    release = _page_release(raw, start, specs)
-    region = np.frombuffer(raw, dtype=np.uint8)
     tensors = {}
     for spec in specs:
         begin, end = spec.data_offsets
-        values = decode(raw[start + begin:start + end], spec.dtype, spec.shape)
-        if not np.may_share_memory(values, region):
-            release(spec.name)
-        tensors[spec.name] = Tensor(spec.dtype, values)
-    return Checkpoint(tensors, dict(metadata) if metadata else None, release)
+        data = stored_view(raw[start + begin:start + end], spec.dtype, spec.shape)
+        if spec.dtype == "BF16" or not data.flags.aligned:
+            tensors[spec.name] = EncodedTensor(spec.dtype, data)
+        else:
+            tensors[spec.name] = Tensor(spec.dtype, data)
+    return Checkpoint(tensors, dict(metadata) if metadata else None,
+                      _page_release(raw, start, specs))
 
 
 def _serialize(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str,
@@ -351,12 +388,13 @@ def _serialize(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str,
             raise ValueError(f"tensor {got!r} {tensor.dtype} {list(tensor.shape)} was made "
                              f"where the header holds {name!r} {dtype} {list(shape)}")
         stored = header[name]["dtype"]
-        values = tensor.values
         if stored != dtype:
-            values = cast_values(values.astype(np.float64), stored, allow_nonfinite=allow_nonfinite)
-        elif not allow_nonfinite and not np.isfinite(values).all():
+            yield encode(cast_values(tensor.values.astype(np.float64), stored,
+                                     allow_nonfinite=allow_nonfinite), stored)
+            continue
+        if not allow_nonfinite and not all_finite(tensor.data):
             raise ValueError(f"tensor {name!r}: non-finite value with allow_nonfinite=False")
-        yield encode(values, stored)
+        yield encode(tensor.data, stored)
 
 
 def write_archive(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str = "keep",

@@ -1,10 +1,11 @@
 """Task-vector extraction and scaled vector-addition merging.
 
 All arithmetic accumulates in float64 regardless of storage dtype; the
-cast back to the base tensor's dtype happens exactly once per output
-tensor. Large tensors are processed in fixed-size chunks so merge
-overhead stays small relative to checkpoint size, and a merge made for
-writing (`tv_merge_lazy`) holds only the few tensors in flight.
+rounding back to the base tensor's dtype happens exactly once per output
+element. Tensors are processed in cache-sized chunks, each decoded
+straight from the base's stored form, so merge temporaries stay small
+whatever the tensor size, and a merge made for writing (`tv_merge_lazy`)
+holds only the few tensors in flight.
 """
 
 from __future__ import annotations
@@ -13,16 +14,18 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .dtypes import cast_values, memory_dtype
-from .tensor_store import ArchiveError, Checkpoint, LazyCheckpoint, Tensor, read_archive
+from .dtypes import narrow, storage_dtype, widen
+from .tensor_store import (ArchiveError, Checkpoint, EncodedTensor, LazyCheckpoint, Tensor,
+                           read_archive)
 
 TASK_VECTOR_KIND = "task_vector"
 KIND_KEY = "vecmerge.kind"
 
-_CHUNK = 1 << 20  # elements per accumulation chunk
+_CHUNK = 1 << 16  # elements per accumulation chunk: 512 KiB of float64
 
 MISMATCH_MODES = ("error", "ignore", "copy_from_finetuned")
 
@@ -42,10 +45,10 @@ class TaskVector:
     """
 
     deltas: dict[str, np.ndarray] = field(default_factory=dict)
-    extras: dict[str, Tensor] = field(default_factory=dict)
+    extras: dict[str, Tensor | EncodedTensor] = field(default_factory=dict)
     ignored: list[str] = field(default_factory=list)
     origin: str = "constructed"
-    release: Callable[[str], None] = field(default=Checkpoint.release, repr=False,
+    release: Callable[..., None] = field(default=Checkpoint.release, repr=False,
                                            compare=False)
 
     def names(self) -> list[str]:
@@ -57,7 +60,8 @@ class TaskVector:
 
     @staticmethod
     def from_checkpoint(ckpt: Checkpoint, origin: str = "loaded from archive") -> "TaskVector":
-        tv = TaskVector.from_arrays({name: ckpt.values(name) for name in ckpt.names()},
+        """F64 deltas stay views of the checkpoint's data, misaligned or not."""
+        tv = TaskVector.from_arrays({name: widen(ckpt[name].data) for name in ckpt.names()},
                                     origin=origin)
         tv.release = ckpt.release
         return tv
@@ -98,7 +102,7 @@ def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
 
     tv = TaskVector(origin=f"extract(base={len(base)} tensors, finetuned={len(finetuned)} tensors)")
     for name in shared:
-        d = finetuned.values(name).astype(np.float64) - base.values(name).astype(np.float64)
+        d = widen(finetuned[name].data) - widen(base[name].data)
         d.setflags(write=False)
         tv.deltas[name] = d
     if policy == "copy_from_finetuned":
@@ -144,17 +148,29 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
     return out
 
 
-def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]]) -> Tensor:
-    """Chunked base + sum(lam*delta) in float64, one cast to base dtype."""
-    flat_base = base.values.reshape(-1)
-    out = np.empty(flat_base.shape, dtype=memory_dtype(base.dtype))
-    for start in range(0, flat_base.size, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, flat_base.size))
-        acc = flat_base[sl].astype(np.float64)
-        for delta, lam in deltas:
-            acc += delta.reshape(-1)[sl] * lam
-        out[sl] = cast_values(acc, base.dtype)
-    return Tensor(base.dtype, out.reshape(base.shape))
+def _merge_tensor(base: Tensor | EncodedTensor,
+                  deltas: list[tuple[np.ndarray, float, Callable[[int], None]]]
+                  ) -> Tensor | EncodedTensor:
+    """base + sum(lam*delta) in float64, chunk by chunk, rounded once to
+    the base's stored form; a BF16 result stays as its bits.
+
+    Each delta's release(stop) is told, after each chunk, that its first
+    `stop` elements are done with.
+    """
+    src = base.data.reshape(-1)
+    flat = [(delta.reshape(-1), lam, release) for delta, lam, release in deltas]
+    out = np.empty(src.size, dtype=storage_dtype(base.dtype))
+    acc = np.empty(min(src.size, _CHUNK))
+    term = np.empty_like(acc)
+    for start in range(0, src.size, _CHUNK):
+        stop = min(start + _CHUNK, src.size)
+        part = widen(src[start:stop], acc[:stop - start])
+        for delta, lam, release in flat:
+            part += np.multiply(delta[start:stop], lam, out=term[:stop - start])
+            release(stop)
+        narrow(part, base.dtype, out[start:stop])
+    out = out.reshape(base.shape)
+    return EncodedTensor("BF16", out) if base.dtype == "BF16" else Tensor(base.dtype, out)
 
 
 def apply(base: Checkpoint, tv: TaskVector, threads: int = 1) -> Checkpoint:
@@ -206,16 +222,17 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
 
     At most `threads` tensors are merged at once, and merging runs ahead
     of the reader by under `threads` times the largest tensor's elements,
-    so small tensors between large ones do not leave threads idle. Once a
-    tensor is merged, the pages of its mapped inputs are released.
+    so small tensors between large ones do not leave threads idle. The
+    mapped pages of each vector are released as the merge's chunks pass
+    them, and those of the base once its tensor is merged.
     """
     if not weighted:
         raise MergeError("tv_merge requires at least one (vector, weight) pair")
     for _, lam in weighted:
         if not np.isfinite(lam):
             raise ValueError(f"non-finite merge weight {lam}")
-    per_name: dict[str, list[tuple[np.ndarray, float]]] = {}
-    extras: dict[str, Tensor] = {}
+    per_name: dict[str, list[tuple[np.ndarray, float, Callable[[int], None]]]] = {}
+    extras: dict[str, Tensor | EncodedTensor] = {}
     for tv, lam in weighted:
         for name, d in tv.deltas.items():
             if name not in base:
@@ -223,23 +240,21 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
             if base[name].shape != d.shape:
                 raise MergeError(
                     f"tensor {name!r}: shape mismatch base {base[name].shape} vs delta {d.shape}")
-            per_name.setdefault(name, []).append((d, float(lam)))
+            per_name.setdefault(name, []).append((d, float(lam), partial(tv.release, name)))
         for name, t in tv.extras.items():
             if name not in base:
                 extras.setdefault(name, t)
     layout = {name: (t.dtype, t.shape) for name, t in (*base.items(), *extras.items())}
 
-    def one(name: str) -> tuple[str, Tensor]:
+    def one(name: str) -> tuple[str, Tensor | EncodedTensor]:
         if name not in per_name:
             return name, base[name] if name in base else extras[name]
         tensor = _merge_tensor(base[name], per_name[name])
         base.release(name)
-        for tv, _ in weighted:
-            tv.release(name)
         return name, tensor
 
     names = sorted(layout)
-    sizes = [base[n].values.size if n in per_name else 0 for n in names]
+    sizes = [base[n].data.size if n in per_name else 0 for n in names]
     return LazyCheckpoint(layout, lambda: _in_order(one, names, sizes, threads),
                           dict(base.metadata) if base.metadata else None)
 

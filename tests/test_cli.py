@@ -184,6 +184,25 @@ class TestRun:
         code, _, err = self.run_lambda_sweep(workspace, capsys, rows)
         assert code == 2 and err.startswith("error:") and "sweep axes" in err
 
+    @pytest.mark.parametrize("rows, message", [
+        ("lambda=0.5,0.1\nlambda=0.7,0.9\n", "not a point of the sweep grid"),
+        ("lambda=nan,0.9\n", "non-finite assignment"),
+        ("lambda=1.0,0.1\nlambda=-inf,0.9\n", "non-finite assignment"),
+        ("lambda=0.5,0.1\nlambda=1.0;w0=1.0,0.7\n", "sweep axes"),
+        ("lambda=0.5,inf\n", "non-finite metric"),
+        ("", "empty metrics table"),
+    ], ids=["off-grid", "nan", "minus-inf", "off-axes", "metric-inf", "empty"])
+    def test_bad_metrics_exit_2_before_any_output(self, workspace, capsys, rows, message):
+        code, out, err = self.run_lambda_sweep(workspace, capsys, rows)
+        assert code == 2 and err.startswith("error:") and message in err
+        assert out == "" and not list(workspace.glob("out*"))
+
+    def test_select_without_metrics_exit_2_before_any_output(self, workspace, capsys):
+        path = self.recipe(workspace, method="ties", **{"lambda": {"grid": [0.5, 1.0]}})
+        code, out, err = run(capsys, "run", "--recipe", path, "--sweep", "--select")
+        assert code == 2 and "--select requires --metrics" in err
+        assert out == "" and not list(workspace.glob("out*"))
+
 
 def test_cli_import_loads_no_schema_library():
     code = ("import sys, vecmerge.cli; "

@@ -288,6 +288,11 @@ class TestSelectBest:
             "assignment,metric\nlambda=0.2,0.61\nlambda=0.4;w0=1,0.63\n")
         assert table.rows == [({"lambda": 0.2}, 0.61), ({"lambda": 0.4, "w0": 1.0}, 0.63)]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_csv_rejects_non_finite_assignment_value(self, value):
+        with pytest.raises(RecipeError, match="non-finite assignment"):
+            MetricsTable.from_csv(f"assignment,metric\nlambda=0.5,0.1\nlambda={value},0.9\n")
+
     def test_csv_bad_header(self):
         with pytest.raises(RecipeError, match="header"):
             MetricsTable.from_csv("a,b\n1,2\n")

@@ -1,5 +1,6 @@
 import gc
 import json
+import mmap
 import os
 import signal
 import struct
@@ -16,11 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vecmerge
-from vecmerge import (ArchiveError, Checkpoint, LazyCheckpoint, TaskVector, Tensor,
-                      read_archive, save_archive, validate_archive, write_archive)
+from vecmerge import (ArchiveError, Checkpoint, EncodedTensor, LazyCheckpoint, TaskVector,
+                      Tensor, read_archive, save_archive, tv_merge, validate_archive,
+                      write_archive)
+from vecmerge import tv as tv_mod
 from vecmerge.cli import main
 from vecmerge.dtypes import _f32_to_bf16_bits, cast_values
 from vecmerge.tensor_store import MAX_HEADER_BYTES
+from vecmerge.tv import load_task_vector
 
 from helpers import DTYPES, random_checkpoint
 
@@ -36,6 +40,11 @@ def padded_archive(header: dict, data: bytes, misalign: int) -> bytes:
     blob = json.dumps(header, separators=(",", ":")).encode()
     blob += b" " * ((misalign - len(blob)) % 8)
     return len(blob).to_bytes(8, "little") + blob + data
+
+
+# the largest page-cache folio one page-table entry maps (2 MiB with 4 KiB
+# pages); touching one page of a folio may map all of it
+FOLIO = mmap.PAGESIZE * (mmap.PAGESIZE // 8)
 
 
 def mapped_rss(path) -> int | None:
@@ -228,36 +237,83 @@ class TestMappedRead:
         np.testing.assert_array_equal(ckpt.values("w"), values)  # read back from the file
         ckpt.release("not a tensor")
 
-    @pytest.mark.parametrize("dtype,misalign", [("BF16", 0), ("F64", 3)])
-    def test_release_keeps_no_unviewed_map_alive(self, tmp_path, dtype, misalign):
-        values = np.arange(1 << 16, dtype="<u2" if dtype == "BF16" else "<f8")
+    @staticmethod
+    def encoded_archive(tmp_path, dtype, misalign):
+        """An 8 MiB archive whose one tensor is read as an EncodedTensor."""
+        values = np.arange(1 << 22, dtype="<u2") if dtype == "BF16" else np.arange(1 << 20)
         path = tmp_path / "a.st"
         path.write_bytes(padded_archive(
             {"w": {"dtype": dtype, "shape": [values.size], "data_offsets": [0, values.nbytes]}},
             values.tobytes(), misalign))
-        ckpt = read_archive(path)  # every tensor is a copy, so nothing views the map
-        gc.collect()
-        if mapped_rss(path) is None:
-            pytest.skip("needs /proc/self/smaps")
-        assert str(path.resolve()) not in Path("/proc/self/maps").read_text()
-        ckpt.release("w")
-        assert ckpt.values("w").size == values.size
+        return path, values
 
-    def test_copied_tensor_pages_are_released_at_read(self, tmp_path):
-        view = np.arange(1024, dtype="<f8")
-        copied = np.arange(1 << 20, dtype="<u2")
-        path = tmp_path / "a.st"
-        path.write_bytes(padded_archive(
-            {"v": {"dtype": "F64", "shape": [view.size], "data_offsets": [0, view.nbytes]},
-             "w": {"dtype": "BF16", "shape": [copied.size],
-                   "data_offsets": [view.nbytes, view.nbytes + copied.nbytes]}},
-            view.tobytes() + copied.tobytes(), 0))
-        ckpt = read_archive(path)
+    @pytest.mark.parametrize("dtype,misalign", [("BF16", 0), ("F64", 3)])
+    def test_read_leaves_the_map_unread(self, tmp_path, dtype, misalign):
+        path, values = self.encoded_archive(tmp_path, dtype, misalign)
+        tracemalloc.start()
+        try:
+            ckpt = read_archive(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * values.nbytes, f"read peak {peak} bytes: a tensor was copied"
         resident = mapped_rss(path)
         if resident is None:
             pytest.skip("needs /proc/self/smaps")
-        assert not ckpt.values("v").flags.owndata  # the view keeps the map alive
-        assert resident < 64 * 1024, f"{resident} bytes of a decoded tensor still resident"
+        # the header's page and its fault-around, or the folio holding them
+        assert resident <= FOLIO + 16 * mmap.PAGESIZE, \
+            f"{resident} of {values.nbytes} bytes resident"
+        assert isinstance(ckpt["w"], EncodedTensor)
+        assert ckpt["w"].data.tobytes() == values.tobytes()  # the stored form, not decoded
+
+    @pytest.mark.parametrize("dtype,misalign", [("BF16", 0), ("F64", 3), ("F64", 0)])
+    def test_dropping_the_checkpoint_unmaps_the_file(self, tmp_path, dtype, misalign):
+        path, _ = self.encoded_archive(tmp_path, dtype, misalign)
+        ckpt = read_archive(path)
+        if mapped_rss(path) is None:
+            pytest.skip("needs /proc/self/smaps")
+        decoded = ckpt.values("w")
+        release = ckpt.release
+        assert str(path.resolve()) in Path("/proc/self/maps").read_text()
+        del ckpt
+        gc.collect()
+        if dtype == "F64" and not misalign:  # an aligned tensor's values view the map
+            assert not decoded.flags.owndata
+            del decoded
+            gc.collect()
+        assert str(path.resolve()) not in Path("/proc/self/maps").read_text()
+        release("w")  # holds the map weakly, so a dropped map is no error
+        release("w", 10)
+
+    def test_merge_keeps_a_vectors_resident_pages_within_a_chunk_window(self, tmp_path):
+        rng = np.random.default_rng(8)
+        n = 1 << 21
+        base = Checkpoint.from_arrays({"w": rng.normal(size=n)}, "BF16")
+        save_archive(TaskVector.from_arrays({"w": rng.normal(size=n)}).to_checkpoint(),
+                     tmp_path / "tv.st")
+        tv = load_task_vector(tmp_path / "tv.st")
+        if mapped_rss(tmp_path / "tv.st") is None:
+            pytest.skip("needs /proc/self/smaps")
+        assert not tv.deltas["w"].flags.aligned  # a view of vecmerge's own misaligned data
+        seen, stops, release = [], [], tv.release
+
+        def observed(name, stop=None):
+            seen.append(mapped_rss(tmp_path / "tv.st"))  # before the release: the window's top
+            stops.append(stop)
+            release(name, stop)
+
+        tv.release = observed
+        want = write_archive(tv_merge(base, [(load_task_vector(tmp_path / "tv.st"), 0.5)]))
+        got = write_archive(tv_merge(base, [(tv, 0.5)]))
+        assert got == want
+        chunk = tv_mod._CHUNK * 8
+        assert stops == list(range(tv_mod._CHUNK, n + 1, tv_mod._CHUNK))
+        assert min(seen) >= chunk // 2  # the window is seen while it is resident
+        # pages may fault in a folio at a time, so the window may reach one
+        # folio past each end of the chunk
+        window = chunk + 2 * FOLIO + 16 * mmap.PAGESIZE
+        assert max(seen) <= window, f"{max(seen)} bytes of a {8 * n}-byte vector resident"
+        assert mapped_rss(tmp_path / "tv.st") <= 2 * mmap.PAGESIZE
 
 
 class TestSaveArchive:
@@ -285,6 +341,30 @@ class TestSaveArchive:
             save_archive(ckpt, path, dtype_policy=policy, allow_nonfinite=False)
         assert path.read_bytes() == b"old bytes"
         assert list(tmp_path.glob("*.tmp.*")) == []
+
+    @pytest.mark.parametrize("bits", [0x7F80, 0xFF80, 0x7FC0, 0x7F81])  # +-inf, NaNs
+    def test_nonfinite_check_covers_pre_encoded_tensors(self, tmp_path, bits):
+        data = np.array([0x3F80, bits], dtype="<u2")
+        ckpt = Checkpoint({"w": EncodedTensor("BF16", data)})
+        path = tmp_path / "out.st"
+        path.write_bytes(b"old bytes")
+        with pytest.raises(ValueError, match="non-finite"):
+            save_archive(ckpt, path, allow_nonfinite=False)
+        assert path.read_bytes() == b"old bytes"
+        finite = Checkpoint({"w": EncodedTensor("BF16", np.array([0x3F80, 0x7F7F], "<u2"))})
+        assert write_archive(finite, allow_nonfinite=False) == write_archive(
+            Checkpoint({"w": Tensor("BF16", finite["w"].values)}))
+
+    def test_pre_encoded_bytes_are_written_as_they_are(self):
+        data = np.frombuffer(bytes(3) + np.arange(5.0).tobytes(), "<f8", offset=3)
+        ckpt = Checkpoint({"w": EncodedTensor("F64", data)})
+        blob = write_archive(ckpt)
+        assert blob.endswith(np.arange(5.0).tobytes())
+        # a BF16 NaN is written quiet, as rounding from float32 writes it
+        signalling = Checkpoint({"w": EncodedTensor("BF16", np.array([0x7F81, 0x3F80], "<u2"))})
+        assert write_archive(signalling).endswith(np.array([0x7FC1, 0x3F80], "<u2").tobytes())
+        assert write_archive(signalling) == write_archive(
+            Checkpoint({"w": Tensor("BF16", signalling["w"].values)}))
 
     def test_concurrent_saves_to_one_path(self, tmp_path):
         path = tmp_path / "out.st"
@@ -354,6 +434,17 @@ class TestInterruptedWrite:
         path.write_bytes(b"old bytes")
         with pytest.raises(ValueError, match="where the header holds 'c'"):
             save_archive(self.lazy(bad_shape_at=2), path)
+        assert path.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.st"]
+
+    def test_pre_encoded_tensor_unlike_its_header_entry_keeps_destination(self, tmp_path):
+        layout = {"a": ("BF16", (4,)), "b": ("BF16", (4,))}
+        made = {"a": EncodedTensor("BF16", np.zeros(4, "<u2")),
+                "b": EncodedTensor("BF16", np.zeros(3, "<u2"))}
+        path = tmp_path / "out.st"
+        path.write_bytes(b"old bytes")
+        with pytest.raises(ValueError, match="where the header holds 'b'"):
+            save_archive(LazyCheckpoint(layout, lambda: iter(sorted(made.items()))), path)
         assert path.read_bytes() == b"old bytes"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.st"]
 

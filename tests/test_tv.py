@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from vecmerge import (Checkpoint, MergeError, TaskVector, Tensor, apply, extract
 from vecmerge import tv as tv_mod
 from vecmerge.tv import is_task_vector_archive
 
-from helpers import random_checkpoint
+from vecmerge.dtypes import cast_values
+
+from helpers import DTYPES, random_checkpoint, reference_tv_merge_bits
 
 
 def ckpt(arrays, dtype="F64"):
@@ -237,6 +240,36 @@ class TestLazyMerge:
             save_archive(tv_merge_lazy(base, pairs, threads=2), path)
         assert path.read_bytes() == b"old bytes"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.st"]
+
+
+class TestChunking:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, overflow in casts
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_chunk_size_never_changes_bytes(self, data):
+        any_float = st.floats(allow_nan=True, allow_infinity=True)
+        dtype = data.draw(st.sampled_from(DTYPES))
+        n = data.draw(st.integers(0, 50))
+        base_values = cast_values(np.array(data.draw(st.lists(
+            st.floats(-1e4, 1e4), min_size=n, max_size=n)), dtype=np.float64), dtype)
+        weighted = [(np.array(data.draw(st.lists(any_float, min_size=n, max_size=n)),
+                              dtype=np.float64), data.draw(st.floats(-4, 4)))
+                    for _ in range(data.draw(st.integers(1, 3)))]
+        want = reference_tv_merge_bits(base_values, dtype, weighted)
+
+        base = Checkpoint({"w": Tensor(dtype, base_values),
+                           "x": Tensor("F32", np.ones(3, np.float32))})
+        pairs = [(TaskVector.from_arrays({"w": d}), w) for d, w in weighted]
+        if data.draw(st.booleans(), label="through archives"):  # stored forms, misaligned views
+            base = read_archive(write_archive(base))
+            pairs = [(TaskVector.from_checkpoint(read_archive(write_archive(tv.to_checkpoint()))),
+                      w) for tv, w in pairs]
+        chunk = data.draw(st.integers(1, 9), label="_CHUNK")
+        for threads in (1, 2):
+            with mock.patch.object(tv_mod, "_CHUNK", chunk):
+                blob = write_archive(tv_merge(base, pairs, threads=threads))
+            start = 8 + int.from_bytes(blob[:8], "little")
+            assert blob[start:start + len(want)] == want, (threads, chunk)
 
 
 class TestInversion:
