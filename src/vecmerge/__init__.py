@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .tensor_store import (ArchiveError, Checkpoint, EncodedTensor, LazyCheckpoint, Tensor,
-                           TensorSpec, ValidationReport, read_archive, save_archive,
-                           validate_archive, write_archive)
+from .tensor_store import (ArchiveError, Checkpoint, LazyCheckpoint, Tensor, TensorSpec,
+                           ValidationReport, read_archive, save_archive, validate_archive,
+                           write_archive)
 from .tv import (MergeError, TaskVector, apply, extract_task_vector, scale,
                  tv_merge, tv_merge_lazy)
 from .ties import (SignMap, TiesConfig, disjoint_merge, elect_signs,
@@ -15,8 +15,7 @@ from .reports import (DiffReport, InterferenceReport, cosine, diff_stats,
                       interference_stats)
 
 __all__ = [
-    "ArchiveError", "Checkpoint", "EncodedTensor", "LazyCheckpoint", "Tensor", "TensorSpec",
-    "ValidationReport",
+    "ArchiveError", "Checkpoint", "LazyCheckpoint", "Tensor", "TensorSpec", "ValidationReport",
     "read_archive", "save_archive", "validate_archive", "write_archive",
     "MergeError", "TaskVector", "apply", "extract_task_vector",
     "scale", "tv_merge", "tv_merge_lazy",

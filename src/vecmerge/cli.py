@@ -120,7 +120,9 @@ def _cmd_run(args) -> int:
             raise RecipeError("recipe contains sweep grids; pass --sweep")
         if args.select and not args.metrics:
             raise RecipeError("--select requires --metrics")
-        selected = _select_from_metrics(args.metrics, recipe) if args.metrics else None
+        if args.metrics and not args.select:
+            raise RecipeError("--metrics requires --select")
+        selected = _select_from_metrics(args.metrics, recipe) if args.select else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

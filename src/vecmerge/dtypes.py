@@ -1,20 +1,15 @@
 """Dtype registry and bit-reproducible conversions for archive tensors.
 
-In-memory representation: F64/F32/F16 map onto the native numpy dtypes.
-BF16 has no numpy dtype, so BF16 tensors are held as float32 arrays whose
-values are exactly representable in bfloat16; encode/decode is then exact.
-
-Stored form: a tensor's archive encoding as a numpy array, little-endian
-F64/F32/F16 floats, and BF16 as its uint16 bit patterns. Merge kernels
-`widen` either form to float64 and `narrow` float64 back to the stored
-form, rounding once.
+A tensor is held in one form, its stored form: the archive encoding as a
+numpy array, little-endian F64/F32/F16 floats, and BF16 (which has no
+numpy dtype) as its uint16 bit patterns. `decode` gives a tensor's
+values, BF16 as exact float32. Merge kernels `widen` the stored form to
+float64 and `narrow` float64 back to it, rounding once.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-DTYPE_SIZES = {"F64": 8, "F32": 4, "F16": 2, "BF16": 2}
 
 _STORAGE = {
     "F64": np.dtype("<f8"),
@@ -22,6 +17,8 @@ _STORAGE = {
     "F16": np.dtype("<f2"),
     "BF16": np.dtype("<u2"),
 }
+
+DTYPE_SIZES = {name: stored.itemsize for name, stored in _STORAGE.items()}
 
 _MEMORY_DTYPE = {
     "F64": np.float64,
@@ -31,16 +28,14 @@ _MEMORY_DTYPE = {
 }
 
 
-def dtype_size(dtype: str) -> int:
-    if dtype not in DTYPE_SIZES:
-        raise ValueError(f"unknown dtype {dtype!r}")
-    return DTYPE_SIZES[dtype]
-
-
 def storage_dtype(dtype: str) -> np.dtype:
     if dtype not in _STORAGE:
         raise ValueError(f"unknown dtype {dtype!r}")
     return _STORAGE[dtype]
+
+
+def dtype_size(dtype: str) -> int:
+    return storage_dtype(dtype).itemsize
 
 
 def _f32_to_bf16_bits(arr32: np.ndarray) -> np.ndarray:
@@ -74,17 +69,12 @@ def _quiet_bf16_nans(bits: np.ndarray) -> np.ndarray:
     return np.where(nan, bits | 0x0040, bits).astype("<u2") if nan.any() else bits
 
 
-def encode(values: np.ndarray, dtype: str) -> np.ndarray:
-    """A tensor's archive bytes, as a contiguous little-endian array.
-
-    `values` is the in-memory representation or the stored form; stored
-    data that needs no change is returned as it is, not copied.
-    """
-    if dtype == "BF16":
-        if values.dtype == np.uint16:
-            return _quiet_bf16_nans(np.ascontiguousarray(values, dtype="<u2"))
-        return _f32_to_bf16_bits(np.asarray(values, dtype=np.float32).ravel())
-    return np.ascontiguousarray(values, dtype=_STORAGE[dtype])
+def encode(data: np.ndarray, dtype: str) -> np.ndarray:
+    """A tensor's archive bytes, from its stored form, as a contiguous
+    array. Data that needs no change is returned as it is, not copied; a
+    BF16 NaN gets its quiet bit set, as rounding from float32 leaves it."""
+    data = np.ascontiguousarray(data)
+    return _quiet_bf16_nans(data) if dtype == "BF16" else data
 
 
 def stored_view(buf, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -98,25 +88,23 @@ def stored_view(buf, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def decode(buf, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Deserialize raw little-endian bytes into the in-memory representation.
-
-    F64/F32/F16 results are views of `buf` unless its data is misaligned
-    for the dtype, in which case they are aligned copies.
+def decode(data: np.ndarray, dtype: str) -> np.ndarray:
+    """A tensor's values from its stored form, read-only: BF16 as exact
+    float32, misaligned data as an aligned copy, and anything else as it is.
     """
-    out = stored_view(buf, dtype, shape)
     if dtype == "BF16":
-        out = _bf16_bits_to_f32(out)  # the shift already copies
-    elif not out.flags.aligned:
-        out = out.copy()
+        out = _bf16_bits_to_f32(data)
+    elif data.flags.aligned:
+        return data
+    else:
+        out = data.copy()
     out.setflags(write=False)
     return out
 
 
 def widen(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`data` as float64, from in-memory values or a stored form (uint16
-    data is BF16 bits). Written into `out` if given; without `out`, float64
-    data is returned as it is."""
+    """A stored form as float64 (uint16 data is BF16 bits). Written into
+    `out` if given; without `out`, float64 data is returned as it is."""
     if data.dtype == np.uint16:
         data = _bf16_bits_to_f32(data)
     if out is None:
@@ -125,30 +113,37 @@ def widen(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def narrow(acc: np.ndarray, dtype: str, out: np.ndarray) -> None:
-    """Round float64 `acc` into `out`, an array in `dtype`'s stored form.
+def narrow(acc: np.ndarray, dtype: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Round float64 `acc` to `dtype`'s stored form, into `out` if given or
+    else a new array, and return it.
 
     Rounding is round-to-nearest-even at every narrowing step; BF16 goes
     through float32, as `cast_values` does.
     """
+    if out is None:
+        out = np.empty(acc.shape, _STORAGE[dtype])
     if dtype == "BF16":
         out[...] = _f32_to_bf16_bits(acc.astype(np.float32))
     else:
         np.copyto(out, acc, casting="unsafe")
+    return out
 
 
 def all_finite(data: np.ndarray) -> bool:
-    """Whether in-memory values or a stored form hold no NaN or ±inf."""
+    """Whether a stored form holds no NaN or ±inf."""
     if data.dtype == np.uint16:
         return not ((data & 0x7F80) == 0x7F80).any()
     return bool(np.isfinite(data).all())
 
 
 def cast_values(values: np.ndarray, dtype: str, allow_nonfinite: bool = True) -> np.ndarray:
-    """Cast arbitrary float values to `dtype`'s in-memory representation.
+    """Cast arbitrary float values to `dtype`'s values, as `decode` gives
+    them: for BF16, a float32 array holding exact bfloat16 values.
 
-    Rounding is round-to-nearest-even at every narrowing step. For BF16 the
-    result is a float32 array holding exact bfloat16 values.
+    Rounding is round-to-nearest-even at every narrowing step. The package
+    rounds through `narrow` and never calls this. It stays as the plain
+    reference that tests compare `narrow` with, and perfbench traces it by
+    name.
     """
     values = np.asarray(values)
     if not allow_nonfinite and not np.isfinite(values).all():

@@ -8,13 +8,14 @@ The writer is canonical: tensors are serialized in lexicographic name
 order with offsets packed contiguously from 0, so equal checkpoints
 produce byte-equal archives.
 
-Files are read through a read-only memory map, and nothing is copied
-at read: F64/F32/F16 tensors whose data is aligned are views of it, and
-BF16 or misaligned tensors stay in their archive encoding until they are
-read. A checkpoint's `release(name)` drops the mapped pages of a tensor
-it no longer needs. Files are written one tensor at a time to a temp
-file that is then renamed into place, and a `LazyCheckpoint` makes each
-tensor only when the writer reaches it.
+Every tensor holds one form, its stored form: the archive encoding, with
+BF16 as uint16 bits (see dtypes). Its `values` are a decoded view, made
+anew at each read and never cached. Files are read through a read-only
+memory map, and nothing is copied at read: each tensor's data is a view
+of the map, which may be misaligned. A checkpoint's `release(name)`
+drops the mapped pages of a tensor it no longer needs. Files are written
+one tensor at a time to a temp file that is then renamed into place, and
+a `LazyCheckpoint` makes each tensor only when the writer reaches it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dtypes import (DTYPE_SIZES, all_finite, cast_values, decode, dtype_size, encode,
-                     stored_view)
+from .dtypes import (DTYPE_SIZES, all_finite, decode, dtype_size, encode, narrow,
+                     storage_dtype, stored_view, widen)
 
 METADATA_KEY = "__metadata__"
 MAX_DIMS = 32  # numpy 1.x's limit; numpy 2 allows 64
@@ -61,34 +62,17 @@ class TensorSpec:
 
 @dataclass(frozen=True)
 class Tensor:
-    """One named tensor: archive dtype tag plus in-memory values."""
-
-    dtype: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self.values.shape)
-
-    @property
-    def data(self) -> np.ndarray:
-        """What merge kernels read; see EncodedTensor.data."""
-        return self.values
-
-
-@dataclass(frozen=True)
-class EncodedTensor:
-    """A tensor kept in its archive encoding: `data` is its stored form
-    (uint16 bits for BF16, and possibly misaligned), and `values` decodes
-    it anew at each read, caching nothing."""
+    """One named tensor: its archive dtype tag and `data`, its stored form
+    (uint16 bits for BF16, and possibly misaligned when mapped from a
+    file). `values` decodes `data` anew at each read, caching nothing."""
 
     dtype: str
     data: np.ndarray
 
     def __post_init__(self):
+        stored = storage_dtype(self.dtype)
+        if self.data.dtype != stored:
+            raise TypeError(f"{self.dtype} tensor data must be {stored}, not {self.data.dtype}")
         self.data.setflags(write=False)
 
     @property
@@ -97,7 +81,7 @@ class EncodedTensor:
 
     @property
     def values(self) -> np.ndarray:
-        return decode(self.data, self.dtype, self.shape)
+        return decode(self.data, self.dtype)
 
 
 def _keep_pages(name: str, stop: int | None = None) -> None:
@@ -114,14 +98,14 @@ class Checkpoint:
     read_archive).
     """
 
-    tensors: dict[str, Tensor | EncodedTensor] = field(default_factory=dict)
+    tensors: dict[str, Tensor] = field(default_factory=dict)
     metadata: dict[str, str] | None = None
     release: Callable[..., None] = field(default=_keep_pages, repr=False, compare=False)
 
     def __contains__(self, name: str) -> bool:
         return name in self.tensors
 
-    def __getitem__(self, name: str) -> Tensor | EncodedTensor:
+    def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
     def __len__(self) -> int:
@@ -137,14 +121,14 @@ class Checkpoint:
         """(name, dtype, shape) of every tensor, in name order."""
         return [(name, self[name].dtype, self[name].shape) for name in self.names()]
 
-    def items(self) -> Iterator[tuple[str, Tensor | EncodedTensor]]:
+    def items(self) -> Iterator[tuple[str, Tensor]]:
         """(name, tensor) pairs in name order."""
         return ((name, self[name]) for name in self.names())
 
     @staticmethod
     def from_arrays(arrays: dict[str, np.ndarray], dtype: str = "F64",
                     metadata: dict[str, str] | None = None) -> "Checkpoint":
-        tensors = {name: Tensor(dtype, cast_values(np.asarray(a, dtype=np.float64), dtype))
+        tensors = {name: Tensor(dtype, narrow(np.asarray(a, dtype=np.float64), dtype))
                    for name, a in arrays.items()}
         return Checkpoint(tensors, metadata)
 
@@ -330,9 +314,8 @@ def _page_release(raw, start: int, specs: list[TensorSpec]) -> Callable[..., Non
 def read_archive(path_or_bytes) -> Checkpoint:
     """Parse an archive from a path or a bytes object into a Checkpoint.
 
-    Only the header is read. Aligned F64/F32/F16 tensors are views of the
-    file's map; BF16 and misaligned tensors are EncodedTensors over it, so
-    each read of their `values` decodes them again.
+    Only the header is read. Each tensor's data is a view of the file's
+    map, so each read of its `values` decodes it again.
     """
     if isinstance(path_or_bytes, (bytes, bytearray, memoryview)):
         raw = bytes(path_or_bytes)
@@ -346,10 +329,7 @@ def read_archive(path_or_bytes) -> Checkpoint:
     for spec in specs:
         begin, end = spec.data_offsets
         data = stored_view(raw[start + begin:start + end], spec.dtype, spec.shape)
-        if spec.dtype == "BF16" or not data.flags.aligned:
-            tensors[spec.name] = EncodedTensor(spec.dtype, data)
-        else:
-            tensors[spec.name] = Tensor(spec.dtype, data)
+        tensors[spec.name] = Tensor(spec.dtype, data)
     return Checkpoint(tensors, dict(metadata) if metadata else None,
                       _page_release(raw, start, specs))
 
@@ -387,14 +367,10 @@ def _serialize(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str,
         if (got, tensor.dtype, tensor.shape) != (name, dtype, shape):
             raise ValueError(f"tensor {got!r} {tensor.dtype} {list(tensor.shape)} was made "
                              f"where the header holds {name!r} {dtype} {list(shape)}")
-        stored = header[name]["dtype"]
-        if stored != dtype:
-            yield encode(cast_values(tensor.values.astype(np.float64), stored,
-                                     allow_nonfinite=allow_nonfinite), stored)
-            continue
-        if not allow_nonfinite and not all_finite(tensor.data):
+        stored, data = header[name]["dtype"], tensor.data
+        if not allow_nonfinite and not all_finite(data):
             raise ValueError(f"tensor {name!r}: non-finite value with allow_nonfinite=False")
-        yield encode(tensor.data, stored)
+        yield encode(data if stored == dtype else narrow(widen(data), stored), stored)
 
 
 def write_archive(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str = "keep",

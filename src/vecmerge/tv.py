@@ -19,8 +19,7 @@ from functools import partial
 import numpy as np
 
 from .dtypes import narrow, storage_dtype, widen
-from .tensor_store import (ArchiveError, Checkpoint, EncodedTensor, LazyCheckpoint, Tensor,
-                           read_archive)
+from .tensor_store import ArchiveError, Checkpoint, LazyCheckpoint, Tensor, read_archive
 
 TASK_VECTOR_KIND = "task_vector"
 KIND_KEY = "vecmerge.kind"
@@ -45,7 +44,7 @@ class TaskVector:
     """
 
     deltas: dict[str, np.ndarray] = field(default_factory=dict)
-    extras: dict[str, Tensor | EncodedTensor] = field(default_factory=dict)
+    extras: dict[str, Tensor] = field(default_factory=dict)
     ignored: list[str] = field(default_factory=list)
     origin: str = "constructed"
     release: Callable[..., None] = field(default=Checkpoint.release, repr=False,
@@ -148,11 +147,10 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
     return out
 
 
-def _merge_tensor(base: Tensor | EncodedTensor,
-                  deltas: list[tuple[np.ndarray, float, Callable[[int], None]]]
-                  ) -> Tensor | EncodedTensor:
+def _merge_tensor(base: Tensor,
+                  deltas: list[tuple[np.ndarray, float, Callable[[int], None]]]) -> Tensor:
     """base + sum(lam*delta) in float64, chunk by chunk, rounded once to
-    the base's stored form; a BF16 result stays as its bits.
+    the base's stored form.
 
     Each delta's release(stop) is told, after each chunk, that its first
     `stop` elements are done with.
@@ -169,8 +167,7 @@ def _merge_tensor(base: Tensor | EncodedTensor,
             part += np.multiply(delta[start:stop], lam, out=term[:stop - start])
             release(stop)
         narrow(part, base.dtype, out[start:stop])
-    out = out.reshape(base.shape)
-    return EncodedTensor("BF16", out) if base.dtype == "BF16" else Tensor(base.dtype, out)
+    return Tensor(base.dtype, out.reshape(base.shape))
 
 
 def apply(base: Checkpoint, tv: TaskVector, threads: int = 1) -> Checkpoint:
@@ -232,7 +229,7 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
         if not np.isfinite(lam):
             raise ValueError(f"non-finite merge weight {lam}")
     per_name: dict[str, list[tuple[np.ndarray, float, Callable[[int], None]]]] = {}
-    extras: dict[str, Tensor | EncodedTensor] = {}
+    extras: dict[str, Tensor] = {}
     for tv, lam in weighted:
         for name, d in tv.deltas.items():
             if name not in base:
@@ -246,7 +243,7 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
                 extras.setdefault(name, t)
     layout = {name: (t.dtype, t.shape) for name, t in (*base.items(), *extras.items())}
 
-    def one(name: str) -> tuple[str, Tensor | EncodedTensor]:
+    def one(name: str) -> tuple[str, Tensor]:
         if name not in per_name:
             return name, base[name] if name in base else extras[name]
         tensor = _merge_tensor(base[name], per_name[name])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from vecmerge import Checkpoint, Tensor
-from vecmerge.dtypes import cast_values
+from vecmerge.dtypes import narrow
 
 DTYPES = ["F64", "F32", "F16", "BF16"]
 
@@ -26,7 +26,7 @@ def random_checkpoint(rng: np.random.Generator, n_tensors=None, max_numel=64,
             shape = (max_numel,)
         dtype = dtypes[int(rng.integers(len(dtypes)))]
         values = rng.normal(0.0, 2.0, size=shape)
-        ckpt.tensors[name] = Tensor(dtype, cast_values(values, dtype))
+        ckpt.tensors[name] = Tensor(dtype, narrow(values, dtype))
     return ckpt
 
 

@@ -203,6 +203,14 @@ class TestRun:
         assert code == 2 and "--select requires --metrics" in err
         assert out == "" and not list(workspace.glob("out*"))
 
+    def test_metrics_without_select_exit_2_before_any_output(self, workspace, capsys):
+        metrics = workspace / "m.csv"
+        metrics.write_text("assignment,metric\nlambda=0.5,0.1\nlambda=1.0,0.3\n")
+        path = self.recipe(workspace, method="ties", **{"lambda": {"grid": [0.5, 1.0]}})
+        code, out, err = run(capsys, "run", "--recipe", path, "--sweep", "--metrics", metrics)
+        assert code == 2 and "--metrics requires --select" in err
+        assert out == "" and not list(workspace.glob("out*"))
+
 
 def test_cli_import_loads_no_schema_library():
     code = ("import sys, vecmerge.cli; "

@@ -17,12 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vecmerge
-from vecmerge import (ArchiveError, Checkpoint, EncodedTensor, LazyCheckpoint, TaskVector,
-                      Tensor, read_archive, save_archive, tv_merge, validate_archive,
-                      write_archive)
+from vecmerge import (ArchiveError, Checkpoint, LazyCheckpoint, TaskVector, Tensor,
+                      read_archive, save_archive, tv_merge, validate_archive, write_archive)
 from vecmerge import tv as tv_mod
 from vecmerge.cli import main
-from vecmerge.dtypes import _f32_to_bf16_bits, cast_values
+from vecmerge.dtypes import _f32_to_bf16_bits, cast_values, dtype_size
 from vecmerge.tensor_store import MAX_HEADER_BYTES
 from vecmerge.tv import load_task_vector
 
@@ -239,7 +238,7 @@ class TestMappedRead:
 
     @staticmethod
     def encoded_archive(tmp_path, dtype, misalign):
-        """An 8 MiB archive whose one tensor is read as an EncodedTensor."""
+        """An 8 MiB archive whose one tensor's data is BF16 bits or misaligned."""
         values = np.arange(1 << 22, dtype="<u2") if dtype == "BF16" else np.arange(1 << 20)
         path = tmp_path / "a.st"
         path.write_bytes(padded_archive(
@@ -263,7 +262,7 @@ class TestMappedRead:
         # the header's page and its fault-around, or the folio holding them
         assert resident <= FOLIO + 16 * mmap.PAGESIZE, \
             f"{resident} of {values.nbytes} bytes resident"
-        assert isinstance(ckpt["w"], EncodedTensor)
+        assert not ckpt["w"].data.flags.owndata  # a view of the map, not a copy
         assert ckpt["w"].data.tobytes() == values.tobytes()  # the stored form, not decoded
 
     @pytest.mark.parametrize("dtype,misalign", [("BF16", 0), ("F64", 3), ("F64", 0)])
@@ -345,26 +344,26 @@ class TestSaveArchive:
     @pytest.mark.parametrize("bits", [0x7F80, 0xFF80, 0x7FC0, 0x7F81])  # +-inf, NaNs
     def test_nonfinite_check_covers_pre_encoded_tensors(self, tmp_path, bits):
         data = np.array([0x3F80, bits], dtype="<u2")
-        ckpt = Checkpoint({"w": EncodedTensor("BF16", data)})
+        ckpt = Checkpoint({"w": Tensor("BF16", data)})
         path = tmp_path / "out.st"
         path.write_bytes(b"old bytes")
         with pytest.raises(ValueError, match="non-finite"):
             save_archive(ckpt, path, allow_nonfinite=False)
         assert path.read_bytes() == b"old bytes"
-        finite = Checkpoint({"w": EncodedTensor("BF16", np.array([0x3F80, 0x7F7F], "<u2"))})
-        assert write_archive(finite, allow_nonfinite=False) == write_archive(
-            Checkpoint({"w": Tensor("BF16", finite["w"].values)}))
+        finite = Checkpoint({"w": Tensor("BF16", np.array([0x3F80, 0x7F7F], "<u2"))})
+        assert write_archive(finite, allow_nonfinite=False).endswith(
+            np.array([0x3F80, 0x7F7F], "<u2").tobytes())
 
     def test_pre_encoded_bytes_are_written_as_they_are(self):
         data = np.frombuffer(bytes(3) + np.arange(5.0).tobytes(), "<f8", offset=3)
-        ckpt = Checkpoint({"w": EncodedTensor("F64", data)})
+        ckpt = Checkpoint({"w": Tensor("F64", data)})
         blob = write_archive(ckpt)
         assert blob.endswith(np.arange(5.0).tobytes())
         # a BF16 NaN is written quiet, as rounding from float32 writes it
-        signalling = Checkpoint({"w": EncodedTensor("BF16", np.array([0x7F81, 0x3F80], "<u2"))})
+        signalling = Checkpoint({"w": Tensor("BF16", np.array([0x7F81, 0x3F80], "<u2"))})
         assert write_archive(signalling).endswith(np.array([0x7FC1, 0x3F80], "<u2").tobytes())
         assert write_archive(signalling) == write_archive(
-            Checkpoint({"w": Tensor("BF16", signalling["w"].values)}))
+            Checkpoint({"w": Tensor("BF16", np.array([0x7FC1, 0x3F80], "<u2"))}))
 
     def test_concurrent_saves_to_one_path(self, tmp_path):
         path = tmp_path / "out.st"
@@ -439,8 +438,8 @@ class TestInterruptedWrite:
 
     def test_pre_encoded_tensor_unlike_its_header_entry_keeps_destination(self, tmp_path):
         layout = {"a": ("BF16", (4,)), "b": ("BF16", (4,))}
-        made = {"a": EncodedTensor("BF16", np.zeros(4, "<u2")),
-                "b": EncodedTensor("BF16", np.zeros(3, "<u2"))}
+        made = {"a": Tensor("BF16", np.zeros(4, "<u2")),
+                "b": Tensor("BF16", np.zeros(3, "<u2"))}
         path = tmp_path / "out.st"
         path.write_bytes(b"old bytes")
         with pytest.raises(ValueError, match="where the header holds 'b'"):
@@ -728,6 +727,98 @@ class TestValidateArchive:
         report = validate_archive(self.write(tmp_path, write_archive(ckpt)))
         d = report.to_dict()
         assert set(d) == {"dtype_counts", "tensor_count", "total_bytes", "valid", "violations"}
+
+
+class TestTensor:
+    @pytest.mark.parametrize("dtype, data", [
+        ("BF16", np.ones(2, np.float32)),
+        ("F32", np.ones(2, np.float64)),
+        ("F16", np.ones(2, np.uint16)),
+    ], ids=["BF16-float32", "F32-float64", "F16-uint16"])
+    def test_data_not_in_the_stored_form_is_rejected(self, dtype, data):
+        with pytest.raises(TypeError, match=f"{dtype} tensor data must be"):
+            Tensor(dtype, data)
+
+    def test_unknown_dtype_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown dtype 'F8'"):
+            Tensor("F8", np.ones(2))
+        with pytest.raises(ValueError, match="unknown dtype 'F8'"):
+            dtype_size("F8")
+
+    def test_misaligned_read_only_view_is_kept_uncopied(self):
+        data = np.frombuffer(bytes(3) + np.arange(5.0).tobytes(), "<f8", offset=3)
+        assert not data.flags.aligned and not data.flags.writeable
+        tensor = Tensor("F64", data)
+        assert tensor.data is data
+        values = tensor.values
+        assert values.flags.aligned and values is not tensor.values  # decoded at each read
+        np.testing.assert_array_equal(values, np.arange(5.0))
+
+
+# float64 values rounded into each source dtype of the policy test: zeros,
+# subnormals, non-finite values and finite values past a narrower range
+_EDGE_VALUES = [0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan,
+                5e-324, -1e-310,  # F64 subnormals
+                1e-45, -1e-40,  # F32 and BF16 subnormals
+                6e-8, -3e-5,  # F16 subnormals
+                7e4, -65520.0,  # past F16's largest finite value
+                3.4028235e38,  # F32's largest finite value, past BF16's
+                1e300, -1e39]  # past F32's
+_SIGNALLING = {"F64": [0x7FF0000000000001, 0xFFF4000000000000], "F32": [0x7F800001, 0xFFA00000],
+               "F16": [0x7C01, 0xFD00], "BF16": [0x7F81, 0xFFA0]}
+_BITS = {"F64": "<u8", "F32": "<u4", "F16": "<u2", "BF16": "<u2"}
+_STORED = {"F64": "<f8", "F32": "<f4", "F16": "<f2", "BF16": "<u2"}
+
+
+def reference_bits(values, dtype) -> np.ndarray:
+    """The bit patterns of float64 `values` cast to `dtype` by cast_values."""
+    cast = cast_values(np.asarray(values, dtype=np.float64), dtype)
+    return (_f32_to_bf16_bits(cast) if dtype == "BF16" else cast).view(_BITS[dtype])
+
+
+class TestDtypePolicy:
+    @staticmethod
+    def elements(dtype):
+        width = 8 * np.dtype(_BITS[dtype]).itemsize
+        edge = [int(b) for b in reference_bits(_EDGE_VALUES, dtype)] + _SIGNALLING[dtype]
+        return st.one_of(st.sampled_from(edge), st.integers(0, 2 ** width - 1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in casts
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_policy_writes_the_reference_cast(self, tmp_path_factory, data):
+        """A tensor cast by the policy is written as cast_values casts its
+        values; one already in the policy's dtype is written as it is
+        stored, a BF16 NaN with its quiet bit set."""
+        source = data.draw(st.sampled_from(DTYPES), label="source")
+        policy = data.draw(st.sampled_from(DTYPES), label="policy")
+        bits = np.array(data.draw(st.lists(self.elements(source), max_size=12)), _BITS[source])
+        values = (bits.astype("<u4") << 16).view("<f4") if source == "BF16" else bits.view(
+            _STORED[source])
+        if policy != source:
+            want = reference_bits(values, policy)
+        elif source == "BF16":
+            want = np.where((bits & 0x7FFF) > 0x7F80, bits | 0x40, bits)
+        else:
+            want = bits
+
+        ckpt = Checkpoint({"w": Tensor(source, bits.view(_STORED[source]))})
+        if data.draw(st.booleans(), label="read back from a misaligned archive"):
+            header = {"w": {"dtype": source, "shape": [bits.size],
+                            "data_offsets": [0, bits.nbytes]}}
+            path = tmp_path_factory.getbasetemp() / "policy.st"
+            path.with_suffix(".tmp").write_bytes(
+                padded_archive(header, bits.tobytes(), data.draw(st.sampled_from([1, 3, 5, 7]))))
+            os.replace(path.with_suffix(".tmp"), path)  # an earlier map keeps its file
+            ckpt = read_archive(path)
+            assert bits.size == 0 or not ckpt["w"].data.flags.aligned
+        blob = write_archive(ckpt, dtype_policy=policy)
+        assert blob[8 + int.from_bytes(blob[:8], "little"):] == want.tobytes()
+        if np.isfinite(values).all():
+            assert write_archive(ckpt, dtype_policy=policy, allow_nonfinite=False) == blob
+        else:
+            with pytest.raises(ValueError, match="non-finite"):
+                write_archive(ckpt, dtype_policy=policy, allow_nonfinite=False)
 
 
 class TestBF16Round:

@@ -14,7 +14,7 @@ from vecmerge import (Checkpoint, MergeError, TaskVector, Tensor, apply, extract
 from vecmerge import tv as tv_mod
 from vecmerge.tv import is_task_vector_archive
 
-from vecmerge.dtypes import cast_values
+from vecmerge.dtypes import narrow
 
 from helpers import DTYPES, random_checkpoint, reference_tv_merge_bits
 
@@ -250,15 +250,14 @@ class TestChunking:
         any_float = st.floats(allow_nan=True, allow_infinity=True)
         dtype = data.draw(st.sampled_from(DTYPES))
         n = data.draw(st.integers(0, 50))
-        base_values = cast_values(np.array(data.draw(st.lists(
+        base_data = narrow(np.array(data.draw(st.lists(
             st.floats(-1e4, 1e4), min_size=n, max_size=n)), dtype=np.float64), dtype)
         weighted = [(np.array(data.draw(st.lists(any_float, min_size=n, max_size=n)),
                               dtype=np.float64), data.draw(st.floats(-4, 4)))
                     for _ in range(data.draw(st.integers(1, 3)))]
-        want = reference_tv_merge_bits(base_values, dtype, weighted)
-
-        base = Checkpoint({"w": Tensor(dtype, base_values),
+        base = Checkpoint({"w": Tensor(dtype, base_data),
                            "x": Tensor("F32", np.ones(3, np.float32))})
+        want = reference_tv_merge_bits(base.values("w"), dtype, weighted)
         pairs = [(TaskVector.from_arrays({"w": d}), w) for d, w in weighted]
         if data.draw(st.booleans(), label="through archives"):  # stored forms, misaligned views
             base = read_archive(write_archive(base))
