@@ -12,10 +12,13 @@ Every tensor holds one form, its stored form: the archive encoding, with
 BF16 as uint16 bits (see dtypes). Its `values` are a decoded view, made
 anew at each read and never cached. Files are read through a read-only
 memory map, and nothing is copied at read: each tensor's data is a view
-of the map, which may be misaligned. A checkpoint's `release(name)`
-drops the mapped pages of a tensor it no longer needs. Files are written
-one tensor at a time to a temp file that is then renamed into place, and
-a `LazyCheckpoint` makes each tensor only when the writer reaches it.
+of the map or of the bytes read, which may be misaligned, and
+`release(array)` drops the mapped pages under data no longer needed.
+`_layout` alone decides what is valid: the reader raises its first
+problem, and `validate_archive` lists them all, then gaps and trailing
+bytes. Files are written one tensor at a time to a temp file that is
+then renamed into place, and a `LazyCheckpoint` makes each tensor only
+when the writer reaches it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 import mmap
 import os
 import stat
-import weakref
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -84,23 +86,12 @@ class Tensor:
         return decode(self.data, self.dtype)
 
 
-def _keep_pages(name: str, stop: int | None = None) -> None:
-    """The release of a checkpoint that maps no file: there is nothing to drop."""
-
-
 @dataclass
 class Checkpoint:
-    """Immutable-by-convention ordered map of named tensors.
-
-    `release(name)` tells the checkpoint that tensor `name` will not be
-    read again soon, and `release(name, stop)` that its first `stop`
-    elements will not; a mapped checkpoint drops their pages (see
-    read_archive).
-    """
+    """Immutable-by-convention ordered map of named tensors."""
 
     tensors: dict[str, Tensor] = field(default_factory=dict)
     metadata: dict[str, str] | None = None
-    release: Callable[..., None] = field(default=_keep_pages, repr=False, compare=False)
 
     def __contains__(self, name: str) -> bool:
         return name in self.tensors
@@ -183,21 +174,16 @@ class ValidationReport:
         }
 
 
-def _parse_header(raw: bytes | memoryview,
-                  duplicates: list[str] | None = None) -> tuple[dict, dict | None, int]:
+def _parse_header(raw: memoryview, duplicates: list[str]) -> tuple[dict, dict | None, int]:
     """Split off the JSON header: (tensor entries, metadata, data-region start).
 
-    A repeated key raises, unless a `duplicates` list is given to collect
-    the messages instead.
+    A repeated key is appended to `duplicates`; any other break raises.
     """
     def pairs_hook(pairs):
         out = {}
         for key, value in pairs:
             if key in out:
-                message = f"duplicate tensor name {key!r} in header"
-                if duplicates is None:
-                    raise ArchiveError(message)
-                duplicates.append(message)
+                duplicates.append(f"duplicate tensor name {key!r} in header")
             out[key] = value
         return out
 
@@ -210,8 +196,6 @@ def _parse_header(raw: bytes | memoryview,
         raise ArchiveError(f"truncated input: header length {n} exceeds remaining {len(raw) - 8} bytes")
     try:
         header = json.loads(str(raw[8:8 + n], "utf-8"), object_pairs_hook=pairs_hook)
-    except ArchiveError:
-        raise
     except (ValueError, RecursionError) as exc:
         # bad UTF-8 or JSON, an integer over Python's digit limit, or
         # nesting deeper than the recursion limit
@@ -226,11 +210,13 @@ def _parse_header(raw: bytes | memoryview,
     return header, metadata, 8 + n
 
 
-def _spec_from_entry(name: str, entry) -> TensorSpec:
+def _spec_from_entry(name: str, entry, data_len: int) -> TensorSpec:
+    if not name:
+        raise ArchiveError(f"invalid tensor name {name!r}")
     if not isinstance(entry, dict) or set(entry) != {"dtype", "shape", "data_offsets"}:
         raise ArchiveError(f"tensor {name!r}: header entry must have exactly dtype/shape/data_offsets")
     dtype = entry["dtype"]
-    if dtype not in DTYPE_SIZES:
+    if not isinstance(dtype, str) or dtype not in DTYPE_SIZES:
         raise ArchiveError(f"tensor {name!r}: unknown dtype {dtype!r}")
     shape = entry["shape"]
     if not isinstance(shape, list) or any(not isinstance(s, int) or s < 0 for s in shape):
@@ -244,31 +230,53 @@ def _spec_from_entry(name: str, entry) -> TensorSpec:
     if (not isinstance(offs, list) or len(offs) != 2
             or any(not isinstance(o, int) or o < 0 for o in offs) or offs[1] < offs[0]):
         raise ArchiveError(f"tensor {name!r}: data_offsets must be [begin, end] with 0 <= begin <= end")
-    return TensorSpec(name, dtype, tuple(shape), (offs[0], offs[1]))
+    spec = TensorSpec(name, dtype, tuple(shape), (offs[0], offs[1]))
+    begin, end = spec.data_offsets
+    if end - begin != spec.nbytes:
+        raise ArchiveError(
+            f"tensor {name!r}: byte range [{begin}, {end}) holds {end - begin} bytes "
+            f"but numel {spec.numel} x {dtype_size(dtype)} requires {spec.nbytes}")
+    if end > data_len:
+        raise ArchiveError(
+            f"tensor {name!r}: out-of-bounds byte range [{begin}, {end}) "
+            f"in data region of {data_len} bytes")
+    return spec
 
 
-def _check_specs(specs: list[TensorSpec], data_len: int) -> None:
-    for spec in specs:
-        if not spec.name or spec.name == METADATA_KEY:
-            raise ArchiveError(f"invalid tensor name {spec.name!r}")
+def _layout(raw: memoryview, problems: list[str]) -> tuple[list[TensorSpec], dict | None,
+                                                           memoryview | None]:
+    """(specs of the well-formed entries, metadata, data region, or None
+    if the header is unreadable), appending every break of the format to
+    `problems` in the order met: the header's, each entry's, overlaps."""
+    try:
+        header, metadata, start = _parse_header(raw, problems)
+    except ArchiveError as exc:
+        problems.append(str(exc))
+        return [], None, None
+    data = raw[start:]
+    specs = []
+    for name, entry in header.items():
+        try:
+            specs.append(_spec_from_entry(name, entry, len(data)))
+        except ArchiveError as exc:
+            problems.append(str(exc))
+    reach = None  # the range that ends furthest among those before
+    for spec in sorted(specs, key=lambda s: s.data_offsets):
         begin, end = spec.data_offsets
-        if end - begin != spec.nbytes:
-            raise ArchiveError(
-                f"tensor {spec.name!r}: byte range [{begin}, {end}) holds {end - begin} bytes "
-                f"but numel {spec.numel} x {dtype_size(spec.dtype)} requires {spec.nbytes}")
-        if end > data_len:
-            raise ArchiveError(
-                f"tensor {spec.name!r}: out-of-bounds byte range [{begin}, {end}) "
-                f"in data region of {data_len} bytes")
-    ordered = sorted(specs, key=lambda s: s.data_offsets)
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur.data_offsets[0] < prev.data_offsets[1]:
-            raise ArchiveError(
-                f"tensor {cur.name!r}: byte range [{cur.data_offsets[0]}, {cur.data_offsets[1]}) "
-                f"overlaps {prev.name!r} ending at offset {prev.data_offsets[1]}")
+        if reach and begin < reach.data_offsets[1]:
+            problems.append(
+                f"tensor {spec.name!r}: byte range [{begin}, {end}) "
+                f"overlaps {reach.name!r} ending at offset {reach.data_offsets[1]}")
+        if not reach or end > reach.data_offsets[1]:
+            reach = spec
+    return specs, metadata, data
 
 
-def _open_archive(path):
+class _ArchiveMap(mmap.mmap):
+    """A map made by _open_archive, at memory `address`: the only kind `release` drops."""
+
+
+def _open_archive(path) -> memoryview:
     """The bytes of an archive file, as a memoryview of a read-only map.
 
     Empty and non-regular files (pipes, /dev/stdin) cannot be mapped and
@@ -277,61 +285,52 @@ def _open_archive(path):
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode) and info.st_size:
-            return memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
-        return fh.read()
+        if not (stat.S_ISREG(info.st_mode) and info.st_size):
+            return memoryview(fh.read())
+        mapped = _ArchiveMap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    mapped.address = np.frombuffer(mapped, np.uint8).ctypes.data
+    return memoryview(mapped)
 
 
-def _page_release(raw, start: int, specs: list[TensorSpec]) -> Callable[..., None]:
-    """A release(name, stop=None) that drops the mapped pages lying wholly
-    inside a tensor's bytes, or inside its first `stop` elements; a later
-    read of them faults them back in from the file.
-
-    It holds the map weakly, so it never keeps alive a map that no tensor
-    views.
+def release(array: np.ndarray, stop: int | None = None) -> None:
+    """Drop the mapped pages wholly inside contiguous `array`, or inside its
+    first `stop` elements, if it views a file read_archive mapped; a later
+    read faults them back in from the file. Any other array is left alone:
+    a caller's own map may hold pages (say, copy-on-write) the file lacks.
     """
-    if not isinstance(raw, memoryview) or not hasattr(mmap, "MADV_DONTNEED"):
-        return _keep_pages
-    mapped = weakref.ref(raw.obj)
-    ranges = {s.name: (start + s.data_offsets[0], start + s.data_offsets[1],
-                       dtype_size(s.dtype)) for s in specs}
-
-    def release(name: str, stop: int | None = None) -> None:
-        mm = mapped()
-        if mm is None or name not in ranges:
-            return
-        begin, end, itemsize = ranges[name]
-        if stop is not None:
-            end = min(end, begin + stop * itemsize)
-        lo = -(-begin // mmap.PAGESIZE) * mmap.PAGESIZE
-        hi = end // mmap.PAGESIZE * mmap.PAGESIZE
-        if hi > lo:
-            mm.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
-
-    return release
+    view = array.base
+    while isinstance(view, np.ndarray):
+        view = view.base
+    if not (isinstance(view, memoryview) and isinstance(view.obj, _ArchiveMap)
+            and hasattr(mmap, "MADV_DONTNEED")):
+        return
+    begin = array.ctypes.data - view.obj.address
+    end = begin + array.itemsize * (array.size if stop is None else min(stop, array.size))
+    lo = -(-begin // mmap.PAGESIZE) * mmap.PAGESIZE
+    hi = end // mmap.PAGESIZE * mmap.PAGESIZE
+    if hi > lo:
+        view.obj.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 def read_archive(path_or_bytes) -> Checkpoint:
     """Parse an archive from a path or a bytes object into a Checkpoint.
 
     Only the header is read. Each tensor's data is a view of the file's
-    map, so each read of its `values` decodes it again.
+    map, or of the bytes, so each read of its `values` decodes it again.
     """
     if isinstance(path_or_bytes, (bytes, bytearray, memoryview)):
-        raw = bytes(path_or_bytes)
+        raw = memoryview(bytes(path_or_bytes))
     else:
         raw = _open_archive(path_or_bytes)
-    header, metadata, start = _parse_header(raw)
-    specs = [_spec_from_entry(name, entry) for name, entry in header.items()]
-    _check_specs(specs, len(raw) - start)
-
+    problems: list[str] = []
+    specs, metadata, data = _layout(raw, problems)
+    if problems:
+        raise ArchiveError(problems[0])
     tensors = {}
     for spec in specs:
         begin, end = spec.data_offsets
-        data = stored_view(raw[start + begin:start + end], spec.dtype, spec.shape)
-        tensors[spec.name] = Tensor(spec.dtype, data)
-    return Checkpoint(tensors, dict(metadata) if metadata else None,
-                      _page_release(raw, start, specs))
+        tensors[spec.name] = Tensor(spec.dtype, stored_view(data[begin:end], spec.dtype, spec.shape))
+    return Checkpoint(tensors, dict(metadata) if metadata else None)
 
 
 def _serialize(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str,
@@ -411,43 +410,22 @@ def save_archive(checkpoint: Checkpoint | LazyCheckpoint, path, dtype_policy: st
 
 
 def validate_archive(path) -> ValidationReport:
-    """Inspect an archive, reporting format violations instead of raising."""
+    """Inspect an archive, listing the reader's problems, then gaps and trailing bytes."""
     report = ValidationReport()
-    raw = _open_archive(path)
-    try:
-        header, _, start = _parse_header(raw, duplicates=report.violations)
-    except ArchiveError as exc:
-        report.violations.append(str(exc))
+    specs, _, data = _layout(_open_archive(path), report.violations)
+    if data is None:
         return report
-
-    data_len = len(raw) - start
-    specs = []
-    for name, entry in header.items():
-        try:
-            spec = _spec_from_entry(name, entry)
-            _check_specs([spec], data_len)
-        except ArchiveError as exc:
-            report.violations.append(str(exc))
-            continue
-        specs.append(spec)
-
     report.tensor_count = len(specs)
     report.total_bytes = sum(s.nbytes for s in specs)
-    for spec in specs:
-        report.dtype_counts[spec.dtype] = report.dtype_counts.get(spec.dtype, 0) + 1
-
-    ordered = sorted(specs, key=lambda s: s.data_offsets)
     cursor = 0
-    for spec in ordered:
+    for spec in sorted(specs, key=lambda s: s.data_offsets):
+        report.dtype_counts[spec.dtype] = report.dtype_counts.get(spec.dtype, 0) + 1
         begin, end = spec.data_offsets
-        if begin < cursor:
-            report.violations.append(
-                f"tensor {spec.name!r}: byte range [{begin}, {end}) overlaps preceding tensor")
-        elif begin > cursor:
+        if begin > cursor:
             report.violations.append(
                 f"non-contiguous data: gap of {begin - cursor} bytes before tensor {spec.name!r}")
         cursor = max(cursor, end)
-    if cursor != data_len:
+    if cursor != len(data):
         report.violations.append(
-            f"non-contiguous data: {data_len - cursor} trailing bytes after last tensor")
+            f"non-contiguous data: {len(data) - cursor} trailing bytes after last tensor")
     return report

@@ -14,12 +14,11 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .dtypes import narrow, storage_dtype, widen
-from .tensor_store import ArchiveError, Checkpoint, LazyCheckpoint, Tensor, read_archive
+from .tensor_store import ArchiveError, Checkpoint, LazyCheckpoint, Tensor, read_archive, release
 
 TASK_VECTOR_KIND = "task_vector"
 KIND_KEY = "vecmerge.kind"
@@ -39,16 +38,13 @@ class TaskVector:
 
     `extras` carries fine-tuned-only tensors (e.g. task heads) under the
     copy_from_finetuned policy, for verbatim re-attachment on apply.
-    `ignored` lists tensors dropped under the ignore policy. `release`
-    is the release of the checkpoint the deltas were loaded from.
+    `ignored` lists tensors dropped under the ignore policy.
     """
 
     deltas: dict[str, np.ndarray] = field(default_factory=dict)
     extras: dict[str, Tensor] = field(default_factory=dict)
     ignored: list[str] = field(default_factory=list)
     origin: str = "constructed"
-    release: Callable[..., None] = field(default=Checkpoint.release, repr=False,
-                                           compare=False)
 
     def names(self) -> list[str]:
         return sorted(self.deltas)
@@ -60,10 +56,8 @@ class TaskVector:
     @staticmethod
     def from_checkpoint(ckpt: Checkpoint, origin: str = "loaded from archive") -> "TaskVector":
         """F64 deltas stay views of the checkpoint's data, misaligned or not."""
-        tv = TaskVector.from_arrays({name: widen(ckpt[name].data) for name in ckpt.names()},
-                                    origin=origin)
-        tv.release = ckpt.release
-        return tv
+        return TaskVector.from_arrays({name: widen(ckpt[name].data) for name in ckpt.names()},
+                                      origin=origin)
 
     @staticmethod
     def from_arrays(arrays: dict[str, np.ndarray], origin: str = "constructed") -> "TaskVector":
@@ -147,25 +141,21 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
     return out
 
 
-def _merge_tensor(base: Tensor,
-                  deltas: list[tuple[np.ndarray, float, Callable[[int], None]]]) -> Tensor:
+def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]]) -> Tensor:
     """base + sum(lam*delta) in float64, chunk by chunk, rounded once to
-    the base's stored form.
-
-    Each delta's release(stop) is told, after each chunk, that its first
-    `stop` elements are done with.
-    """
+    the base's stored form; each delta's mapped pages are released as the
+    chunks pass them."""
     src = base.data.reshape(-1)
-    flat = [(delta.reshape(-1), lam, release) for delta, lam, release in deltas]
+    flat = [(delta.reshape(-1), lam) for delta, lam in deltas]
     out = np.empty(src.size, dtype=storage_dtype(base.dtype))
     acc = np.empty(min(src.size, _CHUNK))
     term = np.empty_like(acc)
     for start in range(0, src.size, _CHUNK):
         stop = min(start + _CHUNK, src.size)
         part = widen(src[start:stop], acc[:stop - start])
-        for delta, lam, release in flat:
+        for delta, lam in flat:
             part += np.multiply(delta[start:stop], lam, out=term[:stop - start])
-            release(stop)
+            release(delta, stop)
         narrow(part, base.dtype, out[start:stop])
     return Tensor(base.dtype, out.reshape(base.shape))
 
@@ -228,7 +218,7 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
     for _, lam in weighted:
         if not np.isfinite(lam):
             raise ValueError(f"non-finite merge weight {lam}")
-    per_name: dict[str, list[tuple[np.ndarray, float, Callable[[int], None]]]] = {}
+    per_name: dict[str, list[tuple[np.ndarray, float]]] = {}
     extras: dict[str, Tensor] = {}
     for tv, lam in weighted:
         for name, d in tv.deltas.items():
@@ -237,7 +227,7 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
             if base[name].shape != d.shape:
                 raise MergeError(
                     f"tensor {name!r}: shape mismatch base {base[name].shape} vs delta {d.shape}")
-            per_name.setdefault(name, []).append((d, float(lam), partial(tv.release, name)))
+            per_name.setdefault(name, []).append((d, float(lam)))
         for name, t in tv.extras.items():
             if name not in base:
                 extras.setdefault(name, t)
@@ -247,7 +237,7 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
         if name not in per_name:
             return name, base[name] if name in base else extras[name]
         tensor = _merge_tensor(base[name], per_name[name])
-        base.release(name)
+        release(base[name].data)
         return name, tensor
 
     names = sorted(layout)

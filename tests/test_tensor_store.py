@@ -22,7 +22,7 @@ from vecmerge import (ArchiveError, Checkpoint, LazyCheckpoint, TaskVector, Tens
 from vecmerge import tv as tv_mod
 from vecmerge.cli import main
 from vecmerge.dtypes import _f32_to_bf16_bits, cast_values, dtype_size
-from vecmerge.tensor_store import MAX_HEADER_BYTES
+from vecmerge.tensor_store import MAX_HEADER_BYTES, release
 from vecmerge.tv import load_task_vector
 
 from helpers import DTYPES, random_checkpoint
@@ -95,11 +95,16 @@ class TestReadArchive:
         with pytest.raises(ArchiveError, match="malformed JSON"):
             read_archive(raw)
 
-    def test_unknown_dtype(self):
-        raw = make_archive(
-            {"w": {"dtype": "I8", "shape": [4], "data_offsets": [0, 4]}}, b"\x00" * 4)
-        with pytest.raises(ArchiveError, match="unknown dtype"):
-            read_archive(raw)
+    def test_unknown_dtype(self, tmp_path, capsys):
+        for dtype in ("I8", ["F32"], {"F32": "F32"}):  # non-strings are unhashable
+            raw = make_archive(
+                {"w": {"dtype": dtype, "shape": [4], "data_offsets": [0, 4]}}, b"\x00" * 4)
+            with pytest.raises(ArchiveError, match="unknown dtype"):
+                read_archive(raw)
+            path = tmp_path / "a.st"
+            path.write_bytes(raw)
+            assert main(["inspect", str(path)]) == 1
+            assert "unknown dtype" in json.loads(capsys.readouterr().out)["violations"][0]
 
     def test_overlapping_ranges(self):
         raw = make_archive(
@@ -231,10 +236,10 @@ class TestMappedRead:
         if touched is None:
             pytest.skip("needs /proc/self/smaps")
         assert touched >= values.nbytes - 8192
-        ckpt.release("w")
+        release(ckpt["w"].data)
         assert mapped_rss(path) <= 8192  # at most the header page and a partial last page
         np.testing.assert_array_equal(ckpt.values("w"), values)  # read back from the file
-        ckpt.release("not a tensor")
+        release(values)  # an array in memory is left alone
 
     @staticmethod
     def encoded_archive(tmp_path, dtype, misalign):
@@ -265,6 +270,46 @@ class TestMappedRead:
         assert not ckpt["w"].data.flags.owndata  # a view of the map, not a copy
         assert ckpt["w"].data.tobytes() == values.tobytes()  # the stored form, not decoded
 
+    @pytest.mark.parametrize("dtype,misalign", [("BF16", 0), ("F64", 3)])
+    def test_read_from_bytes_copies_nothing(self, tmp_path, dtype, misalign):
+        path, values = self.encoded_archive(tmp_path, dtype, misalign)
+        raw = path.read_bytes()
+        tracemalloc.start()
+        try:
+            ckpt = read_archive(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * len(raw), f"read peak {peak} bytes: a tensor was copied"
+        data = ckpt["w"].data
+        assert not data.flags.owndata
+        release(data)  # bytes hold no map, so they are left alone
+        assert data.tobytes() == values.tobytes()
+
+    def test_bytes_keep_the_archives_alignment(self):
+        values = np.arange(5.0)
+        blob = write_archive(Checkpoint.from_arrays({"w": values}))
+        assert int.from_bytes(blob[:8], "little") % 8  # the data region starts misaligned
+        ckpt = read_archive(blob)
+        assert not ckpt["w"].data.flags.aligned
+        np.testing.assert_array_equal(ckpt.values("w"), values)
+
+    def test_release_leaves_a_callers_own_map_alone(self, tmp_path):
+        """A copy-on-write map holds writes the file lacks: dropping its
+        pages would lose them."""
+        n = 1 << 17
+        path = tmp_path / "raw.bin"
+        path.write_bytes(bytes(8 * 2 * n))
+        with open(path, "rb") as fh:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        written = np.frombuffer(mapped, "<f8")  # writable: its pages are private copies
+        written[:] = np.arange(2 * n)
+        base = Checkpoint({"w": Tensor("F64", written[:n])})
+        tv = TaskVector.from_arrays({"w": written[n:]})
+        merged = tv_merge(base, [(tv, 0.5)])
+        np.testing.assert_array_equal(written, np.arange(2 * n))
+        np.testing.assert_array_equal(merged.values("w"), np.arange(n) + 0.5 * np.arange(n, 2 * n))
+
     @pytest.mark.parametrize("dtype,misalign", [("BF16", 0), ("F64", 3), ("F64", 0)])
     def test_dropping_the_checkpoint_unmaps_the_file(self, tmp_path, dtype, misalign):
         path, _ = self.encoded_archive(tmp_path, dtype, misalign)
@@ -272,7 +317,6 @@ class TestMappedRead:
         if mapped_rss(path) is None:
             pytest.skip("needs /proc/self/smaps")
         decoded = ckpt.values("w")
-        release = ckpt.release
         assert str(path.resolve()) in Path("/proc/self/maps").read_text()
         del ckpt
         gc.collect()
@@ -281,10 +325,9 @@ class TestMappedRead:
             del decoded
             gc.collect()
         assert str(path.resolve()) not in Path("/proc/self/maps").read_text()
-        release("w")  # holds the map weakly, so a dropped map is no error
-        release("w", 10)
 
-    def test_merge_keeps_a_vectors_resident_pages_within_a_chunk_window(self, tmp_path):
+    def test_merge_keeps_a_vectors_resident_pages_within_a_chunk_window(self, tmp_path,
+                                                                          monkeypatch):
         rng = np.random.default_rng(8)
         n = 1 << 21
         base = Checkpoint.from_arrays({"w": rng.normal(size=n)}, "BF16")
@@ -294,15 +337,16 @@ class TestMappedRead:
         if mapped_rss(tmp_path / "tv.st") is None:
             pytest.skip("needs /proc/self/smaps")
         assert not tv.deltas["w"].flags.aligned  # a view of vecmerge's own misaligned data
-        seen, stops, release = [], [], tv.release
+        seen, stops = [], []
 
-        def observed(name, stop=None):
-            seen.append(mapped_rss(tmp_path / "tv.st"))  # before the release: the window's top
-            stops.append(stop)
-            release(name, stop)
+        def observed(array, stop=None):
+            if np.may_share_memory(array, tv.deltas["w"]):
+                seen.append(mapped_rss(tmp_path / "tv.st"))  # before the release: the window's top
+                stops.append(stop)
+            release(array, stop)
 
-        tv.release = observed
         want = write_archive(tv_merge(base, [(load_task_vector(tmp_path / "tv.st"), 0.5)]))
+        monkeypatch.setattr(tv_mod, "release", observed)
         got = write_archive(tv_merge(base, [(tv, 0.5)]))
         assert got == want
         chunk = tv_mod._CHUNK * 8
@@ -674,11 +718,15 @@ class TestValidateArchive:
     # edits favour JSON syntax and half the examples keep the full length,
     # so many mutants parse and reach the per-tensor checks
     _JSON_BYTES = list(b'0123456789-.eE{}[]:,"_ abdfnlrstu\\\x00\xff')
+    _B_OFFSETS = _FUZZ_SEED.index(b"[8,12]")
 
     @given(edits=st.lists(st.tuples(st.integers(0, len(_FUZZ_SEED) - 1),
                                     st.one_of(st.sampled_from(_JSON_BYTES), st.integers(0, 255))),
                           max_size=4),
            cut=st.one_of(st.just(0), st.integers(0, len(_FUZZ_SEED))))
+    # b's range [8,12) becomes [4,8), inside a's [0,8)
+    @example(edits=[(_B_OFFSETS + 1, ord("4")), (_B_OFFSETS + 3, ord("8")),
+                    (_B_OFFSETS + 4, ord("]")), (_B_OFFSETS + 5, ord(" "))], cut=0)
     @settings(max_examples=300, deadline=None)
     def test_flags_whatever_the_reader_rejects(self, tmp_path_factory, edits, cut):
         raw = bytearray(self._FUZZ_SEED)
@@ -689,8 +737,8 @@ class TestValidateArchive:
         path.write_bytes(raw)
         try:
             read_archive(raw)
-        except ArchiveError:
-            assert not validate_archive(path).valid
+        except ArchiveError as exc:
+            assert validate_archive(path).violations[:1] == [str(exc)]
 
     # runs of the tokens that reach json's recursion and digit limits
     _RUN_TOKENS = [b"[", b"{", b'{"a":', b"9"]
@@ -719,8 +767,8 @@ class TestValidateArchive:
         report = validate_archive(path)
         try:
             read_archive(raw)
-        except ArchiveError:
-            assert not report.valid
+        except ArchiveError as exc:
+            assert report.violations[:1] == [str(exc)]
 
     def test_report_shape(self, tmp_path):
         ckpt = random_checkpoint(np.random.default_rng(9), n_tensors=3)
