@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,64 @@ class TestRun:
         code, out, err = run(capsys, "run", "--recipe", path, "--sweep", "--metrics", metrics)
         assert code == 2 and "--metrics requires --select" in err
         assert out == "" and not list(workspace.glob("out*"))
+
+
+REPORTS = Path(__file__).parent / "fixtures" / "cli_reports"
+
+
+def _report_outputs(capsys) -> dict[str, str]:
+    """The exact text each report command prints or writes, run in the
+    current directory over small archives of multiples of 0.25, so every
+    sum is exact in any order of addition."""
+    base = {"b": [0.25, -0.5, 1.0, 0.0], "w": [[1.5, -0.75, 0.25], [0.0, 2.0, -1.25]]}
+    vectors = [{"b": [0.5, -0.25, 0.0, 1.0], "w": [[0.25, 0.5, -1.0], [0.75, -0.25, 0.0]]},
+               {"b": [-0.5, 0.75, 0.25, 0.5], "w": [[0.5, -0.25, -0.5], [1.0, 0.25, 2.0]]},
+               {"b": [0.25, 0.25, -0.75, 0.0], "w": [[-1.0, 0.5, 0.25], [0.5, -0.5, 1.5]]}]
+    save_archive(Checkpoint.from_arrays({k: np.array(v) for k, v in base.items()}, "F32"),
+                 "base.st")
+    for i, vec in enumerate(vectors):
+        tv = TaskVector.from_arrays({k: np.array(v) for k, v in vec.items()})
+        save_archive(tv.to_checkpoint(), f"tv{i}.st")
+        if i == 0:
+            ft = apply(read_archive("base.st"), tv)
+            save_archive(ft, "ft.st")
+    save_archive(Checkpoint.from_arrays({"b": np.full((2, 2), 0.75), "w": ft.values("w"),
+                                         "x": np.ones(1)}, "F16"), "odd.st")
+    blob = (b'{"a":{"dtype":"F32","shape":[1],"data_offsets":[0,4]},'
+            b'"b":{"dtype":"F32","shape":[1],"data_offsets":[8,12]}}')
+    Path("gaps.st").write_bytes(len(blob).to_bytes(8, "little") + blob + bytes(16))
+    Path("recipe.json").write_text(json.dumps({
+        "base": "base.st", "method": "ties", "density": 0.5, "output": "sweep.st",
+        "lambda": {"grid": [0.5, 1.0]},
+        "vectors": [{"source": f"tv{i}.st", "weight": 1.0} for i in range(3)]}))
+    vector_args = [a for i in range(3) for a in ("--vector", f"tv{i}.st")]
+    commands = {
+        "inspect_valid": ["inspect", "base.st"],
+        "inspect_invalid": ["inspect", "gaps.st"],
+        "diff_text": ["diff", "base.st", "ft.st"],
+        "diff_json": ["diff", "base.st", "odd.st", "--json"],
+        "interference": ["interference", *vector_args, "--density", "0.5"],
+        "merge_ties": ["merge", "ties", "--base", "base.st", *vector_args,
+                       *["--weight", "1.0"] * 3, "--density", "0.5",
+                       "--out", "ties.st", "--report", "report.json"],
+        "run_sweep": ["run", "--recipe", "recipe.json", "--sweep"],
+    }
+    outputs = {}
+    for label, argv in commands.items():
+        main(argv)
+        outputs[label] = capsys.readouterr().out
+    outputs["merge_ties_report"] = Path("report.json").read_text()
+    outputs["run_sweep"] = re.sub(r'"wall_time": [^,\n]+', '"wall_time": null',
+                                  outputs["run_sweep"])
+    return outputs
+
+
+def test_report_text_matches_fixtures(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    outputs = _report_outputs(capsys)
+    assert sorted(outputs) == sorted(p.stem for p in REPORTS.iterdir())
+    for label, text in outputs.items():
+        assert text == (REPORTS / f"{label}.txt").read_text(), label
 
 
 def test_cli_import_loads_no_schema_library():
