@@ -3,24 +3,21 @@
 __version__ = "0.1.0"
 
 from .tensor_store import (ArchiveError, Checkpoint, LazyCheckpoint, Tensor, TensorSpec,
-                           ValidationReport, read_archive, save_archive, validate_archive,
-                           write_archive)
+                           read_archive, save_archive, validate_archive, write_archive)
 from .tv import (MergeError, TaskVector, apply, extract_task_vector, scale,
                  tv_merge, tv_merge_lazy)
-from .ties import (SignMap, TiesConfig, disjoint_merge, elect_signs,
-                   ties_merge, trim)
-from .recipes import (MergeOutcome, MergeRecipe, MetricsTable, RecipeError,
-                      execute_recipe, expand_sweep, parse_recipe, select_best)
-from .reports import (DiffReport, InterferenceReport, cosine, diff_stats,
-                      interference_stats)
+from .ties import TiesConfig, disjoint_merge, elect_signs, ties_merge, trim
+from .recipes import (MergeRecipe, MetricsTable, RecipeError, execute_recipe, expand_sweep,
+                      parse_recipe, select_best)
+from .reports import cosine, diff_stats, interference_stats
 
 __all__ = [
-    "ArchiveError", "Checkpoint", "LazyCheckpoint", "Tensor", "TensorSpec", "ValidationReport",
+    "ArchiveError", "Checkpoint", "LazyCheckpoint", "Tensor", "TensorSpec",
     "read_archive", "save_archive", "validate_archive", "write_archive",
     "MergeError", "TaskVector", "apply", "extract_task_vector",
     "scale", "tv_merge", "tv_merge_lazy",
-    "SignMap", "TiesConfig", "disjoint_merge", "elect_signs", "ties_merge", "trim",
-    "MergeOutcome", "MergeRecipe", "MetricsTable", "RecipeError",
+    "TiesConfig", "disjoint_merge", "elect_signs", "ties_merge", "trim",
+    "MergeRecipe", "MetricsTable", "RecipeError",
     "execute_recipe", "expand_sweep", "parse_recipe", "select_best",
-    "DiffReport", "InterferenceReport", "cosine", "diff_stats", "interference_stats",
+    "cosine", "diff_stats", "interference_stats",
 ]

@@ -9,9 +9,8 @@ over the default grid.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from ..recipes import DEFAULT_GRID, MetricsTable, select_best
 from ..ties import DEFAULT_DENSITY, TiesConfig, ties_merge
@@ -46,24 +45,6 @@ class BenchSizes:
     @property
     def model_spec(self) -> ModelSpec:
         return ModelSpec(self.input_dim, self.hidden_dim, self.class_count)
-
-
-@dataclass
-class ScenarioReport:
-    name: str
-    seeds: list[int]
-    per_seed_f1: list[float]
-    mean_f1: float
-    std_f1: float
-    sizes: dict = field(default_factory=dict)
-    train_config: dict = field(default_factory=dict)
-    selected: list[dict] = field(default_factory=list)  # per-seed sweep choices
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 class _SeedContext:
@@ -129,7 +110,9 @@ def _run_pipeline(name: str, ctx: _SeedContext):
 
 def run_scenario(name: str, seeds: list[int], sizes: BenchSizes | None = None,
                  cfg: TrainConfig | None = None,
-                 contexts: dict[int, _SeedContext] | None = None) -> ScenarioReport:
+                 contexts: dict[int, _SeedContext] | None = None) -> dict:
+    """One scenario's test macro-F1 per seed, their mean and std, and the
+    per-seed sweep choices of the merge scenarios, as the bench report holds it."""
     sizes = sizes or BenchSizes()
     cfg = cfg or TrainConfig()
     if name not in SCENARIOS:
@@ -144,9 +127,9 @@ def run_scenario(name: str, seeds: list[int], sizes: BenchSizes | None = None,
             selected.append({"seed": seed, **info})
     mean = sum(scores) / len(scores)
     std = (sum((s - mean) ** 2 for s in scores) / len(scores)) ** 0.5
-    return ScenarioReport(
-        name=name, seeds=list(seeds), per_seed_f1=scores, mean_f1=mean, std_f1=std,
-        sizes=asdict(sizes), train_config=asdict(cfg), selected=selected)
+    return {"name": name, "seeds": list(seeds), "per_seed_f1": scores, "mean_f1": mean,
+            "std_f1": std, "sizes": asdict(sizes), "train_config": asdict(cfg),
+            "selected": selected}
 
 
 def run_bench(scenarios: list[str], seeds: list[int], sizes: BenchSizes | None = None,
@@ -162,7 +145,7 @@ def run_bench(scenarios: list[str], seeds: list[int], sizes: BenchSizes | None =
     contexts = dict(zip(seeds, ctx_list))
     reports = [run_scenario(name, seeds, sizes, cfg, contexts) for name in scenarios]
     return {
-        "scenarios": {r.name: r.to_dict() for r in reports},
+        "scenarios": {r["name"]: r for r in reports},
         "seeds": list(seeds),
         "sizes": asdict(sizes),
         "train_config": asdict(cfg),

@@ -21,10 +21,15 @@ from .ties import DEFAULT_DENSITY, DEFAULT_LAMBDA, TiesConfig, ties_merge
 from .tv import extract_task_vector, load_task_vector, tv_merge_lazy
 
 
+def _json(obj) -> str:
+    """A report as the CLI prints and writes it."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _cmd_inspect(args) -> int:
     report = validate_archive(args.path)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    return 0 if report.valid else 1
+    print(_json(report))
+    return 0 if report["valid"] else 1
 
 
 def _cmd_extract(args) -> int:
@@ -34,7 +39,7 @@ def _cmd_extract(args) -> int:
     save_archive(tv.to_checkpoint(), args.out)
     summary = {"deltas": len(tv.deltas), "extras": sorted(tv.extras),
                "ignored": tv.ignored, "out": args.out}
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_json(summary))
     return 0
 
 
@@ -63,7 +68,7 @@ def _cmd_merge_ties(args) -> int:
     save_archive(merged, args.out)
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(interference_stats(tvs, args.density).to_json())
+            fh.write(_json(interference_stats(tvs, args.density)))
     print(json.dumps({"out": args.out, "tensor_count": len(merged)}, sort_keys=True))
     return 0
 
@@ -71,10 +76,10 @@ def _cmd_merge_ties(args) -> int:
 def _cmd_diff(args) -> int:
     report = diff_stats(read_archive(args.a), read_archive(args.b))
     if args.json:
-        print(report.to_json())
+        print(_json(report))
     else:
-        g = report.to_dict()["global"]
-        print(f"tensors compared: {len(report.per_tensor)}")
+        g = report["global"]
+        print(f"tensors compared: {len(report['per_tensor'])}")
         print(f"global L2 norm:   {g['l2_norm']:.6g}")
         print(f"global max |d|:   {g['max_abs']:.6g}")
         print(f"equal fraction:   {g['equal_fraction']:.6g}")
@@ -83,8 +88,7 @@ def _cmd_diff(args) -> int:
 
 def _cmd_interference(args) -> int:
     tvs = [load_task_vector(v) for v in args.vector]
-    report = interference_stats(tvs, args.density)
-    print(report.to_json())
+    print(_json(interference_stats(tvs, args.density)))
     return 0
 
 
@@ -131,10 +135,10 @@ def _cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    result = {"outcomes": [o.to_dict() for o in outcomes]}
+    result = {"outcomes": outcomes}
     if selected is not None:
         result["selected"] = selected
-    print(json.dumps(result, indent=2, sort_keys=True))
+    print(_json(result))
     return 0
 
 
@@ -147,10 +151,9 @@ def _cmd_bench(args) -> int:
     result = run_bench(names, seeds, BenchSizes(),
                        TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs),
                        threads=args.threads)
-    blob = json.dumps(result, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(blob)
+            fh.write(_json(result))
     for name in names:
         rep = result["scenarios"][name]
         print(f"{name}: mean macro-F1 {rep['mean_f1']:.4f} (std {rep['std_f1']:.4f})")

@@ -58,9 +58,6 @@ class MergeRecipe:
             doc["lambda"] = self.lam
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def grids(self) -> list[tuple[str, list[float]]]:
         """Sweep axes in deterministic order: w0, w1, ..., then lambda."""
         axes = []
@@ -215,20 +212,10 @@ def expand_sweep(recipe: MergeRecipe) -> list[MergeRecipe]:
     return expanded
 
 
-@dataclass
-class MergeOutcome:
-    output: str
-    tensor_count: int
-    wall_time: float
-    report: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {"output": self.output, "report": self.report,
-                "tensor_count": self.tensor_count, "wall_time": self.wall_time}
-
-
-def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> MergeOutcome:
-    """Run one grid-free recipe: load, merge, write atomically."""
+def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> dict:
+    """Run one grid-free recipe: load, merge, write atomically. Returns the
+    outcome `vecmerge run` prints: output path, tensor count, wall time,
+    and for TIES the interference report."""
     if recipe.grids():
         raise RecipeError("recipe still contains sweep grids; expand_sweep first")
     start = time.perf_counter()
@@ -246,19 +233,15 @@ def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> MergeOutcome:
             lam=float(recipe.lam))
         tvs = [t for t, _ in pairs]
         merged = ties_mod.ties_merge(base, tvs, config, threads=threads)
-        report = interference_stats(tvs, recipe.density).to_dict()
+        report = interference_stats(tvs, recipe.density)
 
     metadata = dict(merged.metadata or {})
     metadata["vecmerge.recipe"] = json.dumps(recipe.to_dict(), sort_keys=True,
                                              separators=(",", ":"))
     merged = dataclasses.replace(merged, metadata=metadata)
     save_archive(merged, recipe.output, dtype_policy=recipe.dtype)
-    return MergeOutcome(
-        output=recipe.output,
-        tensor_count=len(merged),
-        wall_time=time.perf_counter() - start,
-        report=report,
-    )
+    return {"output": recipe.output, "report": report, "tensor_count": len(merged),
+            "wall_time": time.perf_counter() - start}
 
 
 @dataclass

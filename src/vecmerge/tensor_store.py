@@ -16,7 +16,7 @@ of the map or of the bytes read, which may be misaligned, and
 `release(array)` drops the mapped pages under data no longer needed.
 `_layout` alone decides what is valid: the reader raises its first
 problem, and `validate_archive` lists them all, then gaps and trailing
-bytes. Files are written one tensor at a time to a temp file that is
+bytes, in the JSON object that `vecmerge inspect` prints. Files are written one tensor at a time to a temp file that is
 then renamed into place, and a `LazyCheckpoint` makes each tensor only
 when the writer reaches it.
 """
@@ -151,27 +151,6 @@ class LazyCheckpoint:
 
     def materialize(self) -> Checkpoint:
         return Checkpoint(dict(self.produce()), self.metadata)
-
-
-@dataclass
-class ValidationReport:
-    tensor_count: int = 0
-    total_bytes: int = 0
-    dtype_counts: dict[str, int] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "dtype_counts": dict(sorted(self.dtype_counts.items())),
-            "tensor_count": self.tensor_count,
-            "total_bytes": self.total_bytes,
-            "valid": self.valid,
-            "violations": list(self.violations),
-        }
 
 
 def _parse_header(raw: memoryview, duplicates: list[str]) -> tuple[dict, dict | None, int]:
@@ -409,23 +388,22 @@ def save_archive(checkpoint: Checkpoint | LazyCheckpoint, path, dtype_policy: st
             os.unlink(tmp)
 
 
-def validate_archive(path) -> ValidationReport:
+def validate_archive(path) -> dict:
     """Inspect an archive, listing the reader's problems, then gaps and trailing bytes."""
-    report = ValidationReport()
-    specs, _, data = _layout(_open_archive(path), report.violations)
-    if data is None:
-        return report
-    report.tensor_count = len(specs)
-    report.total_bytes = sum(s.nbytes for s in specs)
+    violations: list[str] = []
+    specs, _, data = _layout(_open_archive(path), violations)
+    dtype_counts: dict[str, int] = {}
     cursor = 0
     for spec in sorted(specs, key=lambda s: s.data_offsets):
-        report.dtype_counts[spec.dtype] = report.dtype_counts.get(spec.dtype, 0) + 1
+        dtype_counts[spec.dtype] = dtype_counts.get(spec.dtype, 0) + 1
         begin, end = spec.data_offsets
         if begin > cursor:
-            report.violations.append(
+            violations.append(
                 f"non-contiguous data: gap of {begin - cursor} bytes before tensor {spec.name!r}")
         cursor = max(cursor, end)
-    if cursor != len(data):
-        report.violations.append(
+    if data is not None and cursor != len(data):
+        violations.append(
             f"non-contiguous data: {len(data) - cursor} trailing bytes after last tensor")
-    return report
+    return {"dtype_counts": dict(sorted(dtype_counts.items())), "tensor_count": len(specs),
+            "total_bytes": sum(s.nbytes for s in specs), "valid": not violations,
+            "violations": violations}

@@ -42,13 +42,6 @@ def _check_weights(weights: list[float], n_vectors: int) -> None:
         raise ValueError("weights must be positive and finite")
 
 
-@dataclass
-class SignMap:
-    """Per-tensor elected-sign arrays with entries in {-1, 0, +1}."""
-
-    signs: dict[str, np.ndarray] = field(default_factory=dict)
-
-
 def trim(tv: TaskVector, density: float) -> TaskVector:
     """Keep the ceil(density*numel) largest-|value| entries per tensor.
 
@@ -92,22 +85,23 @@ def _union_shapes(tvs: list[TaskVector]) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def elect_signs(trimmed: list[TaskVector], weights: list[float]) -> SignMap:
-    """gamma = sign(sum_t w_t * tau_t) per element; sign(0) elects 0."""
+def elect_signs(trimmed: list[TaskVector], weights: list[float]) -> dict[str, np.ndarray]:
+    """gamma = sign(sum_t w_t * tau_t) per element, as int8 arrays in
+    {-1, 0, +1} by tensor name; sign(0) elects 0."""
     _check_weights(weights, len(trimmed))
     shapes = _union_shapes(trimmed)
-    signmap = SignMap()
+    signs = {}
     for name, shape in shapes.items():
         total = np.zeros(shape, dtype=np.float64)
         for tv, w in zip(trimmed, weights):
             if name in tv.deltas:
                 total += float(w) * tv.deltas[name]
-        signmap.signs[name] = np.sign(total).astype(np.int8)
-    return signmap
+        signs[name] = np.sign(total).astype(np.int8)
+    return signs
 
 
 def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
-                   signs: SignMap) -> TaskVector:
+                   signs: dict[str, np.ndarray]) -> TaskVector:
     """Weighted mean over contributions agreeing with the elected sign.
 
     merged_p = sum_{t in A_p} w_t tau_tp / sum_{t in A_p} w_t with
@@ -118,7 +112,7 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
     shapes = _union_shapes(trimmed)
     out = TaskVector(origin=f"ties disjoint merge of {len(trimmed)} vectors")
     for name, shape in shapes.items():
-        gamma = signs.signs[name]
+        gamma = signs[name]
         num = np.zeros(shape, dtype=np.float64)
         den = np.zeros(shape, dtype=np.float64)
         for tv, w in zip(trimmed, weights):

@@ -112,7 +112,7 @@ def test_criterion_4_ties_oracle_equivalence():
         merged_ref, gamma_ref = naive_ties_vector(vectors, weights, density)
         expected = base_vals + lam * np.array(merged_ref)
         np.testing.assert_allclose(out.values("w"), expected, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(signs.signs["w"], gamma_ref)
+        np.testing.assert_array_equal(signs["w"], gamma_ref)
     # pinned hand case
     out, _ = _run_ties_instance(
         np.zeros(4), [np.array([1.0, -2.0, 0.5, 0.0]), np.array([2.0, 1.0, -0.4, 0.3])],

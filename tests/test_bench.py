@@ -436,7 +436,8 @@ class TestScenarios:
     def test_reports_identical_across_runs(self):
         a = run_scenario("full_ft", [0, 1], SMALL, FAST)
         b = run_scenario("full_ft", [0, 1], SMALL, FAST)
-        assert a.to_json() == b.to_json()
+        assert (json.dumps(a, indent=2, sort_keys=True)
+                == json.dumps(b, indent=2, sort_keys=True))
 
     def test_lambda_zero_merge_equals_full_ft(self):
         ctx = _SeedContext(0, SMALL, FAST)
@@ -463,4 +464,4 @@ class TestScenarios:
 
     def test_sweep_selection_recorded(self):
         rep = run_scenario("tv_merge_ft", [0], SMALL, FAST)
-        assert rep.selected and "lambda" in rep.selected[0]
+        assert rep["selected"] and "lambda" in rep["selected"][0]

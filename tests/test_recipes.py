@@ -321,7 +321,7 @@ class TestExecuteRecipe:
     def test_lambda_zero_reproduces_base(self, workspace):
         ws, base, _, _ = workspace
         outcome = execute_recipe(self.recipe_doc(ws, 0.0))
-        out = read_archive(outcome.output)
+        out = read_archive(outcome["output"])
         for name in base.names():
             np.testing.assert_array_equal(out.values(name), base.values(name))
 
@@ -351,8 +351,8 @@ class TestExecuteRecipe:
                "output": str(tmp_path / "out.st")}
         outcome = execute_recipe(parse_recipe(json.dumps(doc)))
         np.testing.assert_array_equal(
-            read_archive(outcome.output).values("w"), [1.5, -2.0, 0.0, 0.0])
-        assert outcome.report is not None
+            read_archive(outcome["output"]).values("w"), [1.5, -2.0, 0.0, 0.0])
+        assert outcome["report"] is not None
 
     def test_deterministic_output_bytes(self, workspace):
         ws, *_ = workspace

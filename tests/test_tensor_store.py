@@ -675,14 +675,14 @@ class TestValidateArchive:
     def test_well_formed(self, tmp_path):
         ckpt = random_checkpoint(np.random.default_rng(5), n_tensors=2)
         report = validate_archive(self.write(tmp_path, write_archive(ckpt)))
-        assert report.valid
-        assert report.tensor_count == 2
+        assert report["valid"]
+        assert report["tensor_count"] == 2
 
     def test_duplicate_name_violation(self, tmp_path):
         blob = b'{"w":{"dtype":"F32","shape":[1],"data_offsets":[0,4]},"w":{"dtype":"F32","shape":[1],"data_offsets":[0,4]}}'
         raw = len(blob).to_bytes(8, "little") + blob + b"\x00" * 4
         report = validate_archive(self.write(tmp_path, raw))
-        assert any("duplicate tensor name" in v for v in report.violations)
+        assert any("duplicate tensor name" in v for v in report["violations"])
 
     def test_gap_violation(self, tmp_path):
         raw = make_archive(
@@ -690,7 +690,7 @@ class TestValidateArchive:
              "b": {"dtype": "F32", "shape": [1], "data_offsets": [8, 12]}},
             b"\x00" * 12)
         report = validate_archive(self.write(tmp_path, raw))
-        assert any("non-contiguous data" in v for v in report.violations)
+        assert any("non-contiguous data" in v for v in report["violations"])
 
     def test_non_string_metadata_violation(self, tmp_path):
         raw = make_archive(
@@ -699,19 +699,19 @@ class TestValidateArchive:
             b"\x00" * 4)
         with pytest.raises(ArchiveError, match="string-to-string"):
             read_archive(raw)
-        assert not validate_archive(self.write(tmp_path, raw)).valid
+        assert not validate_archive(self.write(tmp_path, raw))["valid"]
 
     def test_trailing_bytes_without_tensors_violation(self, tmp_path):
         raw = make_archive({"__metadata__": {"k": "v"}}, b"\x00" * 16)
         report = validate_archive(self.write(tmp_path, raw))
-        assert report.violations == ["non-contiguous data: 16 trailing bytes after last tensor"]
+        assert report["violations"] == ["non-contiguous data: 16 trailing bytes after last tensor"]
 
     @pytest.mark.parametrize("shape", [[0, 10 ** 20], [0, 2 ** 62, 2 ** 62]])
     def test_unrepresentable_empty_shape(self, tmp_path, shape):
         raw = make_archive({"w": {"dtype": "F32", "shape": shape, "data_offsets": [0, 0]}}, b"")
         with pytest.raises(ArchiveError, match="cannot be represented"):
             read_archive(raw)
-        assert not validate_archive(self.write(tmp_path, raw)).valid
+        assert not validate_archive(self.write(tmp_path, raw))["valid"]
 
     _FUZZ_SEED = write_archive(Checkpoint.from_arrays(
         {"a": [1.0, -2.0], "b": [[0.5]]}, "F32", metadata={"k": "v"}))
@@ -738,7 +738,7 @@ class TestValidateArchive:
         try:
             read_archive(raw)
         except ArchiveError as exc:
-            assert validate_archive(path).violations[:1] == [str(exc)]
+            assert validate_archive(path)["violations"][:1] == [str(exc)]
 
     # runs of the tokens that reach json's recursion and digit limits
     _RUN_TOKENS = [b"[", b"{", b'{"a":', b"9"]
@@ -768,12 +768,12 @@ class TestValidateArchive:
         try:
             read_archive(raw)
         except ArchiveError as exc:
-            assert report.violations[:1] == [str(exc)]
+            assert report["violations"][:1] == [str(exc)]
 
     def test_report_shape(self, tmp_path):
         ckpt = random_checkpoint(np.random.default_rng(9), n_tensors=3)
         report = validate_archive(self.write(tmp_path, write_archive(ckpt)))
-        d = report.to_dict()
+        d = report
         assert set(d) == {"dtype_counts", "tensor_count", "total_bytes", "valid", "violations"}
 
 

@@ -108,22 +108,22 @@ class TestElectSigns:
     def test_weighted_sum_signs(self):
         signs = elect_signs([tv_of([1.0, -2.0, 0.0, 0.0]),
                              tv_of([2.0, 1.0, 0.0, 0.0])], [1.0, 1.0])
-        np.testing.assert_array_equal(signs.signs["w"], [1, -1, 0, 0])
+        np.testing.assert_array_equal(signs["w"], [1, -1, 0, 0])
 
     def test_single_vector(self):
         signs = elect_signs([tv_of([3.0, -0.5, 0.0])], [2.0])
-        np.testing.assert_array_equal(signs.signs["w"], [1, -1, 0])
+        np.testing.assert_array_equal(signs["w"], [1, -1, 0])
 
     def test_exact_cancellation(self):
         signs = elect_signs([tv_of([1.0]), tv_of([-1.0])], [1.0, 1.0])
-        np.testing.assert_array_equal(signs.signs["w"], [0])
+        np.testing.assert_array_equal(signs["w"], [0])
 
     def test_missing_names_contribute_zero(self):
         a = TaskVector.from_arrays({"w": [1.0], "v": [-2.0]})
         b = TaskVector.from_arrays({"w": [-3.0]})
         signs = elect_signs([a, b], [1.0, 1.0])
-        np.testing.assert_array_equal(signs.signs["w"], [-1])
-        np.testing.assert_array_equal(signs.signs["v"], [-1])
+        np.testing.assert_array_equal(signs["w"], [-1])
+        np.testing.assert_array_equal(signs["v"], [-1])
 
 
 class TestDisjointMerge:
@@ -151,7 +151,7 @@ class TestDisjointMerge:
         merged = disjoint_merge(vs, weights, signs)
         nz = merged.deltas["w"] != 0
         np.testing.assert_array_equal(
-            np.sign(merged.deltas["w"])[nz], signs.signs["w"][nz])
+            np.sign(merged.deltas["w"])[nz], signs["w"][nz])
 
 
 @pytest.mark.filterwarnings("error")
@@ -246,4 +246,4 @@ class TestOracleEquivalence:
             merged_ref, gamma_ref = naive_ties_vector(vectors, weights, density)
             expected = base_vals + lam * np.array(merged_ref)
             np.testing.assert_allclose(out.values("w"), expected, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(signs.signs["w"], gamma_ref)
+            np.testing.assert_array_equal(signs["w"], gamma_ref)
