@@ -153,19 +153,27 @@ class LazyCheckpoint:
         return Checkpoint(dict(self.produce()), self.metadata)
 
 
-def _parse_header(raw: memoryview, duplicates: list[str]) -> tuple[dict, dict | None, int]:
+class _Object(dict):
+    """A JSON object of a header; `repeated` lists each repeat of a key."""
+
+    repeated: tuple[str, ...] = ()
+
+
+def _object(pairs) -> _Object:
+    out = _Object(pairs)  # the last value of a repeated key wins
+    if len(out) < len(pairs):
+        seen: set[str] = set()
+        out.repeated = tuple(k for k, _ in pairs if k in seen or seen.add(k))
+    return out
+
+
+def _parse_header(raw: memoryview, problems: list[str]) -> tuple[dict, dict | None, int]:
     """Split off the JSON header: (tensor entries, metadata, data-region start).
 
-    A repeated key is appended to `duplicates`; any other break raises.
+    A key repeated at the top level or in the metadata is appended to
+    `problems`; any other break raises. Repeats inside a tensor entry stay
+    on the entry's `repeated`.
     """
-    def pairs_hook(pairs):
-        out = {}
-        for key, value in pairs:
-            if key in out:
-                duplicates.append(f"duplicate tensor name {key!r} in header")
-            out[key] = value
-        return out
-
     if len(raw) < 8:
         raise ArchiveError(f"truncated input: {len(raw)} bytes, need at least 8 for header length")
     n = int.from_bytes(raw[:8], "little")
@@ -174,18 +182,21 @@ def _parse_header(raw: memoryview, duplicates: list[str]) -> tuple[dict, dict | 
     if len(raw) < 8 + n:
         raise ArchiveError(f"truncated input: header length {n} exceeds remaining {len(raw) - 8} bytes")
     try:
-        header = json.loads(str(raw[8:8 + n], "utf-8"), object_pairs_hook=pairs_hook)
+        header = json.loads(str(raw[8:8 + n], "utf-8"), object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         # bad UTF-8 or JSON, an integer over Python's digit limit, or
         # nesting deeper than the recursion limit
         raise ArchiveError(f"malformed JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise ArchiveError("malformed JSON header: top level must be an object")
+    problems.extend(f"duplicate tensor name {k!r} in header" for k in header.repeated)
     metadata = header.pop(METADATA_KEY, None)
     if metadata is not None and (
             not isinstance(metadata, dict)
             or any(not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items())):
         raise ArchiveError(f"{METADATA_KEY} must be a string-to-string map")
+    problems.extend(f"duplicate key {k!r} in {METADATA_KEY}"
+                    for k in getattr(metadata, "repeated", ()))
     return header, metadata, 8 + n
 
 
@@ -235,6 +246,8 @@ def _layout(raw: memoryview, problems: list[str]) -> tuple[list[TensorSpec], dic
     data = raw[start:]
     specs = []
     for name, entry in header.items():
+        problems.extend(f"tensor {name!r}: duplicate key {k!r} in header entry"
+                        for k in getattr(entry, "repeated", ()))
         try:
             specs.append(_spec_from_entry(name, entry, len(data)))
         except ArchiveError as exc:

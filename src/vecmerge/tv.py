@@ -144,7 +144,9 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
 def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]]) -> Tensor:
     """base + sum(lam*delta) in float64, chunk by chunk, rounded once to
     the base's stored form; each delta's mapped pages are released as the
-    chunks pass them."""
+    chunks pass them. Every NaN is written as the positive quiet NaN of
+    the stored dtype, whatever sign and payload the sum gave it, since
+    those follow numpy's loop choice and so the chunk length and CPU."""
     src = base.data.reshape(-1)
     flat = [(delta.reshape(-1), lam) for delta, lam in deltas]
     out = np.empty(src.size, dtype=storage_dtype(base.dtype))
@@ -156,6 +158,7 @@ def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]]) -> Tenso
         for delta, lam in flat:
             part += np.multiply(delta[start:stop], lam, out=term[:stop - start])
             release(delta, stop)
+        part[np.isnan(part)] = np.nan
         narrow(part, base.dtype, out[start:stop])
     return Tensor(base.dtype, out.reshape(base.shape))
 

@@ -32,12 +32,14 @@ def random_checkpoint(rng: np.random.Generator, n_tensors=None, max_numel=64,
 
 def reference_tv_merge_bits(base_values, dtype, weighted) -> bytes:
     """Archive data bytes of base + sum(w * delta): accumulated in float64
-    over the whole tensor in vector order, then rounded to nearest even at
-    each narrowing step (F64 -> F32 -> BF16); a BF16 NaN keeps its high
-    half with the quiet bit set."""
+    over the whole tensor in vector order, every NaN made the positive
+    quiet NaN, then rounded to nearest even at each narrowing step
+    (F64 -> F32 -> BF16); a BF16 NaN keeps its high half with the quiet
+    bit set."""
     acc = np.array(base_values, dtype=np.float64).reshape(-1)
     for delta, w in weighted:
         acc += np.asarray(delta, dtype=np.float64).reshape(-1) * w
+    acc[np.isnan(acc)] = np.nan
     if dtype in ("F64", "F16"):
         return acc.astype({"F64": "<f8", "F16": "<f2"}[dtype]).tobytes()
     f32 = acc.astype("<f4")

@@ -126,6 +126,23 @@ class TestReadArchive:
         with pytest.raises(ArchiveError, match="duplicate tensor name"):
             read_archive(raw)
 
+    @pytest.mark.parametrize("blob, message", [
+        (b'{"w":{"dtype":"F32","dtype":"F32","shape":[1],"data_offsets":[0,4]}}',
+         "tensor 'w': duplicate key 'dtype' in header entry"),
+        (b'{"__metadata__":{"k":"a","k":"b"},"w":{"dtype":"F32","shape":[1],"data_offsets":[0,4]}}',
+         "duplicate key 'k' in __metadata__"),
+    ], ids=["tensor-entry", "metadata"])
+    def test_repeated_key_below_top_level_named_where_it_is(self, tmp_path, capsys,
+                                                             blob, message):
+        raw = len(blob).to_bytes(8, "little") + blob + b"\x00" * 4
+        with pytest.raises(ArchiveError) as info:
+            read_archive(raw)
+        assert str(info.value) == message
+        path = tmp_path / "a.st"
+        path.write_bytes(raw)
+        assert main(["inspect", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == [message]
+
     def test_scalar_shape(self):
         raw = make_archive(
             {"s": {"dtype": "F64", "shape": [], "data_offsets": [0, 8]}},

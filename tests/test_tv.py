@@ -14,7 +14,7 @@ from vecmerge import (Checkpoint, MergeError, TaskVector, Tensor, apply, extract
 from vecmerge import tv as tv_mod
 from vecmerge.tv import is_task_vector_archive
 
-from vecmerge.dtypes import narrow
+from vecmerge.dtypes import dtype_size, narrow
 
 from helpers import DTYPES, random_checkpoint, reference_tv_merge_bits
 
@@ -269,6 +269,27 @@ class TestChunking:
                 blob = write_archive(tv_merge(base, pairs, threads=threads))
             start = 8 + int.from_bytes(blob[:8], "little")
             assert blob[start:start + len(want)] == want, (threads, chunk)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf x 0, inf - inf
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("dtype, nan_bits", [
+        ("F64", 0x7FF8000000000000), ("F32", 0x7FC00000), ("F16", 0x7E00), ("BF16", 0x7FC0)])
+    def test_every_nan_is_the_positive_quiet_nan(self, dtype, nan_bits, chunk):
+        n = 15
+        deltas = np.zeros((4, n))
+        deltas[0, 10], deltas[1, 10] = np.inf, np.nan  # both x 0.0: the NaN sum's sign
+        deltas[2, 3] = -np.nan                          # follows numpy's loop
+        deltas[2, 5], deltas[3, 5] = np.inf, -np.inf
+        weighted = list(zip(deltas, [0.0, 0.0, 1.0, 1.0]))
+        base = Checkpoint({"w": Tensor(dtype, narrow(np.zeros(n), dtype))})
+        pairs = [(TaskVector.from_arrays({"w": d}), w) for d, w in weighted]
+        with mock.patch.object(tv_mod, "_CHUNK", chunk):
+            blob = write_archive(tv_merge(base, pairs))
+        want = np.zeros(n, f"<u{dtype_size(dtype)}")
+        want[[3, 5, 10]] = nan_bits
+        start = 8 + int.from_bytes(blob[:8], "little")
+        assert blob[start:] == want.tobytes()
+        assert reference_tv_merge_bits(np.zeros(n), dtype, weighted) == want.tobytes()
 
 
 class TestInversion:
