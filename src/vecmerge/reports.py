@@ -61,8 +61,10 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 def interference_stats(tvs: list[TaskVector], density: float) -> dict:
     """Trim-mass and pairwise sign agreement after TIES trimming.
 
-    Agreement is computed only at positions where both vectors keep a
-    nonzero entry. A single vector yields trim-mass only.
+    `trimmed_mass` holds sum|kept| / sum|all| per vector, and
+    `sign_agreement` maps "i-j" to the agreement of vectors i and j,
+    computed only at positions where both keep a nonzero entry. A single
+    vector yields trim-mass only.
     """
     if not tvs:
         raise MergeError("interference_stats requires at least one task vector")
