@@ -16,9 +16,10 @@ of the map or of the bytes read, which may be misaligned, and
 `release(array)` drops the mapped pages under data no longer needed.
 `_layout` alone decides what is valid: the reader raises its first
 problem, and `validate_archive` lists them all, then gaps and trailing
-bytes, in the JSON object that `vecmerge inspect` prints. Files are written one tensor at a time to a temp file that is
-then renamed into place, and a `LazyCheckpoint` makes each tensor only
-when the writer reaches it.
+bytes, in the JSON object that `vecmerge inspect` prints. Files are
+written one tensor at a time to a temp file that is then renamed into
+place, and a `LazyCheckpoint` makes each tensor only when the writer
+reaches it.
 """
 
 from __future__ import annotations

@@ -76,8 +76,8 @@ class TestInterference:
     def test_fractions_in_unit_interval(self):
         rng = np.random.default_rng(2)
         tvs = [tv_of(rng.normal(size=30)) for _ in range(4)]
-        report = interference_stats(tvs, 0.25)
-        for frac in report["global"]["trimmed_mass"] + list(report["global"]["sign_agreement"].values()):
+        report = interference_stats(tvs, 0.25)["global"]
+        for frac in report["trimmed_mass"] + list(report["sign_agreement"].values()):
             assert 0.0 <= frac <= 1.0
 
     def test_adjacent_pairs_only_when_many(self):
