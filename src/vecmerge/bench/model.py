@@ -8,7 +8,6 @@ archive, merge, and diff machinery as any other checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,85 +71,106 @@ def forward(model: Checkpoint, X: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-class _Workspace(NamedTuple):
-    """The n x h buffers of one training step, reused across epochs."""
-
-    z: np.ndarray
-    hidden: np.ndarray
-    d_z: np.ndarray
-    inactive: np.ndarray  # bool: not z > 0 (NaN included)
-    rows: np.ndarray  # arange(n)
+def _workspace(k: int, n: int, h: int) -> list[np.ndarray]:
+    """The k x n x h buffers of one stacked step, reused across epochs:
+    z, hidden, d_z, and the ReLU mask as uint64, all ones where z > 0
+    and zero elsewhere (NaN z included)."""
+    return [np.empty((k, n, h)) for _ in range(3)] + [np.empty((k, n, h), dtype=np.uint64)]
 
 
-def _workspace(n: int, h: int) -> _Workspace:
-    return _Workspace(np.empty((n, h)), np.empty((n, h)), np.empty((n, h)),
-                      np.empty((n, h), dtype=bool), np.arange(n))
+def _step(params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray, work: list[np.ndarray]):
+    """Mean softmax cross-entropy per model and analytic gradients per
+    tensor for a stack of k models that share one dataset.
 
-
-def loss_and_grads(model: Checkpoint, X: np.ndarray, y: np.ndarray,
-                   work: _Workspace | None = None):
-    """Mean softmax cross-entropy and analytic gradients per tensor.
-
-    `work` holds the n x h intermediates; without one, fresh buffers are
-    allocated. The returned gradients never alias it.
+    `params` maps each tensor name to a (k, ...) array, and `work` holds
+    at least k slices. Every matmul is stacked, so BLAS runs one gemm
+    per slice, and every sum runs along one slice's axis in the order of
+    a single model's step: each slice's bits equal its solo step's.
+    The returned gradients never alias `work`.
     """
-    w0 = model.values("layer0.weight")
-    b0 = model.values("layer0.bias")
-    w1 = model.values("layer1.weight")
-    n = len(y)
-    if work is None:
-        work = _workspace(n, w0.shape[0])
-    z, hidden, d_z, inactive, rows = work
-    np.matmul(X, w0.T, out=z)
-    z += b0
+    w0, w1 = params["layer0.weight"], params["layer1.weight"]
+    k, n, rows = len(w0), len(y), np.arange(len(y))
+    z, hidden, d_z, keep = (buf[:k] for buf in work)
+    X = np.asarray(X, dtype=np.float64)
+    np.matmul(X, w0.transpose(0, 2, 1), out=z)
+    z += params["layer0.bias"][:, None]
     np.maximum(z, 0.0, out=hidden)
-    logits = hidden @ w1.T + model.values("layer1.bias")
-    probs = softmax(logits)
+    probs = softmax(hidden @ w1.transpose(0, 2, 1) + params["layer1.bias"][:, None])
     with np.errstate(divide="ignore"):
-        # a zero probability yields inf loss, reported as divergence upstream
-        loss = float(-np.mean(np.log(probs[rows, y])))
-    g = probs.copy()
-    g[rows, y] -= 1.0
+        # a zero probability yields inf loss, reported as divergence upstream;
+        # the gather comes out column-major, and a row-major copy keeps each
+        # slice's mean in the pairwise order of a single model's
+        losses = -np.mean(np.log(probs[:, rows, y].copy()), axis=1)
+    g = probs
+    g[:, rows, y] -= 1.0
     g /= n
     np.matmul(g, w1, out=d_z)
-    np.greater(z, 0.0, out=inactive)
-    np.logical_not(inactive, out=inactive)
-    np.copyto(d_z, 0.0, where=inactive)
+    # the ReLU mask as a bit AND: +0.0 where z is not > 0, d_z kept elsewhere
+    np.greater(z, 0.0, out=keep)
+    np.negative(keep, out=keep)
+    bits = d_z.view(np.uint64)
+    np.bitwise_and(bits, keep, out=bits)
     grads = {
-        "layer0.bias": d_z.sum(axis=0),
-        "layer0.weight": d_z.T @ X,
-        "layer1.bias": g.sum(axis=0),
-        "layer1.weight": g.T @ hidden,
+        "layer0.bias": d_z.sum(axis=1),
+        "layer0.weight": d_z.transpose(0, 2, 1) @ X,
+        "layer1.bias": g.sum(axis=1),
+        "layer1.weight": g.transpose(0, 2, 1) @ hidden,
     }
-    return loss, grads
+    return losses, grads
 
 
-def train(model: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
-    """Full-batch gradient descent; returns a new checkpoint, input untouched.
+def loss_and_grads(model: Checkpoint, X: np.ndarray, y: np.ndarray):
+    """Mean softmax cross-entropy and analytic gradients per tensor: the
+    training step on a stack of one."""
+    params = {name: model.values(name)[None] for name in TENSOR_NAMES}
+    losses, grads = _step(params, X, y, _workspace(1, len(y), params["layer0.weight"].shape[1]))
+    return float(losses[0]), {name: grad[0] for name, grad in grads.items()}
 
-    The step's n x h buffers are allocated once per call, never shared
-    between calls, so concurrent calls from several threads are safe.
+
+def train_stack(models: list[Checkpoint], data: Dataset, cfg: TrainConfig) -> list[Checkpoint]:
+    """Full-batch gradient descent of several models on one dataset, as
+    one stack through `_step`; returns new checkpoints, inputs untouched.
+    Each result is bit-equal to `train` of its model alone.
+
+    A model whose loss turns non-finite is dropped with every later one,
+    and the earlier ones train on. At the end `DivergenceError` is raised
+    for the first model that diverged, at its own epoch, as a loop over
+    `train` would raise. The buffers are never shared between calls, so
+    concurrent calls are safe.
     """
     if data.split != "train":
         raise ValueError(f"training requires a train split, got {data.split!r}")
-    params = {name: model.values(name).copy() for name in sorted(model.names())}
-    # read-only views of the arrays that each epoch updates in place
-    current = Checkpoint({n: Tensor("F64", v.view()) for n, v in params.items()})
-    X = np.asarray(data.X, dtype=np.float64)
-    work = _workspace(len(data.y), params["layer0.weight"].shape[0])
+    if not models:
+        return []
+    params = {name: np.stack([m.values(name) for m in models])
+              for name in sorted(models[0].names())}
+    k, h = params["layer0.weight"].shape[:2]
+    work, diverged = _workspace(k, len(data.y), h), None
     for epoch in range(cfg.epochs):
-        loss, grads = loss_and_grads(current, X, data.y, work)
-        if not np.isfinite(loss):
-            raise DivergenceError(epoch)
+        losses, grads = _step({name: p[:k] for name, p in params.items()}, data.X, data.y, work)
+        bad = np.flatnonzero(~np.isfinite(losses))
+        if len(bad):
+            k, diverged = bad[0], epoch
+            if not k:
+                break
         for name, grad in grads.items():
+            grad = grad[:k]
             grad *= cfg.learning_rate
-            params[name] -= grad
-    return current
+            params[name][:k] -= grad
+    if diverged is not None:
+        raise DivergenceError(diverged)
+    return [Checkpoint({name: Tensor("F64", p[i]) for name, p in params.items()})
+            for i in range(len(models))]
+
+
+def train(model: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
+    """Full-batch gradient descent; returns a new checkpoint, input untouched."""
+    return train_stack([model], data, cfg)[0]
 
 
 def predict(model: Checkpoint, X: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from ..recipes import DEFAULT_GRID, MetricsTable, select_best
 from ..ties import DEFAULT_DENSITY, TiesConfig, ties_merge
 from ..tv import extract_task_vector, tv_merge
 from .data import Dataset, ModelSpec, concat, gen_dataset
-from .model import TrainConfig, init_model, macro_f1, predict, train
+from .model import TrainConfig, init_model, macro_f1, predict, train, train_stack
 from .rng import derive_stream
 
 SCENARIOS = ("full_ft", "seq_ft", "joint_ft", "tv_merge_ft", "ties_merge_ft")
@@ -90,17 +90,15 @@ def _run_pipeline(name: str, ctx: _SeedContext):
         model = train(ctx.base, concat(ctx.aux_data, ctx.target_train), cfg)
         return ctx.f1(model, ctx.target_test), None
     if name in ("tv_merge_ft", "ties_merge_ft"):
-        table = MetricsTable()
-        trained = {}
-        for lam in DEFAULT_GRID:
-            if name == "tv_merge_ft":
-                merged = tv_merge(ctx.base, [(ctx.aux_vector, lam)])
-            else:
-                config = TiesConfig(density=DEFAULT_DENSITY, weights=[1.0], lam=lam)
-                merged = ties_merge(ctx.base, [ctx.aux_vector], config)
-            model = train(merged, ctx.target_train, cfg)
-            trained[lam] = model
-            table.rows.append(({"lambda": lam}, ctx.f1(model, ctx.target_dev)))
+        if name == "tv_merge_ft":
+            merged = [tv_merge(ctx.base, [(ctx.aux_vector, lam)]) for lam in DEFAULT_GRID]
+        else:
+            merged = [ties_merge(ctx.base, [ctx.aux_vector],
+                                 TiesConfig(density=DEFAULT_DENSITY, weights=[1.0], lam=lam))
+                      for lam in DEFAULT_GRID]
+        trained = dict(zip(DEFAULT_GRID, train_stack(merged, ctx.target_train, cfg)))
+        table = MetricsTable([({"lambda": lam}, ctx.f1(model, ctx.target_dev))
+                              for lam, model in trained.items()])
         best = select_best(table)
         lam = best["lambda"]
         info = {"lambda": lam, "dev_f1": dict((f"{a['lambda']:g}", m) for a, m in table.rows)}

@@ -190,7 +190,8 @@ def _parse_header(raw: memoryview, problems: list[str]) -> tuple[dict, dict | No
         raise ArchiveError(f"malformed JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise ArchiveError("malformed JSON header: top level must be an object")
-    problems.extend(f"duplicate tensor name {k!r} in header" for k in header.repeated)
+    problems.extend(f"duplicate key {k!r} in header" if k == METADATA_KEY
+                    else f"duplicate tensor name {k!r} in header" for k in header.repeated)
     metadata = header.pop(METADATA_KEY, None)
     if metadata is not None and (
             not isinstance(metadata, dict)

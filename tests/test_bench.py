@@ -1,7 +1,11 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,14 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vecmerge
 from vecmerge import Checkpoint, Tensor, extract_task_vector, scale, tv_merge, apply
 from vecmerge.bench import (BenchSizes, Dataset, DivergenceError, ModelSpec,
                             SplitMix64, TrainConfig, derive_stream, forward,
                             gen_dataset, init_model, loss_and_grads, macro_f1,
-                            predict, run_bench, run_scenario, train)
+                            predict, run_bench, run_scenario, train, train_stack)
 from vecmerge.bench import data as bench_data
-from vecmerge.bench.model import softmax
+from vecmerge.bench.model import _step, _workspace, softmax
 from vecmerge.bench.scenarios import _SeedContext
+from vecmerge.cli import main
 
 from helpers import naive_gaussians, naive_gen_dataset, naive_loss_and_grads, naive_train
 
@@ -353,6 +359,95 @@ class TestTrain:
             assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
+def _scaled(model, factor):
+    return Checkpoint({n: Tensor("F64", model.values(n) * factor) for n in model.names()})
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestTrainStack:
+    spec = ModelSpec(5, 6, 3)
+
+    @given(d=st.integers(1, 7), h=st.integers(1, 9), c=st.integers(1, 4),
+           extra=st.integers(0, 40), k=st.integers(1, 12),
+           kind=st.sampled_from(["L1", "mixed"]), seed=st.integers(0, 2 ** 32 - 1),
+           lr=st.sampled_from([0.0, 0.03, 0.5]), epochs=st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_each_slice_matches_naive_bits(self, d, h, c, extra, k, kind, seed, lr, epochs):
+        # pins what per-slice bit-equality rests on: a stacked matmul runs
+        # one gemm per slice, and sums along axis 1 keep the 2-D order
+        spec = ModelSpec(d, h, c)
+        models = [init_model(spec, seed + i) for i in range(k)]
+        data = gen_dataset(kind, c + extra, spec, seed + 1)
+        params = [{n: m.values(n) for n in m.names()} for m in models]
+        stacked = {n: np.stack([p[n] for p in params]) for n in params[0]}
+        losses, grads = _step(stacked, data.X, data.y, _workspace(k, len(data.y), h))
+        for i, p in enumerate(params):
+            want_loss, want_grads = naive_loss_and_grads(p, data.X, data.y)
+            assert _bits(losses[i]) == _bits(want_loss)
+            for name, g in grads.items():
+                assert _bits(g[i]) == _bits(want_grads[name])
+        out = train_stack(models, data, TrainConfig(lr, epochs))
+        assert len(out) == k
+        for got, p in zip(out, params):
+            want, diverged = naive_train(p, data.X, data.y, lr, epochs)
+            assert diverged is None
+            for name in got.names():
+                assert _bits(got.values(name)) == _bits(want[name])
+
+    def test_nan_slice_leaves_the_others_bit_equal(self):
+        data = gen_dataset("L1", 30, self.spec, 0)
+        models = [init_model(self.spec, i) for i in range(5)]
+        w0 = models[2].values("layer0.weight").copy()
+        w0[2, 0] = np.nan
+        w0[4] = np.inf
+        models[2] = Checkpoint({**models[2].tensors, "layer0.weight": Tensor("F64", w0)})
+        stacked = {n: np.stack([m.values(n) for m in models]) for n in models[0].names()}
+        with np.errstate(invalid="ignore"):
+            losses, grads = _step(stacked, data.X, data.y, _workspace(5, 30, 6))
+            for i, model in enumerate(models):
+                solo_loss, solo_grads = loss_and_grads(model, data.X, data.y)
+                params = {n: model.values(n) for n in model.names()}
+                want_loss, want_grads = naive_loss_and_grads(params, data.X, data.y)
+                assert _bits(losses[i]) == _bits(solo_loss) == _bits(want_loss)
+                for name, g in grads.items():
+                    assert _bits(g[i]) == _bits(solo_grads[name]) == _bits(want_grads[name])
+            with pytest.raises(DivergenceError) as info:
+                train_stack(models, data, TrainConfig(0.1, 5))
+        assert info.value.epoch == 0
+        assert np.isnan(losses[2]) and np.isfinite(np.delete(losses, 2)).all()
+
+    @pytest.mark.parametrize("order", [
+        ("ok", "late", "ok", "early", "ok"),
+        ("early", "late", "ok"),
+    ], ids=["earlier-slice-diverges-later", "first-slice-diverges-first"])
+    def test_divergence_matches_sequential_loop(self, order):
+        # at this learning rate, model "late" diverges at epoch 9 and
+        # "early" at epoch 1; "ok" models never do
+        pick = {"ok": (0, 1.0), "late": (1, 10.0), "early": (0, 30.0)}
+        models = [_scaled(init_model(self.spec, pick[kind][0]), pick[kind][1])
+                  for kind in order]
+        data = gen_dataset("L1", 30, self.spec, 0)
+        cfg = TrainConfig(10.0, 40)
+        with np.errstate(all="ignore"):
+            epochs = {}
+            for kind, model in zip(order, models):
+                try:
+                    train(model, data, cfg)
+                except DivergenceError as exc:
+                    epochs[kind] = exc.epoch
+            assert epochs == {"late": 9, "early": 1}
+            want = epochs[next(kind for kind in order if kind != "ok")]
+            with pytest.raises(DivergenceError) as info:
+                train_stack(models, data, cfg)
+        assert info.value.epoch == want
+
+    def test_empty_stack(self):
+        assert train_stack([], gen_dataset("L1", 10, self.spec, 0), FAST) == []
+
+
 class TestGradientCheck:
     def test_analytic_matches_central_differences(self):
         rng = np.random.default_rng(0)
@@ -465,3 +560,23 @@ class TestScenarios:
     def test_sweep_selection_recorded(self):
         rep = run_scenario("tv_merge_ft", [0], SMALL, FAST)
         assert rep["selected"] and "lambda" in rep["selected"][0]
+
+
+def test_report_bytes_on_every_blas_core_type(tmp_path, capsys):
+    """The bench report is byte-identical whichever OpenBLAS kernels run:
+    the default in this process, forced core types in child processes."""
+    args = ["bench", "--scenario", "tv_merge_ft", "--seeds", "1", "--out"]
+    assert main(args + [str(tmp_path / "default.json")]) == 0
+    capsys.readouterr()
+    want = hashlib.sha256((tmp_path / "default.json").read_bytes()).hexdigest()
+    cores = ["Haswell", "Sandybridge", "Nehalem", "Katmai"]
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists() and "avx512f" in cpuinfo.read_text().split():
+        cores.append("SkylakeX")
+    for core in cores:
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   PYTHONPATH=str(Path(vecmerge.__file__).parents[1]))
+        out = tmp_path / f"{core}.json"
+        subprocess.run([sys.executable, "-m", "vecmerge.cli", *args, str(out)], env=env,
+                       check=True, capture_output=True, timeout=300)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, core

@@ -143,6 +143,19 @@ class TestReadArchive:
         assert main(["inspect", str(path)]) == 1
         assert json.loads(capsys.readouterr().out)["violations"] == [message]
 
+    def test_repeated_metadata_is_not_a_tensor_name(self, tmp_path, capsys):
+        blob = (b'{"__metadata__":{"k":"a"},"__metadata__":{"k":"b"},'
+                b'"w":{"dtype":"F32","shape":[1],"data_offsets":[0,4]}}')
+        raw = len(blob).to_bytes(8, "little") + blob + b"\x00" * 4
+        message = "duplicate key '__metadata__' in header"
+        with pytest.raises(ArchiveError) as info:
+            read_archive(raw)
+        assert str(info.value) == message
+        path = tmp_path / "a.st"
+        path.write_bytes(raw)
+        assert main(["inspect", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == [message]
+
     def test_scalar_shape(self):
         raw = make_archive(
             {"s": {"dtype": "F64", "shape": [], "data_offsets": [0, 8]}},
