@@ -24,7 +24,6 @@ TENSOR_NAMES = ("layer0.bias", "layer0.weight", "layer1.bias", "layer1.weight")
 class TrainConfig:
     learning_rate: float = 0.03
     epochs: int = 80
-    seed: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:

@@ -52,8 +52,6 @@ class _SeedContext:
 
     def __init__(self, seed: int, sizes: BenchSizes, cfg: TrainConfig):
         spec = sizes.model_spec
-        self.seed = seed
-        self.sizes = sizes
         self.cfg = cfg
         self.spec = spec
         half = sizes.n_base // 2
@@ -78,7 +76,7 @@ class _SeedContext:
 
 
 def _run_pipeline(name: str, ctx: _SeedContext):
-    """Returns (test macro-F1, sweep-selection info or None)."""
+    """(test macro-F1, sweep-selection info or None) of a name `run_bench` checked."""
     cfg = ctx.cfg
     if name == "full_ft":
         model = train(ctx.base, ctx.target_train, cfg)
@@ -89,62 +87,53 @@ def _run_pipeline(name: str, ctx: _SeedContext):
     if name == "joint_ft":
         model = train(ctx.base, concat(ctx.aux_data, ctx.target_train), cfg)
         return ctx.f1(model, ctx.target_test), None
-    if name in ("tv_merge_ft", "ties_merge_ft"):
-        if name == "tv_merge_ft":
-            merged = [tv_merge(ctx.base, [(ctx.aux_vector, lam)]) for lam in DEFAULT_GRID]
-        else:
-            merged = [ties_merge(ctx.base, [ctx.aux_vector],
-                                 TiesConfig(density=DEFAULT_DENSITY, weights=[1.0], lam=lam))
-                      for lam in DEFAULT_GRID]
-        trained = dict(zip(DEFAULT_GRID, train_stack(merged, ctx.target_train, cfg)))
-        table = MetricsTable([({"lambda": lam}, ctx.f1(model, ctx.target_dev))
-                              for lam, model in trained.items()])
-        best = select_best(table)
-        lam = best["lambda"]
-        info = {"lambda": lam, "dev_f1": dict((f"{a['lambda']:g}", m) for a, m in table.rows)}
-        return ctx.f1(trained[lam], ctx.target_test), info
-    raise ValueError(f"unknown scenario {name!r}")
+    if name == "tv_merge_ft":
+        merged = [tv_merge(ctx.base, [(ctx.aux_vector, lam)]) for lam in DEFAULT_GRID]
+    else:
+        merged = [ties_merge(ctx.base, [ctx.aux_vector],
+                             TiesConfig(density=DEFAULT_DENSITY, weights=[1.0], lam=lam))
+                  for lam in DEFAULT_GRID]
+    trained = dict(zip(DEFAULT_GRID, train_stack(merged, ctx.target_train, cfg)))
+    table = MetricsTable([({"lambda": lam}, ctx.f1(model, ctx.target_dev))
+                          for lam, model in trained.items()])
+    lam = select_best(table)["lambda"]
+    info = {"lambda": lam, "dev_f1": dict((f"{a['lambda']:g}", m) for a, m in table.rows)}
+    return ctx.f1(trained[lam], ctx.target_test), info
 
 
 def run_scenario(name: str, seeds: list[int], sizes: BenchSizes | None = None,
-                 cfg: TrainConfig | None = None,
-                 contexts: dict[int, _SeedContext] | None = None) -> dict:
-    """One scenario's test macro-F1 per seed, their mean and std, and the
-    per-seed sweep choices of the merge scenarios, as the bench report holds it."""
-    sizes = sizes or BenchSizes()
-    cfg = cfg or TrainConfig()
-    if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
-    scores = []
-    selected = []
-    for seed in seeds:
-        ctx = contexts[seed] if contexts else _SeedContext(seed, sizes, cfg)
-        f1, info = _run_pipeline(name, ctx)
-        scores.append(f1)
-        if info is not None:
-            selected.append({"seed": seed, **info})
-    mean = sum(scores) / len(scores)
-    std = (sum((s - mean) ** 2 for s in scores) / len(scores)) ** 0.5
-    return {"name": name, "seeds": list(seeds), "per_seed_f1": scores, "mean_f1": mean,
-            "std_f1": std, "sizes": asdict(sizes), "train_config": asdict(cfg),
-            "selected": selected}
+                 cfg: TrainConfig | None = None) -> dict:
+    """One scenario's report, as `run_bench` of that scenario alone holds it."""
+    return run_bench([name], seeds, sizes, cfg)["scenarios"][name]
 
 
 def run_bench(scenarios: list[str], seeds: list[int], sizes: BenchSizes | None = None,
               cfg: TrainConfig | None = None, threads: int = 1) -> dict:
-    """Run several scenarios over shared per-seed contexts; JSON-able result."""
+    """Each scenario's test macro-F1 per seed, their mean and std, and the
+    merge scenarios' per-seed sweep choices, over shared per-seed contexts.
+    Scenario names and the seed list are checked before any context is built."""
+    for name in scenarios:
+        if name not in SCENARIOS:
+            raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
+    if not seeds:
+        raise ValueError("the bench needs at least one seed")
     sizes = sizes or BenchSizes()
     cfg = cfg or TrainConfig()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            ctx_list = list(pool.map(lambda s: _SeedContext(s, sizes, cfg), seeds))
+            contexts = list(pool.map(lambda s: _SeedContext(s, sizes, cfg), seeds))
     else:
-        ctx_list = [_SeedContext(s, sizes, cfg) for s in seeds]
-    contexts = dict(zip(seeds, ctx_list))
-    reports = [run_scenario(name, seeds, sizes, cfg, contexts) for name in scenarios]
-    return {
-        "scenarios": {r["name"]: r for r in reports},
-        "seeds": list(seeds),
-        "sizes": asdict(sizes),
-        "train_config": asdict(cfg),
-    }
+        contexts = [_SeedContext(s, sizes, cfg) for s in seeds]
+    reports = {}
+    for name in scenarios:
+        runs = [_run_pipeline(name, ctx) for ctx in contexts]
+        scores = [f1 for f1, _ in runs]
+        mean = sum(scores) / len(scores)
+        std = (sum((s - mean) ** 2 for s in scores) / len(scores)) ** 0.5
+        reports[name] = {
+            "name": name, "seeds": list(seeds), "per_seed_f1": scores, "mean_f1": mean,
+            "std_f1": std, "sizes": asdict(sizes), "train_config": asdict(cfg),
+            "selected": [{"seed": seed, **info}
+                         for seed, (_, info) in zip(seeds, runs) if info is not None]}
+    return {"scenarios": reports, "seeds": list(seeds), "sizes": asdict(sizes),
+            "train_config": asdict(cfg)}

@@ -9,7 +9,6 @@ evaluates models itself for real checkpoints).
 
 from __future__ import annotations
 
-import copy
 import csv
 import dataclasses
 import io
@@ -45,17 +44,10 @@ class MergeRecipe:
     dtype: str = "keep"
 
     def to_dict(self) -> dict:
-        doc = {
-            "base": self.base,
-            "method": self.method,
-            "vectors": copy.deepcopy(self.vectors),
-            "output": self.output,
-            "mismatch": self.mismatch,
-            "dtype": self.dtype,
-        }
-        if self.method == "ties":
-            doc["density"] = self.density
-            doc["lambda"] = self.lam
+        doc = dataclasses.asdict(self)
+        doc["lambda"] = doc.pop("lam")
+        if self.method != "ties":
+            del doc["density"], doc["lambda"]
         return doc
 
     def grids(self) -> list[tuple[str, list[float]]]:
@@ -163,16 +155,9 @@ def parse_recipe(text: str) -> MergeRecipe:
     except ValueError as exc:  # also an int past Python's digit limit
         raise RecipeError(f"invalid JSON: {exc}") from exc
     _check_recipe(doc)
-    return MergeRecipe(
-        base=doc["base"],
-        method=doc["method"],
-        vectors=doc["vectors"],
-        output=doc["output"],
-        density=doc.get("density", ties_mod.DEFAULT_DENSITY),
-        lam=doc.get("lambda", ties_mod.DEFAULT_LAMBDA),
-        mismatch=doc.get("mismatch", "error"),
-        dtype=doc.get("dtype", "keep"),
-    )
+    if "lambda" in doc:
+        doc["lam"] = doc.pop("lambda")
+    return MergeRecipe(**doc)
 
 
 def _with_suffix(path: str, assignment: dict[str, float]) -> str:

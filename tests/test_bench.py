@@ -20,6 +20,7 @@ from vecmerge.bench import (BenchSizes, Dataset, DivergenceError, ModelSpec,
                             gen_dataset, init_model, loss_and_grads, macro_f1,
                             predict, run_bench, run_scenario, train, train_stack)
 from vecmerge.bench import data as bench_data
+from vecmerge.bench import scenarios as bench_scenarios
 from vecmerge.bench.model import _step, _workspace, softmax
 from vecmerge.bench.scenarios import _SeedContext
 from vecmerge.cli import main
@@ -545,6 +546,25 @@ class TestScenarios:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             run_scenario("bogus", [0], SMALL, FAST)
+
+    @pytest.mark.parametrize("names, seeds, message", [
+        (["full_ft", "bogus"], [0, 1, 2], "unknown scenario 'bogus'"),
+        (["full_ft"], [], "at least one seed"),
+    ])
+    def test_bad_arguments_build_no_context(self, monkeypatch, names, seeds, message):
+        built = []
+        monkeypatch.setattr(bench_scenarios, "_SeedContext", lambda *args: built.append(args))
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                run_bench(names, seeds, SMALL, FAST, threads=threads)
+        with pytest.raises(ValueError, match=message):
+            run_scenario(names[-1], seeds, SMALL, FAST)
+        assert built == []
+
+    def test_run_scenario_is_run_bench_of_one(self):
+        alone = run_scenario("ties_merge_ft", [1], SMALL, FAST)
+        assert alone == run_bench(["ties_merge_ft"], [1], SMALL, FAST)["scenarios"]["ties_merge_ft"]
+        assert "seed" not in alone["train_config"]
 
     def test_run_bench_shape_and_determinism(self):
         res = run_bench(["full_ft", "tv_merge_ft"], [0, 1], SMALL, FAST)

@@ -289,6 +289,14 @@ class TestBenchCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert "full_ft" in report["scenarios"]
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_is_an_error(self, tmp_path, capsys, seeds):
+        code, out, err = run(capsys, "bench", "--scenario", "full_ft", "--seeds", seeds,
+                             "--out", tmp_path / "report.json")
+        assert code == 1 and out == ""
+        assert err == "error: the bench needs at least one seed\n"
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestTemplates:
     def test_shipped_templates_parse(self):

@@ -370,6 +370,41 @@ class TestExecuteRecipe:
         again = parse_recipe(meta["vecmerge.recipe"])
         assert again.to_dict() == recipe.to_dict()
 
+    def test_metadata_text(self, workspace):
+        """The exact `vecmerge.recipe` string `run` writes: defaults filled
+        in, TIES-only keys only for TIES, and a swept point's grid replaced
+        by the point's value while an int weight stays an int."""
+        ws, *_ = workspace
+        path = {name: json.dumps(str(ws / name)) for name in
+                ("base.st", "tv.st", "out.st", "out_w1=0.25.st", "out_lambda=0.5.st")}
+        vec = '{"source":%s,"weight":%s}'
+
+        def text_of(recipe):
+            execute_recipe(recipe)
+            return read_archive(recipe.output).metadata["vecmerge.recipe"]
+
+        assert text_of(self.recipe_doc(ws, 0.3)) == (
+            '{"base":%s,"dtype":"keep","method":"tv","mismatch":"error","output":%s,'
+            '"vectors":[%s]}' % (path["base.st"], path["out.st"], vec % (path["tv.st"], "0.3")))
+
+        assert text_of(self.recipe_doc(ws, 2, method="ties", dtype="F64")) == (
+            '{"base":%s,"density":0.2,"dtype":"F64","lambda":1.0,"method":"ties",'
+            '"mismatch":"error","output":%s,"vectors":[%s]}'
+            % (path["base.st"], path["out.st"], vec % (path["tv.st"], "2")))
+
+        swept = self.recipe_doc(ws, 1)
+        swept.vectors.append({"source": str(ws / "tv.st"), "weight": {"grid": [0.25, 0.5]}})
+        assert text_of(expand_sweep(swept)[0]) == (
+            '{"base":%s,"dtype":"keep","method":"tv","mismatch":"error","output":%s,'
+            '"vectors":[%s,%s]}' % (path["base.st"], path["out_w1=0.25.st"],
+                                    vec % (path["tv.st"], "1"), vec % (path["tv.st"], "0.25")))
+
+        ties_swept = self.recipe_doc(ws, 1, method="ties", density=1, **{"lambda": {"grid": [0.5]}})
+        assert text_of(expand_sweep(ties_swept)[0]) == (
+            '{"base":%s,"density":1,"dtype":"keep","lambda":0.5,"method":"ties",'
+            '"mismatch":"error","output":%s,"vectors":[%s]}'
+            % (path["base.st"], path["out_lambda=0.5.st"], vec % (path["tv.st"], "1")))
+
     def test_rejects_unexpanded_grids(self, workspace):
         ws, *_ = workspace
         with pytest.raises(RecipeError, match="expand_sweep"):
