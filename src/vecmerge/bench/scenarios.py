@@ -76,7 +76,7 @@ class _SeedContext:
 
 
 def _run_pipeline(name: str, ctx: _SeedContext):
-    """(test macro-F1, sweep-selection info or None) of a name `run_bench` checked."""
+    """Returns (test macro-F1, sweep-selection info or None); `run_bench` checked `name`."""
     cfg = ctx.cfg
     if name == "full_ft":
         model = train(ctx.base, ctx.target_train, cfg)
