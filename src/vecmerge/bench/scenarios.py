@@ -12,8 +12,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
-from ..recipes import DEFAULT_GRID, MetricsTable, select_best
-from ..ties import DEFAULT_DENSITY, TiesConfig, ties_merge
+from ..recipes import DEFAULT_GRID, select_best
+from ..ties import ties_merge
 from ..tv import extract_task_vector, tv_merge
 from .data import Dataset, ModelSpec, concat, gen_dataset
 from .model import TrainConfig, init_model, macro_f1, predict, train, train_stack
@@ -90,14 +90,11 @@ def _run_pipeline(name: str, ctx: _SeedContext):
     if name == "tv_merge_ft":
         merged = [tv_merge(ctx.base, [(ctx.aux_vector, lam)]) for lam in DEFAULT_GRID]
     else:
-        merged = [ties_merge(ctx.base, [ctx.aux_vector],
-                             TiesConfig(density=DEFAULT_DENSITY, weights=[1.0], lam=lam))
-                  for lam in DEFAULT_GRID]
+        merged = [ties_merge(ctx.base, [(ctx.aux_vector, 1.0)], lam=lam) for lam in DEFAULT_GRID]
     trained = dict(zip(DEFAULT_GRID, train_stack(merged, ctx.target_train, cfg)))
-    table = MetricsTable([({"lambda": lam}, ctx.f1(model, ctx.target_dev))
-                          for lam, model in trained.items()])
-    lam = select_best(table)["lambda"]
-    info = {"lambda": lam, "dev_f1": dict((f"{a['lambda']:g}", m) for a, m in table.rows)}
+    rows = [({"lambda": lam}, ctx.f1(model, ctx.target_dev)) for lam, model in trained.items()]
+    lam = select_best(rows)["lambda"]
+    info = {"lambda": lam, "dev_f1": dict((f"{a['lambda']:g}", m) for a, m in rows)}
     return ctx.f1(trained[lam], ctx.target_test), info
 
 

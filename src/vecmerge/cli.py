@@ -12,12 +12,12 @@ import json
 import sys
 
 from . import __version__
-from .recipes import (MetricsTable, RecipeError, execute_recipe, expand_sweep,
-                      parse_recipe, select_best)
+from .recipes import (RecipeError, execute_recipe, expand_sweep, parse_recipe,
+                      read_metrics, select_best)
 from .reports import cosine, diff_stats, interference_stats
 from .tensor_store import (ArchiveError, read_archive, save_archive,
                            validate_archive)
-from .ties import DEFAULT_DENSITY, DEFAULT_LAMBDA, TiesConfig, ties_merge
+from .ties import DEFAULT_DENSITY, DEFAULT_LAMBDA, ties_merge
 from .tv import extract_task_vector, load_task_vector, tv_merge_lazy
 
 
@@ -44,10 +44,9 @@ def _cmd_extract(args) -> int:
 
 
 def _weighted_pairs(args):
-    weights = args.weight or []
-    if len(weights) != len(args.vector):
-        raise ArchiveError(f"{len(args.vector)} vectors but {len(weights)} weights")
-    return [(load_task_vector(v), w) for v, w in zip(args.vector, weights)]
+    if len(args.weight) != len(args.vector):
+        raise ArchiveError(f"{len(args.vector)} vectors but {len(args.weight)} weights")
+    return [(load_task_vector(v), w) for v, w in zip(args.vector, args.weight)]
 
 
 def _cmd_merge_tv(args) -> int:
@@ -61,14 +60,11 @@ def _cmd_merge_tv(args) -> int:
 def _cmd_merge_ties(args) -> int:
     base = read_archive(args.base)
     pairs = _weighted_pairs(args)
-    config = TiesConfig(density=args.density, weights=[w for _, w in pairs],
-                        lam=args.lam)
-    tvs = [t for t, _ in pairs]
-    merged = ties_merge(base, tvs, config, threads=args.threads)
+    merged = ties_merge(base, pairs, args.density, args.lam, threads=args.threads)
     save_archive(merged, args.out)
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(_json(interference_stats(tvs, args.density)))
+            fh.write(_json(interference_stats([t for t, _ in pairs], args.density)))
     print(json.dumps({"out": args.out, "tensor_count": len(merged)}, sort_keys=True))
     return 0
 
@@ -98,23 +94,6 @@ def _cmd_cosine(args) -> int:
     return 0
 
 
-def _select_from_metrics(path, recipe) -> dict:
-    """The best row of a metrics CSV whose every row names a point of the
-    recipe's sweep grid (any row, when the recipe has no grid)."""
-    with open(path) as fh:
-        table = MetricsTable.from_csv(fh.read())
-    grids = dict(recipe.grids())
-    for assignment, _ in table.rows if grids else ():
-        if set(assignment) != set(grids):
-            raise RecipeError(f"metrics row {assignment} does not match "
-                              f"the sweep axes {sorted(grids)}")
-        for name, value in assignment.items():
-            if value not in grids[name]:
-                raise RecipeError(f"metrics row {assignment}: {name}={value} is not "
-                                  f"a point of the sweep grid {grids[name]}")
-    return select_best(table)
-
-
 def _cmd_run(args) -> int:
     try:
         with open(args.recipe) as fh:
@@ -126,7 +105,10 @@ def _cmd_run(args) -> int:
             raise RecipeError("--select requires --metrics")
         if args.metrics and not args.select:
             raise RecipeError("--metrics requires --select")
-        selected = _select_from_metrics(args.metrics, recipe) if args.select else None
+        selected = None
+        if args.select:
+            with open(args.metrics) as fh:
+                selected = select_best(read_metrics(fh.read(), dict(recipe.grids())))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

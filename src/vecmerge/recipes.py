@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ties as ties_mod
 from . import tv as tv_mod
@@ -212,13 +212,9 @@ def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> dict:
     if recipe.method == "tv":
         merged = tv_mod.tv_merge_lazy(base, pairs, threads=threads)
     else:
-        config = ties_mod.TiesConfig(
-            density=recipe.density,
-            weights=[w for _, w in pairs],
-            lam=float(recipe.lam))
-        tvs = [t for t, _ in pairs]
-        merged = ties_mod.ties_merge(base, tvs, config, threads=threads)
-        report = interference_stats(tvs, recipe.density)
+        merged = ties_mod.ties_merge(base, pairs, recipe.density, float(recipe.lam),
+                                     threads=threads)
+        report = interference_stats([t for t, _ in pairs], recipe.density)
 
     metadata = dict(merged.metadata or {})
     metadata["vecmerge.recipe"] = json.dumps(recipe.to_dict(), sort_keys=True,
@@ -229,45 +225,52 @@ def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> dict:
             "wall_time": time.perf_counter() - start}
 
 
-@dataclass
-class MetricsTable:
-    """Rows of (sweep assignment, score-to-maximize)."""
-
-    rows: list[tuple[dict, float]] = field(default_factory=list)
-
-    @staticmethod
-    def from_csv(text: str) -> "MetricsTable":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["assignment", "metric"]:
-            raise RecipeError('metrics CSV must have header "assignment,metric"')
-        table = MetricsTable()
-        for row in reader:
-            if not row:
+def read_metrics(text: str, grids: dict[str, list[float]]) -> list[tuple[dict, float]]:
+    """Rows of (sweep assignment, score-to-maximize) from a metrics CSV
+    with header "assignment,metric". Every row is parsed first; then,
+    when `grids` is not empty, each row must name exactly its axes, at
+    points of their grids."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["assignment", "metric"]:
+        raise RecipeError('metrics CSV must have header "assignment,metric"')
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 2:
+            raise RecipeError(f"bad metrics row: {row!r}")
+        assignment = {}
+        for part in row[0].split(";"):
+            if not part:
                 continue
-            if len(row) != 2:
-                raise RecipeError(f"bad metrics row: {row!r}")
-            assignment = {}
-            for part in row[0].split(";"):
-                if not part:
-                    continue
-                key, _, value = part.partition("=")
-                if not key or not value:
-                    raise RecipeError(f"bad assignment {row[0]!r}")
-                assignment[key] = float(value)
-                if not math.isfinite(assignment[key]):
-                    raise RecipeError(f"non-finite assignment value in row {row!r}")
-            metric = float(row[1])
-            if not math.isfinite(metric):
-                raise RecipeError(f"non-finite metric in row {row!r}")
-            table.rows.append((assignment, metric))
-        return table
+            key, _, value = part.partition("=")
+            if not key or not value:
+                raise RecipeError(f"bad assignment {row[0]!r}")
+            if key in assignment:
+                raise RecipeError(f"repeated key {key!r} in assignment {row[0]!r}")
+            assignment[key] = float(value)
+            if not math.isfinite(assignment[key]):
+                raise RecipeError(f"non-finite assignment value in row {row!r}")
+        metric = float(row[1])
+        if not math.isfinite(metric):
+            raise RecipeError(f"non-finite metric in row {row!r}")
+        rows.append((assignment, metric))
+    for assignment, _ in rows if grids else ():
+        if set(assignment) != set(grids):
+            raise RecipeError(f"metrics row {assignment} does not match "
+                              f"the sweep axes {sorted(grids)}")
+        for name, value in assignment.items():
+            if value not in grids[name]:
+                raise RecipeError(f"metrics row {assignment}: {name}={value} is not "
+                                  f"a point of the sweep grid {grids[name]}")
+    return rows
 
 
-def select_best(table: MetricsTable) -> dict:
+def select_best(rows: list[tuple[dict, float]]) -> dict:
     """Assignment with the maximal metric; ties go to the
     lexicographically smallest assignment vector (sorted by key)."""
-    if not table.rows:
+    if not rows:
         raise ValueError("empty metrics table")
 
     def sort_key(row):
@@ -275,4 +278,4 @@ def select_best(table: MetricsTable) -> dict:
         vector = tuple(v for _, v in sorted(assignment.items()))
         return (-metric, vector)
 
-    return dict(min(table.rows, key=sort_key)[0])
+    return dict(min(rows, key=sort_key)[0])

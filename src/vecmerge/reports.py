@@ -68,8 +68,6 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
     """
     if not tvs:
         raise MergeError("interference_stats requires at least one task vector")
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must be in (0, 1], got {density}")
     trimmed = [trim(tv, density) for tv in tvs]
     signs = elect_signs(trimmed, [1.0] * len(trimmed))
     per_tensor = {}

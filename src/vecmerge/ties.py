@@ -10,7 +10,6 @@ of 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,20 +18,6 @@ from .tv import MergeError, TaskVector, tv_merge
 
 DEFAULT_DENSITY = 0.2
 DEFAULT_LAMBDA = 1.0
-
-
-@dataclass
-class TiesConfig:
-    density: float = DEFAULT_DENSITY
-    weights: list[float] = field(default_factory=list)
-    lam: float = DEFAULT_LAMBDA
-
-    def validate(self, n_vectors: int) -> None:
-        if not 0.0 < self.density <= 1.0:
-            raise ValueError(f"density must be in (0, 1], got {self.density}")
-        _check_weights(self.weights, n_vectors)
-        if not np.isfinite(self.lam):
-            raise ValueError(f"non-finite lambda {self.lam}")
 
 
 def _check_weights(weights: list[float], n_vectors: int) -> None:
@@ -129,17 +114,20 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
     return out
 
 
-def ties_merge(base: Checkpoint, tvs: list[TaskVector], config: TiesConfig,
+def ties_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
+               density: float = DEFAULT_DENSITY, lam: float = DEFAULT_LAMBDA,
                threads: int = 1) -> Checkpoint:
-    """Full TIES pipeline: trim, elect signs, disjoint mean, then base + lam * merged."""
-    if not tvs:
+    """Full TIES pipeline over (vector, weight) pairs: trim, elect signs,
+    disjoint mean, then base + lam * merged."""
+    if not weighted:
         raise MergeError("ties_merge requires at least one task vector")
-    config.validate(len(tvs))
-    trimmed = [trim(tv, config.density) for tv in tvs]
-    signs = elect_signs(trimmed, config.weights)
-    merged = disjoint_merge(trimmed, config.weights, signs)
+    if not np.isfinite(lam):
+        raise ValueError(f"non-finite lambda {lam}")
+    trimmed = [trim(tv, density) for tv, _ in weighted]
+    weights = [w for _, w in weighted]
+    merged = disjoint_merge(trimmed, weights, elect_signs(trimmed, weights))
     # extras survive the pipeline for re-attachment by the merge
-    for tv in tvs:
+    for tv, _ in weighted:
         for name, t in tv.extras.items():
             merged.extras.setdefault(name, t)
-    return tv_merge(base, [(merged, config.lam)], threads=threads)
+    return tv_merge(base, [(merged, lam)], threads=threads)

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import vecmerge
-from vecmerge import (Checkpoint, LazyCheckpoint, MetricsTable, TaskVector, Tensor,
-                      TiesConfig, apply, elect_signs, expand_sweep, extract_task_vector,
+from vecmerge import (Checkpoint, LazyCheckpoint, TaskVector, Tensor,
+                      apply, elect_signs, expand_sweep, extract_task_vector,
                       parse_recipe, read_archive, save_archive, select_best, ties_merge,
                       trim, tv_merge, write_archive)
 from vecmerge.bench import run_bench
@@ -80,7 +80,7 @@ def test_criterion_3_lambda_zero_identity():
         canonical = write_archive(base)
         merged_tv = tv_merge(base, [(tv, 0.0), (tv, 0.0)])
         assert write_archive(merged_tv) == canonical
-        merged_ties = ties_merge(base, [tv], TiesConfig(0.5, [1.0], 0.0))
+        merged_ties = ties_merge(base, [(tv, 1.0)], 0.5, 0.0)
         assert write_archive(merged_ties) == canonical
     ok(3, "lambda-zero identity")
 
@@ -99,7 +99,7 @@ def _random_ties_instance(rng):
 def _run_ties_instance(base_vals, vectors, weights, density, lam, threads=1):
     base = Checkpoint.from_arrays({"w": base_vals})
     tvs = [TaskVector.from_arrays({"w": v}) for v in vectors]
-    out = ties_merge(base, tvs, TiesConfig(density, weights, lam), threads=threads)
+    out = ties_merge(base, list(zip(tvs, weights)), density, lam, threads=threads)
     signs = elect_signs([trim(t, density) for t in tvs], weights)
     return out, signs
 
@@ -130,7 +130,7 @@ def test_criterion_5_reduction_law():
         lam = float(rng.uniform(-2.0, 2.0))
         if lam == 0.0:
             lam = 1.0
-        got = ties_merge(base, [tv], TiesConfig(1.0, [1.0], lam))
+        got = ties_merge(base, [(tv, 1.0)], 1.0, lam)
         want = tv_merge(base, [(tv, lam)])
         for name in base.names():
             g = got.values(name).astype(np.float64)
@@ -148,10 +148,8 @@ def test_criterion_6_sweep_and_selection():
     expanded = expand_sweep(parse_recipe(json.dumps(doc)))
     assert len(expanded) == 30
     assert all(not r.grids() for r in expanded)
-    table = MetricsTable(rows=[({"lambda": 0.2}, 0.61),
-                               ({"lambda": 0.4}, 0.63),
-                               ({"lambda": 0.6}, 0.63)])
-    assert select_best(table) == {"lambda": 0.4}
+    rows = [({"lambda": 0.2}, 0.61), ({"lambda": 0.4}, 0.63), ({"lambda": 0.6}, 0.63)]
+    assert select_best(rows) == {"lambda": 0.4}
     ok(6, "sweep expansion and selection")
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -77,6 +78,21 @@ class TestExtractAndMerge:
                            "--vector", workspace / "ft.st", "--weight", "1.0",
                            "--out", workspace / "merged.st")
         assert code == 1 and "not a stored task vector" in err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--lambda", "nan", "non-finite lambda nan"),
+        ("--density", "0", "density must be in (0, 1], got 0.0"),
+        ("--density", "1.5", "density must be in (0, 1], got 1.5"),
+        ("--weight", "-1", "weights must be positive and finite"),
+    ], ids=["lambda-nan", "density-0", "density-1.5", "weight-negative"])
+    def test_merge_ties_bad_option_exit_1(self, workspace, capsys, option, value, message):
+        args = {"--weight": "1.0", "--density": "0.5", "--lambda": "1.0", option: value}
+        code, out, err = run(capsys, "merge", "ties", "--base", workspace / "base.st",
+                             "--vector", workspace / "tv.st",
+                             *[x for item in args.items() for x in item],
+                             "--out", workspace / "merged.st")
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+        assert not (workspace / "merged.st").exists()
 
 
 class TestDiffInterference:
@@ -193,7 +209,8 @@ class TestRun:
         ("lambda=0.5,0.1\nlambda=1.0;w0=1.0,0.7\n", "sweep axes"),
         ("lambda=0.5,inf\n", "non-finite metric"),
         ("", "empty metrics table"),
-    ], ids=["off-grid", "nan", "minus-inf", "off-axes", "metric-inf", "empty"])
+        ("lambda=0.5;lambda=1.0,5\n", "repeated key 'lambda'"),
+    ], ids=["off-grid", "nan", "minus-inf", "off-axes", "metric-inf", "empty", "repeated-key"])
     def test_bad_metrics_exit_2_before_any_output(self, workspace, capsys, rows, message):
         code, out, err = self.run_lambda_sweep(workspace, capsys, rows)
         assert code == 2 and err.startswith("error:") and message in err
@@ -279,6 +296,15 @@ def test_cli_import_loads_no_schema_library():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_export_resolves():
+    for module in ("vecmerge", "vecmerge.bench"):
+        namespace = {}
+        exec(f"from {module} import *", namespace)
+        names = importlib.import_module(module).__all__
+        assert len(set(names)) == len(names), module
+        assert set(names) <= set(namespace), module
 
 
 class TestBenchCommand:

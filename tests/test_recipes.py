@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vecmerge import (Checkpoint, MetricsTable, RecipeError, execute_recipe,
+from vecmerge import (Checkpoint, RecipeError, execute_recipe,
                       expand_sweep, extract_task_vector, parse_recipe,
-                      read_archive, save_archive, select_best, tv_merge,
+                      read_archive, read_metrics, save_archive, select_best, tv_merge,
                       write_archive, TaskVector, apply)
 from vecmerge.recipes import DEFAULT_GRID
 
@@ -257,45 +257,44 @@ class TestExpandSweep:
 
 class TestSelectBest:
     def test_argmax_with_tie_rule(self):
-        table = MetricsTable(rows=[({"lambda": 0.2}, 0.61),
-                                   ({"lambda": 0.4}, 0.63),
-                                   ({"lambda": 0.6}, 0.63)])
-        assert select_best(table) == {"lambda": 0.4}
+        rows = [({"lambda": 0.2}, 0.61), ({"lambda": 0.4}, 0.63), ({"lambda": 0.6}, 0.63)]
+        assert select_best(rows) == {"lambda": 0.4}
 
     def test_single_row(self):
-        assert select_best(MetricsTable(rows=[({"lambda": 0.7}, 0.5)])) == {"lambda": 0.7}
+        assert select_best([({"lambda": 0.7}, 0.5)]) == {"lambda": 0.7}
 
     def test_all_equal_takes_smallest(self):
-        table = MetricsTable(rows=[({"lambda": v}, 0.5) for v in DEFAULT_GRID])
-        assert select_best(table) == {"lambda": 0.1}
+        assert select_best([({"lambda": v}, 0.5) for v in DEFAULT_GRID]) == {"lambda": 0.1}
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         rows = [({"a": float(i), "b": float(j)}, float(rng.integers(0, 5)) / 10)
                 for i in range(4) for j in range(4)]
-        table = MetricsTable(rows=rows)
-        want = select_best(table)
+        want = select_best(rows)
         for _ in range(10):
             rng.shuffle(rows)
-            assert select_best(MetricsTable(rows=list(rows))) == want
+            assert select_best(rows) == want
 
     def test_empty_table(self):
         with pytest.raises(ValueError, match="empty"):
-            select_best(MetricsTable())
+            select_best([])
 
     def test_csv_parsing(self):
-        table = MetricsTable.from_csv(
-            "assignment,metric\nlambda=0.2,0.61\nlambda=0.4;w0=1,0.63\n")
-        assert table.rows == [({"lambda": 0.2}, 0.61), ({"lambda": 0.4, "w0": 1.0}, 0.63)]
+        rows = read_metrics("assignment,metric\nlambda=0.2,0.61\nlambda=0.4;w0=1,0.63\n", {})
+        assert rows == [({"lambda": 0.2}, 0.61), ({"lambda": 0.4, "w0": 1.0}, 0.63)]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e400"])
     def test_csv_rejects_non_finite_assignment_value(self, value):
         with pytest.raises(RecipeError, match="non-finite assignment"):
-            MetricsTable.from_csv(f"assignment,metric\nlambda=0.5,0.1\nlambda={value},0.9\n")
+            read_metrics(f"assignment,metric\nlambda=0.5,0.1\nlambda={value},0.9\n", {})
+
+    def test_csv_rejects_repeated_key(self):
+        with pytest.raises(RecipeError, match="repeated key 'w0'"):
+            read_metrics("assignment,metric\nw0=0.1;w0=0.9,5\n", {"w0": [0.1, 0.9]})
 
     def test_csv_bad_header(self):
         with pytest.raises(RecipeError, match="header"):
-            MetricsTable.from_csv("a,b\n1,2\n")
+            read_metrics("a,b\n1,2\n", {})
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vecmerge import (Checkpoint, MergeError, TaskVector, TiesConfig, apply,
+from vecmerge import (Checkpoint, MergeError, TaskVector, apply,
                       disjoint_merge, elect_signs, interference_stats, save_archive,
                       scale, tv_merge, ties_merge, trim, write_archive)
 from vecmerge.cli import main
@@ -83,7 +83,7 @@ class TestNonFinite:
         with pytest.raises(MergeError, match="non-finite"):
             trim(bad, density)
         with pytest.raises(MergeError, match="non-finite"):
-            ties_merge(base, [good, bad], TiesConfig(density, [1.0, 1.0], 1.0))
+            ties_merge(base, [(good, 1.0), (bad, 1.0)], density, 1.0)
         with pytest.raises(MergeError, match="non-finite"):
             interference_stats([good, bad], density)
 
@@ -170,7 +170,7 @@ class TestTiesMerge:
         base = Checkpoint.from_arrays({"w": [0.0, 0.0, 0.0, 0.0]})
         t1 = tv_of([1.0, -2.0, 0.5, 0.0])
         t2 = tv_of([2.0, 1.0, -0.4, 0.3])
-        out = ties_merge(base, [t1, t2], TiesConfig(density=0.5, weights=[1.0, 1.0], lam=1.0))
+        out = ties_merge(base, [(t1, 1.0), (t2, 1.0)], density=0.5, lam=1.0)
         np.testing.assert_array_equal(out.values("w"), [1.5, -2.0, 0.0, 0.0])
 
     def test_reduction_to_tv(self):
@@ -178,7 +178,7 @@ class TestTiesMerge:
         base = Checkpoint.from_arrays({"w": rng.normal(size=16)}, "F32")
         tv = tv_of(rng.normal(size=16))
         for lam in (0.25, 1.0, 2.0):
-            got = ties_merge(base, [tv], TiesConfig(1.0, [1.0], lam))
+            got = ties_merge(base, [(tv, 1.0)], 1.0, lam)
             want = tv_merge(base, [(tv, lam)])
             g = got.values("w")
             w = want.values("w")
@@ -196,12 +196,12 @@ class TestTiesMerge:
         trimmed = [trim(tv, density) for tv in tvs]
         merged = disjoint_merge(trimmed, weights, elect_signs(trimmed, weights))
         for lam in DEFAULT_GRID + [-0.7]:
-            got = ties_merge(base, tvs, TiesConfig(density, weights, lam))
+            got = ties_merge(base, list(zip(tvs, weights)), density, lam)
             assert write_archive(got) == write_archive(apply(base, scale(merged, lam)))
 
     def test_lambda_zero_identity(self):
         base = Checkpoint.from_arrays({"w": [1.0, -2.0]}, "F16")
-        out = ties_merge(base, [tv_of([5.0, 5.0])], TiesConfig(0.5, [1.0], 0.0))
+        out = ties_merge(base, [(tv_of([5.0, 5.0]), 1.0)], 0.5, 0.0)
         assert write_archive(out) == write_archive(base)
 
     def test_permutation_equivariance(self):
@@ -210,20 +210,21 @@ class TestTiesMerge:
         base = Checkpoint.from_arrays({"w": np.zeros(24)})
         vs = [tv_of(rng.integers(-2 ** 16, 2 ** 16, size=24) / 1024.0) for _ in range(4)]
         weights = [1.0, 2.0, 0.5, 4.0]
-        ref = ties_merge(base, vs, TiesConfig(0.5, weights, 1.0))
+        ref = ties_merge(base, list(zip(vs, weights)), 0.5, 1.0)
         for perm in itertools.permutations(range(4)):
-            out = ties_merge(base, [vs[i] for i in perm],
-                             TiesConfig(0.5, [weights[i] for i in perm], 1.0))
+            out = ties_merge(base, [(vs[i], weights[i]) for i in perm], 0.5, 1.0)
             np.testing.assert_array_equal(out.values("w"), ref.values("w"))
 
     def test_config_validation(self):
         base = Checkpoint.from_arrays({"w": [0.0]})
         with pytest.raises(ValueError, match="density"):
-            ties_merge(base, [tv_of([1.0])], TiesConfig(0.0, [1.0], 1.0))
+            ties_merge(base, [(tv_of([1.0]), 1.0)], 0.0, 1.0)
         with pytest.raises(ValueError, match="weights"):
-            ties_merge(base, [tv_of([1.0])], TiesConfig(0.5, [-1.0], 1.0))
+            ties_merge(base, [(tv_of([1.0]), -1.0)], 0.5, 1.0)
+        with pytest.raises(ValueError, match="non-finite lambda"):
+            ties_merge(base, [(tv_of([1.0]), 1.0)], 0.5, float("nan"))
         with pytest.raises(ValueError, match="1 weights for 2"):
-            ties_merge(base, [tv_of([1.0]), tv_of([2.0])], TiesConfig(0.5, [1.0], 1.0))
+            elect_signs([tv_of([1.0]), tv_of([2.0])], [1.0])
 
 
 class TestOracleEquivalence:
@@ -240,7 +241,7 @@ class TestOracleEquivalence:
 
             base = Checkpoint.from_arrays({"w": base_vals})
             tvs = [tv_of(v) for v in vectors]
-            out = ties_merge(base, tvs, TiesConfig(density, weights, lam))
+            out = ties_merge(base, list(zip(tvs, weights)), density, lam)
             signs = elect_signs([trim(t, density) for t in tvs], weights)
 
             merged_ref, gamma_ref = naive_ties_vector(vectors, weights, density)
