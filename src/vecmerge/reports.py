@@ -58,6 +58,20 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)]
 
 
+def _abs_sum(d: np.ndarray, scratch: np.ndarray) -> float:
+    """np.sum(np.abs(d)), bit for bit: |d| goes into `scratch` in d's
+    memory order, the order of np.abs's own output, so the pairwise sum
+    adds the same terms in the same order."""
+    return float(np.sum(np.abs(d.ravel("K"), out=scratch[:d.size])))
+
+
+def _signs(d: np.ndarray) -> np.ndarray:
+    """sign(d) as int8, from two comparisons."""
+    s = (d > 0.0).view(np.int8)
+    s -= (d < 0.0).view(np.int8)
+    return s
+
+
 def interference_stats(tvs: list[TaskVector], density: float) -> dict:
     """Trim-mass and pairwise sign agreement after TIES trimming.
 
@@ -78,20 +92,21 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
     glob_all = [0.0] * len(tvs)
     glob_agree = {f"{i}-{j}": [0, 0] for i, j in pair_idx}
     glob_zero = 0
+    # |delta| of one tensor at a time, in scratch the call allocates once
+    magnitude = np.empty(max((d.size for tv in tvs for d in tv.deltas.values()), default=0))
     for name in names:
         mass = []
         for t, (tv, tr) in enumerate(zip(tvs, trimmed)):
             if name in tv.deltas:
-                all_mass = float(np.sum(np.abs(tv.deltas[name])))
-                kept_mass = float(np.sum(np.abs(tr.deltas[name])))
+                all_mass = _abs_sum(tv.deltas[name], magnitude)
+                kept_mass = _abs_sum(tr.deltas[name], magnitude)
                 glob_all[t] += all_mass
                 glob_kept[t] += kept_mass
             else:
                 all_mass = kept_mass = 0.0
             mass.append(kept_mass / all_mass if all_mass else 1.0)
         agreement = {}
-        sgn = [np.sign(tr.deltas[name]).astype(np.int8) if name in tr.deltas else None
-               for tr in trimmed]
+        sgn = [_signs(tr.deltas[name]) if name in tr.deltas else None for tr in trimmed]
         for i, j in pair_idx:
             key = f"{i}-{j}"
             if sgn[i] is None or sgn[j] is None:

@@ -73,6 +73,13 @@ def is_task_vector_archive(ckpt: Checkpoint) -> bool:
     return bool(ckpt.metadata) and ckpt.metadata.get(KIND_KEY) == TASK_VECTOR_KIND
 
 
+def _operand(t: Tensor) -> np.ndarray:
+    """A tensor's values as a ufunc operand: BF16 decoded, any other stored
+    form as it is, since a ufunc casts it, misaligned or not, in small
+    buffers faster than a full aligned copy is made."""
+    return t.values if t.dtype == "BF16" else t.data
+
+
 def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
                         policy: str = "error") -> TaskVector:
     """delta = finetuned - base over the shared name/shape intersection.
@@ -95,7 +102,7 @@ def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
 
     tv = TaskVector(origin=f"extract(base={len(base)} tensors, finetuned={len(finetuned)} tensors)")
     for name in shared:
-        d = widen(finetuned[name].data) - widen(base[name].data)
+        d = np.subtract(*(_operand(t[name]) for t in (finetuned, base)), dtype=np.float64)
         d.setflags(write=False)
         tv.deltas[name] = d
     if policy == "copy_from_finetuned":

@@ -91,6 +91,130 @@ def naive_ties_vector(vector_lists, weights, density):
     return merged, gammas
 
 
+# --- the TIES kernels as whole-tensor numpy: np.where selects, np.sign
+# election, widen-then-subtract extraction; the kernels match them bit for bit ---
+
+def reference_trim(tv, density):
+    """Per tensor: |d| ranked by partition, ties at the threshold kept in
+    index order, then np.where(keep, d, 0.0)."""
+    from vecmerge import MergeError, TaskVector
+
+    out = TaskVector(extras=dict(tv.extras), ignored=list(tv.ignored))
+    for name, d in tv.deltas.items():
+        flat = d.reshape(-1)
+        n = flat.size
+        mag = np.abs(flat)
+        if n and not np.isfinite(mag.max()):
+            raise MergeError(f"tensor {name!r}: non-finite delta cannot be trimmed")
+        k = math.ceil(density * n)
+        if k == n:
+            out.deltas[name] = d
+            continue
+        threshold = np.partition(mag, n - k)[n - k]
+        keep = mag > threshold
+        room = k - int(np.count_nonzero(keep))
+        keep[np.flatnonzero(mag == threshold)[:room]] = True
+        out.deltas[name] = np.where(keep, flat, 0.0).reshape(d.shape)
+    return out
+
+
+def reference_elect_signs(trimmed, weights):
+    """np.sign of the weighted total from 0.0 in vector order, a NaN
+    total taken as 0."""
+    shapes = {name: d.shape for tv in trimmed for name, d in tv.deltas.items()}
+    signs = {}
+    for name, shape in shapes.items():
+        total = np.zeros(shape, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for tv, w in zip(trimmed, weights):
+                if name in tv.deltas:
+                    total += float(w) * tv.deltas[name]
+        signs[name] = np.sign(np.where(np.isnan(total), 0.0, total)).astype(np.int8)
+    return signs
+
+
+def reference_disjoint_merge(trimmed, weights, signs):
+    """num and den from 0.0 in vector order through np.where and
+    bool * weight, then num / den where den != 0, else +0.0."""
+    from vecmerge import TaskVector
+
+    shapes = {name: d.shape for tv in trimmed for name, d in tv.deltas.items()}
+    out = TaskVector()
+    for name, shape in shapes.items():
+        gamma = signs[name]
+        num = np.zeros(shape, dtype=np.float64)
+        den = np.zeros(shape, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            for tv, w in zip(trimmed, weights):
+                if name in tv.deltas:
+                    d = tv.deltas[name]
+                    agree = d * gamma > 0
+                    num += np.where(agree, float(w) * d, 0.0)
+                    den += agree * float(w)
+        out.deltas[name] = np.divide(num, den, out=np.zeros(shape, dtype=np.float64),
+                                     where=den != 0)
+    return out
+
+
+def reference_extract(base, finetuned) -> dict:
+    """widen(finetuned) - widen(base) per shared name and shape."""
+    from vecmerge.dtypes import widen
+
+    return {name: widen(finetuned[name].data) - widen(base[name].data)
+            for name in finetuned.names()
+            if name in base and base[name].shape == finetuned[name].shape}
+
+
+def reference_interference_stats(tvs, density) -> dict:
+    """The interference report through the references above, with
+    np.sum(np.abs(d)) masses and np.sign signs."""
+    trimmed = [reference_trim(tv, density) for tv in tvs]
+    signs = reference_elect_signs(trimmed, [1.0] * len(trimmed))
+    n = len(tvs)
+    pairs = ([(i, j) for i in range(n) for j in range(i + 1, n)] if n <= 8
+             else [(i, i + 1) for i in range(n - 1)])
+    glob_kept, glob_all = [0.0] * n, [0.0] * n
+    glob_agree = {f"{i}-{j}": [0, 0] for i, j in pairs}
+    glob_zero = 0
+    per_tensor = {}
+    for name in sorted({name for tv in tvs for name in tv.deltas}):
+        mass = []
+        for t, (tv, tr) in enumerate(zip(tvs, trimmed)):
+            all_mass = kept_mass = 0.0
+            if name in tv.deltas:
+                all_mass = float(np.sum(np.abs(tv.deltas[name])))
+                kept_mass = float(np.sum(np.abs(tr.deltas[name])))
+                glob_all[t] += all_mass
+                glob_kept[t] += kept_mass
+            mass.append(kept_mass / all_mass if all_mass else 1.0)
+        sgn = [np.sign(tr.deltas[name]).astype(np.int8) if name in tr.deltas else None
+               for tr in trimmed]
+        agreement = {}
+        for i, j in pairs:
+            if sgn[i] is None or sgn[j] is None:
+                continue
+            both = sgn[i] * sgn[j]
+            n_joint, n_agree = int(np.count_nonzero(both)), int(np.count_nonzero(both > 0))
+            if n_joint:
+                agreement[f"{i}-{j}"] = n_agree / n_joint
+            glob_agree[f"{i}-{j}"][0] += n_agree
+            glob_agree[f"{i}-{j}"][1] += n_joint
+        zero_count = int(np.count_nonzero(signs[name] == 0))
+        per_tensor[name] = {"sign_agreement": agreement, "trimmed_mass": mass,
+                            "zero_sign_count": zero_count}
+        glob_zero += zero_count
+    return {
+        "density": density,
+        "global": {
+            "sign_agreement": {key: (v[0] / v[1] if v[1] else 1.0)
+                               for key, v in glob_agree.items()},
+            "trimmed_mass": [k / a if a else 1.0 for k, a in zip(glob_kept, glob_all)],
+            "zero_sign_count": glob_zero,
+        },
+        "per_tensor": per_tensor,
+    }
+
+
 # --- naive toy-bench references: per-sample draws, allocating training step ---
 
 def naive_gaussians(rng, n):

@@ -1,5 +1,8 @@
 import itertools
+import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import vecmerge.ties as ties_mod
 from vecmerge import (Checkpoint, MergeError, TaskVector, apply,
-                      disjoint_merge, elect_signs, interference_stats, save_archive,
-                      scale, tv_merge, ties_merge, trim, write_archive)
+                      disjoint_merge, elect_signs, interference_stats, read_archive,
+                      save_archive, scale, tv_merge, ties_merge, trim, write_archive)
 from vecmerge.cli import main
 from vecmerge.recipes import DEFAULT_GRID
 
-from helpers import DTYPES, naive_ties_vector, naive_trim
+from helpers import (DTYPES, naive_ties_vector, naive_trim, reference_disjoint_merge,
+                     reference_elect_signs, reference_interference_stats, reference_trim)
 
 
 def tv_of(values):
@@ -125,6 +130,17 @@ class TestElectSigns:
         np.testing.assert_array_equal(signs["w"], [-1])
         np.testing.assert_array_equal(signs["v"], [-1])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values, weights, want", [
+        ([[np.nan]], [1.0], [0]),
+        ([[1e308], [-1e308]], [10.0, 10.0], [0]),  # inf - inf
+        ([[1e308, 1.0], [1e308, -20.0]], [10.0, 1.0], [1, -1]),  # inf + 1e308
+    ], ids=["nan-delta", "overflow-to-nan", "overflow-to-inf"])
+    def test_nan_total_elects_zero_without_a_warning(self, values, weights, want):
+        signs = elect_signs([tv_of(v) for v in values], weights)
+        assert signs["w"].dtype == np.int8
+        np.testing.assert_array_equal(signs["w"], want)
+
 
 class TestDisjointMerge:
     def test_hand_case(self):
@@ -142,6 +158,16 @@ class TestDisjointMerge:
         v = tv_of([0.0, 0.0])
         out = disjoint_merge([v, v], [1.0, 1.0], elect_signs([v, v], [1.0, 1.0]))
         assert not out.deltas["w"].any()
+
+    def test_signs_of_another_shape_raise(self):
+        v = tv_of([1.0, -2.0, 3.0])
+        with pytest.raises(MergeError, match=r"tensor 'w': signs of shape \(1,\) for shape \(3,\)"):
+            disjoint_merge([v], [1.0], {"w": np.ones(1, np.int8)})
+
+    def test_missing_signs_raise(self):
+        v = TaskVector.from_arrays({"w": [1.0], "v": [2.0]})
+        with pytest.raises(MergeError, match="tensor 'v': no elected signs"):
+            disjoint_merge([v], [1.0], {"w": np.ones(1, np.int8)})
 
     def test_sign_consistency(self):
         rng = np.random.default_rng(2)
@@ -163,6 +189,112 @@ def test_elect_and_disjoint_reject_bad_weights(bad):
     signs = elect_signs(vs, [1.0, 1.0])
     with pytest.raises(ValueError, match="weights must be positive and finite"):
         disjoint_merge(vs, [1.0, bad], signs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_full_cancellation_warns_nothing():
+    # every position cancels, so every den is 0
+    a, b = tv_of([1.0, -2.0, 0.5, 0.0]), tv_of([-1.0, 2.0, -0.5, 0.0])
+    signs = elect_signs([a, b], [1.0, 1.0])
+    assert not signs["w"].any()
+    merged = disjoint_merge([a, b], [1.0, 1.0], signs)
+    assert not merged.deltas["w"].view(np.uint64).any()  # +0.0 everywhere
+    base = Checkpoint.from_arrays({"w": [1.0, 2.0, 3.0, 4.0]})
+    out = ties_merge(base, [(a, 1.0), (b, 1.0)], 1.0, 1.0)
+    assert write_archive(out) == write_archive(base)
+    assert interference_stats([a, b], 1.0)["global"]["zero_sign_count"] == 4
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0, 2.5,
+            1e308, -1e308]
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+class TestKernelsMatchReferences:
+    """trim, elect_signs, disjoint_merge and interference_stats equal the
+    whole-tensor references in tests/helpers.py bit for bit, at any chunk
+    length."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bits(self, data):
+        shapes = data.draw(st.lists(st.sampled_from([(), (0,), (3, 0), (1,), (2,), (7,), (13,),
+                                                     (4, 5), (41,)]), min_size=1, max_size=3))
+        elements = st.one_of(st.sampled_from(_SPECIAL),  # ±0.0, subnormals, overflow with w
+                             st.integers(-3, 3).map(float),  # ties at the threshold
+                             st.floats(allow_nan=False, allow_infinity=False))
+        tvs = []
+        for _ in range(data.draw(st.integers(1, 4), label="vectors")):
+            present = [i for i in range(len(shapes)) if i == 0 or data.draw(st.booleans())]
+            tvs.append(TaskVector.from_arrays(
+                {f"t{i}": data.draw(arrays(np.float64, shapes[i], elements=elements))
+                 for i in present}))
+        if data.draw(st.booleans(), label="through archives"):  # misaligned F64 views
+            tvs = [TaskVector.from_checkpoint(read_archive(write_archive(tv.to_checkpoint())))
+                   for tv in tvs]
+        weights = [data.draw(st.one_of(st.sampled_from([1.0, 0.5, 10.0, 1e-300, 3e300]),
+                                       st.floats(0.01, 100.0))) for _ in tvs]
+        density = data.draw(st.one_of(st.sampled_from([0.2, 1.0]),
+                                      st.floats(0.0, 1.0, exclude_min=True)))
+        chunk = data.draw(st.sampled_from([1, 2, 3, 8, 64]), label="_CHUNK")
+
+        with mock.patch.object(ties_mod, "_CHUNK", chunk):
+            trimmed = [trim(tv, density) for tv in tvs]
+            signs = elect_signs(trimmed, weights)
+            merged = disjoint_merge(trimmed, weights, signs)
+            report = interference_stats(tvs, density)
+        for got, want in zip(trimmed, [reference_trim(tv, density) for tv in tvs]):
+            assert got.deltas.keys() == want.deltas.keys()
+            assert all(_same_bits(got.deltas[n], want.deltas[n]) for n in got.deltas)
+        want_signs = reference_elect_signs(trimmed, weights)
+        assert signs.keys() == want_signs.keys()
+        assert all(_same_bits(signs[n], want_signs[n]) for n in signs)
+        want_merged = reference_disjoint_merge(trimmed, weights, signs)
+        assert merged.deltas.keys() == want_merged.deltas.keys()
+        assert all(_same_bits(merged.deltas[n], want_merged.deltas[n]) for n in merged.deltas)
+        assert (json.dumps(report, sort_keys=True)
+                == json.dumps(reference_interference_stats(tvs, density), sort_keys=True))
+
+
+class TestAllocationCeiling:
+    """Peak traced allocation of each kernel on 3 vectors of one
+    2**20-element tensor, in units of that tensor as float64, output
+    included. The whole-tensor kernels peaked at 2.125 (trim), 2.125
+    (elect), 4.125 (disjoint) and 5.125 (interference). Each ceiling is at
+    most that, and half a tensor above the chunked kernel's own peak, so
+    one more full-size temporary breaks it."""
+
+    N = 1 << 20
+
+    @pytest.fixture(scope="class")
+    def vectors(self):
+        rng = np.random.default_rng(9)
+        tvs = [tv_of(rng.normal(size=self.N)) for _ in range(3)]
+        trimmed = [trim(tv, 0.2) for tv in tvs]
+        return tvs, trimmed, elect_signs(trimmed, [1.0, 0.5, 2.0])
+
+    @pytest.mark.parametrize("kernel, ceiling", [
+        ("trim", 1.5), ("elect", 0.75), ("disjoint", 1.75), ("interference", 5.125)])
+    def test_peak(self, vectors, kernel, ceiling):
+        tvs, trimmed, signs = vectors
+        weights = [1.0, 0.5, 2.0]
+        run = {"trim": lambda: trim(tvs[0], 0.2),
+               "elect": lambda: elect_signs(trimmed, weights),
+               "disjoint": lambda: disjoint_merge(trimmed, weights, signs),
+               "interference": lambda: interference_stats(tvs, 0.2)}[kernel]
+        tracemalloc.start()
+        try:
+            result = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result
+        assert peak / (8 * self.N) <= ceiling
 
 
 class TestTiesMerge:

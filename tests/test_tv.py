@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -16,7 +17,7 @@ from vecmerge.tv import is_task_vector_archive
 
 from vecmerge.dtypes import dtype_size, narrow
 
-from helpers import DTYPES, random_checkpoint, reference_tv_merge_bits
+from helpers import DTYPES, random_checkpoint, reference_extract, reference_tv_merge_bits
 
 
 def ckpt(arrays, dtype="F64"):
@@ -64,6 +65,32 @@ class TestExtract:
         tv = extract_task_vector(base, ft, policy="ignore")
         assert tv.names() == ["w"]
         assert tv.ignored == ["v"]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_widen_then_subtract_bits(self, data):
+        values = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-40, -6e-8, 1e300, np.inf,
+                                            -np.inf, np.nan]),
+                           st.floats(allow_nan=False, allow_infinity=False, width=32))
+        base, ft = Checkpoint(), Checkpoint()
+        for i in range(data.draw(st.integers(1, 3))):
+            shape = data.draw(st.sampled_from([(), (0,), (1,), (5,), (3, 4), (33,)]))
+            for side in (base, ft):
+                dtype = data.draw(st.sampled_from(DTYPES))
+                flat = data.draw(st.lists(values, min_size=math.prod(shape),
+                                          max_size=math.prod(shape)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    data_ = narrow(np.array(flat, dtype=np.float64).reshape(shape), dtype)
+                side.tensors[f"t{i}"] = Tensor(dtype, data_)
+        if data.draw(st.booleans(), label="through archives"):  # stored forms, misaligned views
+            base, ft = (read_archive(write_archive(c)) for c in (base, ft))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = extract_task_vector(base, ft)
+            want = reference_extract(base, ft)
+        assert sorted(got.deltas) == sorted(want)
+        for name, d in got.deltas.items():
+            assert d.dtype == np.float64 and d.shape == want[name].shape
+            assert d.tobytes() == want[name].tobytes(), name
 
 
 class TestScaleAdd:
