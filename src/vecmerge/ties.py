@@ -114,13 +114,6 @@ def _union_shapes(tvs: list[TaskVector]) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _weighted(d: np.ndarray, w: float, out: np.ndarray) -> np.ndarray:
-    """w * d, written into `out`, or d itself when w is 1.0: the product
-    would equal d but for a NaN's payload, and a NaN elects 0 and never
-    agrees with a sign."""
-    return d if w == 1.0 else np.multiply(d, w, out=out)
-
-
 def elect_signs(trimmed: list[TaskVector], weights: list[float]) -> dict[str, np.ndarray]:
     """gamma = sign(sum_t w_t * tau_t) per element, as int8 arrays in
     {-1, 0, +1} by tensor name. A total of 0 or NaN elects 0: the sign is
@@ -142,7 +135,7 @@ def elect_signs(trimmed: list[TaskVector], weights: list[float]) -> dict[str, np
                 # -0.0 total where it would be +0.0, and both elect 0
                 np.multiply(first[start:stop], w0, out=acc)
                 for d, w in rest:
-                    acc += _weighted(d[start:stop], w, t)
+                    acc += np.multiply(d[start:stop], w, out=t)
                 s = sign[start:stop]
                 np.greater(acc, 0.0, out=s.view(np.bool_))
                 np.subtract(s, np.less(acc, 0.0, out=lt).view(np.int8), out=s)
@@ -188,7 +181,7 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
                 # sign(d) == gamma != 0 exactly when d * gamma > 0 (gamma is -1/0/+1)
                 np.greater(np.multiply(part, g, out=t), 0.0, out=a)
                 np.negative(a, out=a)
-                num += np.bitwise_and(_weighted(part, w, t).view(np.uint64), a,
+                num += np.bitwise_and(np.multiply(part, w, out=t).view(np.uint64), a,
                                       out=term_bits[:m]).view(np.float64)
                 dn += np.bitwise_and(a, w_bits, out=a).view(np.float64)
             # den is 0 only where no vector agrees, and num is +0.0 there;
