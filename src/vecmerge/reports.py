@@ -62,7 +62,7 @@ def _abs_sum(d: np.ndarray, scratch: np.ndarray) -> float:
     """np.sum(np.abs(d)), bit for bit: |d| goes into `scratch` in d's
     memory order, the order of np.abs's own output, so the pairwise sum
     adds the same terms in the same order."""
-    return float(np.sum(np.abs(d.ravel("K"), out=scratch[:d.size])))
+    return float(np.add.reduce(np.abs(d.ravel("K"), out=scratch[:d.size])))
 
 
 def _signs(d: np.ndarray) -> np.ndarray:

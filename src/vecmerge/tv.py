@@ -102,7 +102,7 @@ def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
 
     tv = TaskVector(origin=f"extract(base={len(base)} tensors, finetuned={len(finetuned)} tensors)")
     for name in shared:
-        d = np.subtract(*(_operand(t[name]) for t in (finetuned, base)), dtype=np.float64)
+        d = np.subtract(_operand(finetuned[name]), _operand(base[name]), dtype=np.float64)
         d.setflags(write=False)
         tv.deltas[name] = d
     if policy == "copy_from_finetuned":
