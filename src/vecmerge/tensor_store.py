@@ -10,10 +10,14 @@ produce byte-equal archives.
 
 Every tensor holds one form, its stored form: the archive encoding, with
 BF16 as uint16 bits (see dtypes). Its `values` are a decoded view, made
-anew at each read and never cached. Files are read through a read-only
-memory map, and nothing is copied at read: each tensor's data is a view
-of the map or of the bytes read, which may be misaligned, and
-`release(array)` drops the mapped pages under data no longer needed.
+anew at each read and never cached. Files are mapped read-only, and
+nothing is copied at read: each tensor's data is a view of the map or of
+the bytes read, which may be misaligned. The merge and extract kernels
+copy mapped data chunk by chunk with `read_chunk`, a positioned read of
+the file, so they hold no mapped page, and raise ArchiveError on a file
+truncated after it was read. `values`, `diff`, the writer's copy of an
+unmerged tensor, and `trim`, `interference` and `cosine` of a stored F64
+vector still read the map, where such a file kills the process (SIGBUS).
 `_layout` alone decides what is valid: the reader raises its first
 problem, and `validate_archive` lists them all, then gaps and trailing
 bytes, in the JSON object that `vecmerge inspect` prints. Files are
@@ -29,6 +33,7 @@ import math
 import mmap
 import os
 import stat
+import weakref
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -267,7 +272,8 @@ def _layout(raw: memoryview, problems: list[str]) -> tuple[list[TensorSpec], dic
 
 
 class _ArchiveMap(mmap.mmap):
-    """A map made by _open_archive, at memory `address`: the only kind `release` drops."""
+    """A map made by _open_archive, at memory `address`, with `fd`, its own
+    descriptor of the file: the only kind `read_chunk` reads by position."""
 
 
 def _open_archive(path) -> memoryview:
@@ -282,28 +288,31 @@ def _open_archive(path) -> memoryview:
         if not (stat.S_ISREG(info.st_mode) and info.st_size):
             return memoryview(fh.read())
         mapped = _ArchiveMap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        mapped.fd = os.dup(fh.fileno())
+    weakref.finalize(mapped, os.close, mapped.fd)
     mapped.address = np.frombuffer(mapped, np.uint8).ctypes.data
     return memoryview(mapped)
 
 
-def release(array: np.ndarray, stop: int | None = None) -> None:
-    """Drop the mapped pages wholly inside contiguous `array`, or inside its
-    first `stop` elements, if it views a file read_archive mapped; a later
-    read faults them back in from the file. Any other array is left alone:
-    a caller's own map may hold pages (say, copy-on-write) the file lacks.
-    """
+def read_chunk(array: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
+    """Elements [start, start + out.size) of 1-d stored form `array`: if it
+    views a map read_archive made, `out` (same dtype, contiguous) read full
+    of them from the file by position, touching no page of the map; else
+    its own view of them (in memory, over bytes, a caller's map), uncopied."""
     view = array.base
     while isinstance(view, np.ndarray):
         view = view.base
     if not (isinstance(view, memoryview) and isinstance(view.obj, _ArchiveMap)
-            and hasattr(mmap, "MADV_DONTNEED")):
-        return
-    begin = array.ctypes.data - view.obj.address
-    end = begin + array.itemsize * (array.size if stop is None else min(stop, array.size))
-    lo = -(-begin // mmap.PAGESIZE) * mmap.PAGESIZE
-    hi = end // mmap.PAGESIZE * mmap.PAGESIZE
-    if hi > lo:
-        view.obj.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+            and array.flags.c_contiguous and hasattr(os, "preadv")):
+        return array[start:start + out.size]
+    buf, done = out.view(np.uint8), 0
+    offset = array.ctypes.data - view.obj.address + start * array.itemsize
+    while done < buf.size:  # a read may stop short, as Linux caps one at ~2 GiB
+        got = os.preadv(view.obj.fd, [buf[done:]], offset + done)
+        if not got:
+            raise ArchiveError(f"archive truncated after it was read: byte {offset + done} is gone")
+        done += got
+    return out
 
 
 def read_archive(path_or_bytes) -> Checkpoint:

@@ -2,10 +2,12 @@
 
 All arithmetic accumulates in float64 regardless of storage dtype; the
 rounding back to the base tensor's dtype happens exactly once per output
-element. Tensors are processed in cache-sized chunks, each decoded
-straight from the base's stored form, so merge temporaries stay small
-whatever the tensor size, and a merge made for writing (`tv_merge_lazy`)
-holds only the few tensors in flight.
+element. Extraction and merging go through tensors in cache-sized
+chunks of the operands' stored forms, which `read_chunk` reads by
+position into per-call scratch where read_archive mapped the file, so no
+mapped page is touched. Temporaries stay small whatever the tensor size,
+and a merge made for writing (`tv_merge_lazy`) holds only the few
+tensors in flight.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dtypes import narrow, storage_dtype, widen
-from .tensor_store import ArchiveError, Checkpoint, LazyCheckpoint, Tensor, read_archive, release
+from .tensor_store import (ArchiveError, Checkpoint, LazyCheckpoint, Tensor, read_archive,
+                           read_chunk)
 
 TASK_VECTOR_KIND = "task_vector"
 KIND_KEY = "vecmerge.kind"
@@ -73,13 +76,6 @@ def is_task_vector_archive(ckpt: Checkpoint) -> bool:
     return bool(ckpt.metadata) and ckpt.metadata.get(KIND_KEY) == TASK_VECTOR_KIND
 
 
-def _operand(t: Tensor) -> np.ndarray:
-    """A tensor's values as a ufunc operand: BF16 decoded, any other stored
-    form as it is, since a ufunc casts it, misaligned or not, in small
-    buffers faster than a full aligned copy is made."""
-    return t.values if t.dtype == "BF16" else t.data
-
-
 def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
                         policy: str = "error") -> TaskVector:
     """delta = finetuned - base over the shared name/shape intersection.
@@ -102,9 +98,7 @@ def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
 
     tv = TaskVector(origin=f"extract(base={len(base)} tensors, finetuned={len(finetuned)} tensors)")
     for name in shared:
-        d = np.subtract(_operand(finetuned[name]), _operand(base[name]), dtype=np.float64)
-        d.setflags(write=False)
-        tv.deltas[name] = d
+        tv.deltas[name] = _subtract(finetuned[name].data, base[name].data)
     if policy == "copy_from_finetuned":
         for name in mismatched:
             if name in finetuned:
@@ -148,25 +142,42 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
     return out
 
 
+def _subtract(finetuned: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """finetuned - base in float64, as a read-only array, reading and
+    widening the two stored forms chunk by chunk as _merge_tensor does."""
+    ft, b = finetuned.reshape(-1), base.reshape(-1)
+    d = np.empty(ft.size)
+    n = min(d.size, _CHUNK)
+    ft_stored, b_stored, wide = np.empty(n, ft.dtype), np.empty(n, b.dtype), np.empty(n)
+    for start in range(0, d.size, _CHUNK):
+        k = min(_CHUNK, d.size - start)
+        part = widen(read_chunk(ft, start, ft_stored[:k]), d[start:start + k])
+        part -= widen(read_chunk(b, start, b_stored[:k]), wide[:k])
+    d = d.reshape(finetuned.shape)
+    d.setflags(write=False)
+    return d
+
+
 def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]]) -> Tensor:
-    """base + sum(lam*delta) in float64, chunk by chunk, rounded once to
-    the base's stored form; each delta's mapped pages are released as the
-    chunks pass them. Every NaN is written as the positive quiet NaN of
-    the stored dtype, whatever sign and payload the sum gave it, since
-    those follow numpy's loop choice and so the chunk length and CPU."""
+    """base + sum(lam*delta) in float64, chunk by chunk, each read into
+    per-call scratch (see read_chunk), rounded once to the base's stored
+    form. Every NaN is written as the positive quiet NaN of the stored
+    dtype, whatever sign and payload the sum gave it, since those follow
+    numpy's loop choice and so the chunk length and CPU."""
     src = base.data.reshape(-1)
     flat = [(delta.reshape(-1), lam) for delta, lam in deltas]
     out = np.empty(src.size, dtype=storage_dtype(base.dtype))
-    acc = np.empty(min(src.size, _CHUNK))
+    stored = np.empty(min(src.size, _CHUNK), src.dtype)
+    acc = np.empty(stored.size)
     term = np.empty_like(acc)
     for start in range(0, src.size, _CHUNK):
-        stop = min(start + _CHUNK, src.size)
-        part = widen(src[start:stop], acc[:stop - start])
+        k = min(_CHUNK, src.size - start)
+        part = widen(read_chunk(src, start, stored[:k]), acc[:k])
         for delta, lam in flat:
-            part += np.multiply(delta[start:stop], lam, out=term[:stop - start])
-            release(delta, stop)
+            # a chunk read into term is scaled in place: the same rounding
+            part += np.multiply(read_chunk(delta, start, term[:k]), lam, out=term[:k])
         part[np.isnan(part)] = np.nan
-        narrow(part, base.dtype, out[start:stop])
+        narrow(part, base.dtype, out[start:start + k])
     return Tensor(base.dtype, out.reshape(base.shape))
 
 
@@ -219,9 +230,9 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
 
     At most `threads` tensors are merged at once, and merging runs ahead
     of the reader by under `threads` times the largest tensor's elements,
-    so small tensors between large ones do not leave threads idle. The
-    mapped pages of each vector are released as the merge's chunks pass
-    them, and those of the base once its tensor is merged.
+    so small tensors between large ones do not leave threads idle. Mapped
+    operands are read from their files chunk by chunk, and never mapped
+    in, so a merge holds no more of them than its scratch.
     """
     if not weighted:
         raise MergeError("tv_merge requires at least one (vector, weight) pair")
@@ -246,9 +257,7 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
     def one(name: str) -> tuple[str, Tensor]:
         if name not in per_name:
             return name, base[name] if name in base else extras[name]
-        tensor = _merge_tensor(base[name], per_name[name])
-        release(base[name].data)
-        return name, tensor
+        return name, _merge_tensor(base[name], per_name[name])
 
     names = sorted(layout)
     sizes = [base[n].data.size if n in per_name else 0 for n in names]

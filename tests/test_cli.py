@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vecmerge
 from vecmerge import Checkpoint, TaskVector, apply, read_archive, save_archive
 from vecmerge.cli import main
 
@@ -335,3 +337,84 @@ class TestTemplates:
             assert recipe.grids()  # templates leave the scale as a sweep
         note = json.loads((root / "labeled-only.json").read_text())
         assert note["regime"] == "labeled-only"
+
+
+DISPATCH_GROUPS = ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")
+
+DISPATCH_RUN = """
+import json, sys
+from pathlib import Path
+from vecmerge.cli import main
+
+inputs = Path(sys.argv[1])  # outputs go to the working directory, named alike in each child
+
+
+def vectors(kind):
+    return [a for i in range(2) for a in ("--vector", str(inputs / f"{kind}{i}.st"))]
+
+
+for dtype in ("F64", "F32", "F16", "BF16"):
+    base = str(inputs / f"base_{dtype}.st")
+    recipes = {  # TIES rejects a non-finite delta, so its vectors are finite
+        "ties": {"method": "ties", "density": 0.3, "lambda": {"grid": [0.5, 1.0, 1.5]},
+                 "vectors": [{"source": str(inputs / f"finite{i}.st"), "weight": 1.0}
+                             for i in range(2)]},
+        "tv": {"method": "tv", "vectors": [
+            {"source": str(inputs / f"ft{i}_{dtype}.st"), "weight": {"grid": [0.5, -1.0]}}
+            for i in range(2)]}}
+    for method, recipe in recipes.items():
+        recipe.update(base=base, output=f"sweep_{method}_{dtype}.st")
+        Path("recipe.json").write_text(json.dumps(recipe))
+        assert main(["run", "--recipe", "recipe.json", "--sweep"]) == 0
+    assert main(["merge", "tv", "--base", base, *vectors("special"), "--weight", "0.5",
+                 "--weight", "-0.25", "--out", f"tv_{dtype}.st"]) == 0
+    assert main(["merge", "ties", "--base", base, *vectors("finite"), "--weight", "1.0",
+                 "--weight", "0.5", "--density", "0.3",
+                 "--out", f"ties_{dtype}.st"]) == 0
+"""
+
+
+def _special_values(rng, n: int, dtype: str, finite: bool = False) -> np.ndarray:
+    """Normal values salted with subnormals of `dtype`, signed zeros and,
+    unless `finite`, NaNs and infinities."""
+    tiny = {"F64": 5e-324, "F32": 1e-45, "F16": 6e-8, "BF16": 1e-40}[dtype]
+    values = rng.normal(size=n)
+    specials = [tiny, -3 * tiny, 0.0, -0.0] + ([] if finite else [np.nan, -np.nan, np.inf, -np.inf])
+    values[rng.choice(n, size=8 * len(specials), replace=False)] = np.tile(specials, 8)
+    return values
+
+
+def test_merge_bytes_on_every_cpu_dispatch(tmp_path):
+    """merge tv, merge ties and run --sweep (TIES over stored vectors, TV
+    extracting from fine-tuned checkpoints) write the same bytes with
+    numpy's AVX-512 and AVX2 loops disabled as with its default dispatch,
+    over bases of every dtype holding NaN, +-inf and subnormals."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    if not all(__cpu_features__.get(group) for group in DISPATCH_GROUPS):
+        pytest.skip(f"needs a CPU with {', '.join(DISPATCH_GROUPS)}")
+    rng = np.random.default_rng(10)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    sizes = {"w": (1 << 16) + 7, "b": 96}  # one tensor crosses a merge chunk
+    for kind in ("finite", "special"):
+        for i in range(2):
+            arrays = {name: _special_values(rng, n, "F64", kind == "finite")
+                      for name, n in sizes.items()}
+            save_archive(TaskVector.from_arrays(arrays).to_checkpoint(), inputs / f"{kind}{i}.st")
+    for dtype in ("F64", "F32", "F16", "BF16"):
+        for stem in ("base", "ft0", "ft1"):
+            arrays = {name: _special_values(rng, n, dtype) for name, n in sizes.items()}
+            save_archive(Checkpoint.from_arrays(arrays, dtype), inputs / f"{stem}_{dtype}.st")
+    digests = []
+    for disabled in ("", " ".join(DISPATCH_GROUPS)):
+        out = tmp_path / ("reduced" if disabled else "default")
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(vecmerge.__file__).parents[1]),
+                   NPY_DISABLE_CPU_FEATURES=disabled)
+        child = subprocess.run([sys.executable, "-c", DISPATCH_RUN, str(inputs)], cwd=out,
+                               env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(out.glob("*.st"))})
+    assert len(digests[0]) == 4 * (3 + 4 + 2)  # per dtype: 3 TIES and 4 TV sweep points, 2 merges
+    assert digests[0] == digests[1]

@@ -22,8 +22,8 @@ from vecmerge import (ArchiveError, Checkpoint, LazyCheckpoint, TaskVector, Tens
 from vecmerge import tv as tv_mod
 from vecmerge.cli import main
 from vecmerge.dtypes import _f32_to_bf16_bits, cast_values, dtype_size
-from vecmerge.tensor_store import MAX_HEADER_BYTES, release
-from vecmerge.tv import load_task_vector
+from vecmerge.tensor_store import MAX_HEADER_BYTES, read_chunk
+from vecmerge.tv import extract_task_vector, load_task_vector
 
 from helpers import DTYPES, random_checkpoint
 
@@ -254,23 +254,6 @@ class TestMappedRead:
         np.testing.assert_array_equal(old.values("w"), values)
         np.testing.assert_array_equal(read_archive(path).values("w"), -values)
 
-    def test_release_drops_a_tensors_mapped_pages(self, tmp_path):
-        values = np.arange(1 << 20, dtype="<f8")
-        path = tmp_path / "a.st"
-        path.write_bytes(padded_archive(
-            {"w": {"dtype": "F64", "shape": [values.size], "data_offsets": [0, values.nbytes]}},
-            values.tobytes(), 0))
-        ckpt = read_archive(path)
-        assert float(ckpt.values("w").sum()) == float(values.sum())  # touches every page
-        touched = mapped_rss(path)
-        if touched is None:
-            pytest.skip("needs /proc/self/smaps")
-        assert touched >= values.nbytes - 8192
-        release(ckpt["w"].data)
-        assert mapped_rss(path) <= 8192  # at most the header page and a partial last page
-        np.testing.assert_array_equal(ckpt.values("w"), values)  # read back from the file
-        release(values)  # an array in memory is left alone
-
     @staticmethod
     def encoded_archive(tmp_path, dtype, misalign):
         """An 8 MiB archive whose one tensor's data is BF16 bits or misaligned."""
@@ -313,7 +296,6 @@ class TestMappedRead:
         assert peak < 0.01 * len(raw), f"read peak {peak} bytes: a tensor was copied"
         data = ckpt["w"].data
         assert not data.flags.owndata
-        release(data)  # bytes hold no map, so they are left alone
         assert data.tobytes() == values.tobytes()
 
     def test_bytes_keep_the_archives_alignment(self):
@@ -324,9 +306,9 @@ class TestMappedRead:
         assert not ckpt["w"].data.flags.aligned
         np.testing.assert_array_equal(ckpt.values("w"), values)
 
-    def test_release_leaves_a_callers_own_map_alone(self, tmp_path):
-        """A copy-on-write map holds writes the file lacks: dropping its
-        pages would lose them."""
+    def test_kernels_read_a_callers_own_map_through_its_view(self, tmp_path):
+        """A copy-on-write map holds writes the file lacks: reading the
+        file by position would lose them."""
         n = 1 << 17
         path = tmp_path / "raw.bin"
         path.write_bytes(bytes(8 * 2 * n))
@@ -339,6 +321,8 @@ class TestMappedRead:
         merged = tv_merge(base, [(tv, 0.5)])
         np.testing.assert_array_equal(written, np.arange(2 * n))
         np.testing.assert_array_equal(merged.values("w"), np.arange(n) + 0.5 * np.arange(n, 2 * n))
+        delta = extract_task_vector(base, Checkpoint({"w": Tensor("F64", written[n:])}))
+        np.testing.assert_array_equal(delta.deltas["w"], np.full(n, float(n)))
 
     @pytest.mark.parametrize("dtype,misalign", [("BF16", 0), ("F64", 3), ("F64", 0)])
     def test_dropping_the_checkpoint_unmaps_the_file(self, tmp_path, dtype, misalign):
@@ -356,37 +340,174 @@ class TestMappedRead:
             gc.collect()
         assert str(path.resolve()) not in Path("/proc/self/maps").read_text()
 
-    def test_merge_keeps_a_vectors_resident_pages_within_a_chunk_window(self, tmp_path,
-                                                                          monkeypatch):
+    def test_kernels_never_map_in_a_data_page(self, tmp_path, monkeypatch):
+        """Merge and extract read mapped operands by position: at every
+        chunk read and after the op, each file has at most its header page
+        and that page's fault-around resident, as after read_archive."""
         rng = np.random.default_rng(8)
         n = 1 << 21
-        base = Checkpoint.from_arrays({"w": rng.normal(size=n)}, "BF16")
+        save_archive(Checkpoint.from_arrays({"w": rng.normal(size=n)}, "BF16"),
+                     tmp_path / "base.st")
+        save_archive(Checkpoint.from_arrays({"w": rng.normal(size=n)}, "F32"), tmp_path / "ft.st")
         save_archive(TaskVector.from_arrays({"w": rng.normal(size=n)}).to_checkpoint(),
                      tmp_path / "tv.st")
-        tv = load_task_vector(tmp_path / "tv.st")
-        if mapped_rss(tmp_path / "tv.st") is None:
+        paths = [tmp_path / name for name in ("base.st", "ft.st", "tv.st")]
+        if mapped_rss(paths[0]) is None:
             pytest.skip("needs /proc/self/smaps")
+        base, ft, stored = (read_archive(path.read_bytes()) for path in paths)
+        want = (write_archive(tv_merge(base, [(TaskVector.from_checkpoint(stored), 0.5)])),
+                extract_task_vector(base, ft).deltas["w"].tobytes())
+        seen = []
+
+        def observed(array, start, out):
+            seen.append(max(mapped_rss(path) for path in paths))
+            return read_chunk(array, start, out)
+
+        monkeypatch.setattr(tv_mod, "read_chunk", observed)
+        base, ft = read_archive(paths[0]), read_archive(paths[1])
+        tv = load_task_vector(paths[2])
         assert not tv.deltas["w"].flags.aligned  # a view of vecmerge's own misaligned data
-        seen, stops = [], []
-
-        def observed(array, stop=None):
-            if np.may_share_memory(array, tv.deltas["w"]):
-                seen.append(mapped_rss(tmp_path / "tv.st"))  # before the release: the window's top
-                stops.append(stop)
-            release(array, stop)
-
-        want = write_archive(tv_merge(base, [(load_task_vector(tmp_path / "tv.st"), 0.5)]))
-        monkeypatch.setattr(tv_mod, "release", observed)
-        got = write_archive(tv_merge(base, [(tv, 0.5)]))
+        got = (write_archive(tv_merge(base, [(tv, 0.5)])),
+               extract_task_vector(base, ft).deltas["w"].tobytes())
         assert got == want
-        chunk = tv_mod._CHUNK * 8
-        assert stops == list(range(tv_mod._CHUNK, n + 1, tv_mod._CHUNK))
-        assert min(seen) >= chunk // 2  # the window is seen while it is resident
-        # pages may fault in a folio at a time, so the window may reach one
-        # folio past each end of the chunk
-        window = chunk + 2 * FOLIO + 16 * mmap.PAGESIZE
-        assert max(seen) <= window, f"{max(seen)} bytes of a {8 * n}-byte vector resident"
-        assert mapped_rss(tmp_path / "tv.st") <= 2 * mmap.PAGESIZE
+        assert len(seen) == 4 * n // tv_mod._CHUNK  # two operands a chunk, in each kernel
+        bound = FOLIO + 16 * mmap.PAGESIZE  # the header's page and its fault-around
+        seen.extend(mapped_rss(path) for path in paths)  # after the op, the maps still open
+        assert max(seen) <= bound, f"{max(seen)} bytes of a mapped operand resident"
+        assert all(str(path.resolve()) in Path("/proc/self/maps").read_text() for path in paths)
+
+
+CHUNK = tv_mod._CHUNK
+
+
+def merge_and_extract(paths_or_bytes) -> bytes:
+    """The bytes of a TV merge of base and vector, then of the vector
+    extracted from base and fine-tuned: the two kernels that read archives."""
+    base, ft, tv = (read_archive(p) for p in paths_or_bytes)
+    merged = write_archive(tv_merge(base, [(TaskVector.from_checkpoint(tv), 0.3)]))
+    return merged + write_archive(extract_task_vector(base, ft).to_checkpoint())
+
+
+class TestPositionedReads:
+    @pytest.fixture(params=DTYPES)
+    def operands(self, request, tmp_path):
+        """base, fine-tuned and vector archives of 2 chunks and 3 elements,
+        each tensor misaligned in its file by the metadata's length."""
+        rng = np.random.default_rng(16)
+        n = 2 * CHUNK + 3
+        arrays = [{"w": rng.normal(size=n), "b": rng.normal(size=5)} for _ in range(3)]
+        ckpts = [Checkpoint.from_arrays(arrays[0], request.param, {"k": "v"}),
+                 Checkpoint.from_arrays(arrays[1], "F32", {"k": "vv"}),
+                 TaskVector.from_arrays(arrays[2]).to_checkpoint()]
+        paths = [tmp_path / f"{i}.st" for i in range(3)]
+        for ckpt, path in zip(ckpts, paths):
+            save_archive(ckpt, path)
+        return paths, merge_and_extract([path.read_bytes() for path in paths])
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from(DTYPES), misalign=st.integers(0, 7),
+           size=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]),
+           data=st.data())
+    def test_read_chunk_gives_the_views_bytes(self, tmp_path_factory, dtype, misalign, size,
+                                              data):
+        start = data.draw(st.integers(0, size), label="start")
+        count = data.draw(st.integers(0, size - start), label="count")
+        raw = np.random.default_rng(size).bytes(size * dtype_size(dtype))
+        path = tmp_path_factory.mktemp("read") / "a.st"
+        path.write_bytes(padded_archive(
+            {"w": {"dtype": dtype, "shape": [size], "data_offsets": [0, len(raw)]}},
+            raw, misalign))
+        array = read_archive(path)["w"].data
+        out = np.empty(count, array.dtype)
+        got = read_chunk(array, start, out)
+        assert got is out  # read from the file, not through the map
+        assert got.tobytes() == array[start:start + count].tobytes()
+
+    def test_read_chunk_gives_other_arrays_their_view(self):
+        array = np.arange(10.0)
+        got = read_chunk(array, 3, np.empty(4))
+        assert np.shares_memory(got, array) and got.tolist() == [3.0, 4.0, 5.0, 6.0]
+
+    def test_short_reads_give_the_same_bytes(self, operands, monkeypatch):
+        paths, want = operands
+        preadv, sizes = os.preadv, []
+
+        def short(fd, buffers, offset):
+            got = preadv(fd, [buffers[0][:4093]], offset)
+            sizes.append(got)
+            return got
+
+        monkeypatch.setattr(os, "preadv", short)
+        assert merge_and_extract(paths) == want
+        assert len(sizes) > 3 * 2 * CHUNK // 4093 and max(sizes) == 4093
+
+    def test_without_preadv_the_view_gives_the_same_bytes(self, operands, monkeypatch):
+        paths, want = operands
+        monkeypatch.delattr(os, "preadv")
+        assert merge_and_extract(paths) == want
+
+
+TRUNCATE = """
+import os, sys
+import numpy as np
+from vecmerge import Checkpoint, TaskVector, extract_task_vector, read_archive, save_archive
+from vecmerge import tv_merge
+from vecmerge.tv import load_task_vector
+
+case, root = sys.argv[1], sys.argv[2]
+n = 1 << 20
+base = Checkpoint.from_arrays({"w": np.zeros(n)}, "F32")
+save_archive(base, root + "/base.st")
+save_archive(TaskVector.from_arrays({"w": np.ones(n)}).to_checkpoint(), root + "/tv.st")
+save_archive(Checkpoint.from_arrays({"w": np.ones(n)}, "F32"), root + "/ft.st")
+base = read_archive(root + "/base.st")
+if case == "merge":
+    operand = load_task_vector(root + "/tv.st")
+    os.truncate(root + "/tv.st", 4096 + 8 * n // 2)
+    tv_merge(base, [(operand, 0.5)])
+else:
+    operand = read_archive(root + "/ft.st")
+    os.truncate(root + "/ft.st", 4096 + 4 * n // 2)
+    extract_task_vector(base, operand)
+"""
+
+
+@pytest.mark.parametrize("case", ["merge", "extract"])
+def test_an_archive_truncated_after_reading_raises_not_a_signal(tmp_path, case):
+    """Data read through the map past a truncated file's end kills the
+    process with SIGBUS; a positioned read finds the end and raises."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vecmerge.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", TRUNCATE, case, str(tmp_path)], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 1, f"exit {child.returncode}: {child.stderr}"
+    assert child.stderr.splitlines()[-1].startswith(
+        "vecmerge.tensor_store.ArchiveError: archive truncated after it was read: byte ")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_read_holds_one_descriptor_while_its_checkpoint_lives(tmp_path, capsys):
+    def open_fds() -> int:
+        return len(os.listdir("/proc/self/fd"))
+
+    rng = np.random.default_rng(3)
+    save_archive(Checkpoint.from_arrays({"w": rng.normal(size=64)}, "F32"), tmp_path / "base.st")
+    for i in range(2):
+        save_archive(Checkpoint.from_arrays({"w": rng.normal(size=64)}, "F32"),
+                     tmp_path / f"ft{i}.st")
+    before = open_fds()
+    ckpt = read_archive(tmp_path / "base.st")
+    assert open_fds() > before  # the map's descriptor, and the one kept for positioned reads
+    del ckpt
+    gc.collect()
+    assert open_fds() == before
+    (tmp_path / "recipe.json").write_text(json.dumps({
+        "base": str(tmp_path / "base.st"), "method": "ties", "density": 0.5,
+        "lambda": {"grid": [0.1 * (i + 1) for i in range(10)]},
+        "vectors": [{"source": str(tmp_path / f"ft{i}.st"), "weight": 1.0} for i in range(2)],
+        "output": str(tmp_path / "out.st")}))
+    assert main(["run", "--recipe", str(tmp_path / "recipe.json"), "--sweep"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["outcomes"]) == 10
+    assert open_fds() == before
 
 
 class TestSaveArchive:
