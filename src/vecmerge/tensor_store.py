@@ -302,13 +302,14 @@ def read_chunk(array: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
     view = array.base
     while isinstance(view, np.ndarray):
         view = view.base
-    if not (isinstance(view, memoryview) and isinstance(view.obj, _ArchiveMap)
-            and array.flags.c_contiguous and hasattr(os, "preadv")):
+    mapped = getattr(view, "obj", None)  # a memoryview's exporter
+    if not (isinstance(mapped, _ArchiveMap) and array.flags.c_contiguous
+            and hasattr(os, "preadv")):
         return array[start:start + out.size]
-    buf, done = out.view(np.uint8), 0
-    offset = array.ctypes.data - view.obj.address + start * array.itemsize
-    while done < buf.size:  # a read may stop short, as Linux caps one at ~2 GiB
-        got = os.preadv(view.obj.fd, [buf[done:]], offset + done)
+    offset = array.ctypes.data - mapped.address + start * array.itemsize
+    done = os.preadv(mapped.fd, [out], offset)
+    while done < out.nbytes:  # a read may stop short, as Linux caps one at ~2 GiB
+        got = os.preadv(mapped.fd, [out.view(np.uint8)[done:]], offset + done)
         if not got:
             raise ArchiveError(f"archive truncated after it was read: byte {offset + done} is gone")
         done += got

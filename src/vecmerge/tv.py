@@ -2,12 +2,11 @@
 
 All arithmetic accumulates in float64 regardless of storage dtype; the
 rounding back to the base tensor's dtype happens exactly once per output
-element. Extraction and merging go through tensors in cache-sized
-chunks of the operands' stored forms, which `read_chunk` reads by
-position into per-call scratch where read_archive mapped the file, so no
-mapped page is touched. Temporaries stay small whatever the tensor size,
-and a merge made for writing (`tv_merge_lazy`) holds only the few
-tensors in flight.
+element. Extraction and merging go through the operands' stored forms
+in cache-sized chunks, read by position where the file is mapped (see
+`read_chunk`), so temporaries stay small whatever the tensor size, no
+mapped page is touched, and a merge made for writing (`tv_merge_lazy`)
+holds only the few tensors in flight.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dtypes import narrow, storage_dtype, widen
+from .dtypes import decode, narrow, storage_dtype, widen
 from .tensor_store import (ArchiveError, Checkpoint, LazyCheckpoint, Tensor, read_archive,
                            read_chunk)
 
@@ -143,16 +142,17 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
 
 
 def _subtract(finetuned: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """finetuned - base in float64, as a read-only array, reading and
-    widening the two stored forms chunk by chunk as _merge_tensor does."""
+    """finetuned - base in float64, as a read-only array, from the two
+    stored forms read chunk by chunk as _merge_tensor reads them."""
     ft, b = finetuned.reshape(-1), base.reshape(-1)
     d = np.empty(ft.size)
     n = min(d.size, _CHUNK)
-    ft_stored, b_stored, wide = np.empty(n, ft.dtype), np.empty(n, b.dtype), np.empty(n)
+    ft_stored, b_stored = np.empty(n, ft.dtype), np.empty(n, b.dtype)
     for start in range(0, d.size, _CHUNK):
         k = min(_CHUNK, d.size - start)
         part = widen(read_chunk(ft, start, ft_stored[:k]), d[start:start + k])
-        part -= widen(read_chunk(b, start, b_stored[:k]), wide[:k])
+        chunk = read_chunk(b, start, b_stored[:k])
+        part -= decode(chunk, "BF16") if b.dtype == np.uint16 else chunk  # -= casts the others
     d = d.reshape(finetuned.shape)
     d.setflags(write=False)
     return d

@@ -433,7 +433,7 @@ class TestPositionedReads:
         preadv, sizes = os.preadv, []
 
         def short(fd, buffers, offset):
-            got = preadv(fd, [buffers[0][:4093]], offset)
+            got = preadv(fd, [memoryview(buffers[0]).cast("B")[:4093]], offset)
             sizes.append(got)
             return got
 
