@@ -295,16 +295,16 @@ def _open_archive(path) -> memoryview:
 
 
 def read_chunk(array: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
-    """Elements [start, start + out.size) of 1-d stored form `array`: if it
-    views a map read_archive made, `out` (same dtype, contiguous) read full
-    of them from the file by position, touching no page of the map; else
-    its own view of them (in memory, over bytes, a caller's map), uncopied."""
+    """Elements [start, start + out.size) of 1-d stored form `array`: `out`
+    (contiguous) read full of them from the file by position, touching no
+    page of the map, if `array` views a map read_archive made and has out's
+    dtype; else its own view of them (in memory, over bytes, a caller's map)."""
     view = array.base
     while isinstance(view, np.ndarray):
         view = view.base
     mapped = getattr(view, "obj", None)  # a memoryview's exporter
     if not (isinstance(mapped, _ArchiveMap) and array.flags.c_contiguous
-            and hasattr(os, "preadv")):
+            and array.dtype == out.dtype and hasattr(os, "preadv")):
         return array[start:start + out.size]
     offset = array.ctypes.data - mapped.address + start * array.itemsize
     done = os.preadv(mapped.fd, [out], offset)

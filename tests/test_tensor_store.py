@@ -391,8 +391,8 @@ def merge_and_extract(paths_or_bytes) -> bytes:
 class TestPositionedReads:
     @pytest.fixture(params=DTYPES)
     def operands(self, request, tmp_path):
-        """base, fine-tuned and vector archives of 2 chunks and 3 elements,
-        each tensor misaligned in its file by the metadata's length."""
+        """base (of each dtype), fine-tuned and vector archives of 2 chunks
+        and 3 elements, whose data offsets the metadata's length shifts."""
         rng = np.random.default_rng(16)
         n = 2 * CHUNK + 3
         arrays = [{"w": rng.normal(size=n), "b": rng.normal(size=5)} for _ in range(3)]
@@ -427,6 +427,12 @@ class TestPositionedReads:
         array = np.arange(10.0)
         got = read_chunk(array, 3, np.empty(4))
         assert np.shares_memory(got, array) and got.tolist() == [3.0, 4.0, 5.0, 6.0]
+
+    def test_read_chunk_into_another_dtype_gives_the_view(self, tmp_path):
+        save_archive(Checkpoint.from_arrays({"w": np.arange(6.0)}, "F32"), tmp_path / "a.st")
+        array = read_archive(tmp_path / "a.st")["w"].data
+        got = read_chunk(array, 2, np.empty(3))  # a float64 scratch cannot take float32 bytes
+        assert np.shares_memory(got, array) and got.tolist() == [2.0, 3.0, 4.0]
 
     def test_short_reads_give_the_same_bytes(self, operands, monkeypatch):
         paths, want = operands
