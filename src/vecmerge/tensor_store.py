@@ -12,12 +12,12 @@ Every tensor holds one form, its stored form: the archive encoding, with
 BF16 as uint16 bits (see dtypes). Its `values` are a decoded view, made
 anew at each read and never cached. Files are mapped read-only, and
 nothing is copied at read: each tensor's data is a view of the map or of
-the bytes read, which may be misaligned. The merge and extract kernels
-copy mapped data chunk by chunk with `read_chunk`, a positioned read of
-the file, so they hold no mapped page, and raise ArchiveError on a file
-truncated after it was read. `values`, `diff`, the writer's copy of an
-unmerged tensor, and `trim`, `interference` and `cosine` of a stored F64
-vector still read the map, where such a file kills the process (SIGBUS).
+the bytes read, which may be misaligned. The TV merge kernel (extract
+runs it too) copies mapped data chunk by chunk with `read_chunk`, a
+positioned read, so it holds no mapped page, and raises ArchiveError on
+a file truncated after it was read. `values`, `diff`, the writer's copy
+of an unmerged tensor, and `trim`, `interference` and `cosine` of a
+stored F64 vector still read the map; such a file kills the process (SIGBUS).
 `_layout` alone decides what is valid: the reader raises its first
 problem, and `validate_archive` lists them all, then gaps and trailing
 bytes, in the JSON object that `vecmerge inspect` prints. Files are

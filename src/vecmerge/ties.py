@@ -164,34 +164,36 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
         shapes.values(), np.float64, np.float64, np.float64, np.uint64)
     term_bits = term.view(np.uint64)
     out = TaskVector(origin=f"ties disjoint merge of {len(trimmed)} vectors")
-    for name, shape in shapes.items():
-        elected = np.asarray(signs[name]).reshape(-1)
-        terms = [(_flat(tv.deltas[name]), float(w), np.float64(w).view(np.uint64))
-                 for tv, w in zip(trimmed, weights) if name in tv.deltas]
-        merged = np.empty(elected.size)
-        for start in range(0, merged.size, _CHUNK):
-            stop = min(start + _CHUNK, merged.size)
-            m = stop - start
-            num, g, dn, t, a = merged[start:stop], gamma[:m], den[:m], term[:m], agree[:m]
-            np.copyto(g, elected[start:stop])
-            num.fill(0.0)
-            dn.fill(0.0)
-            for d, w, w_bits in terms:
-                part = d[start:stop]
-                # sign(d) == gamma != 0 exactly when d * gamma > 0 (gamma is -1/0/+1)
-                np.greater(np.multiply(part, g, out=t), 0.0, out=a)
-                np.negative(a, out=a)
-                num += np.bitwise_and(np.multiply(part, w, out=t).view(np.uint64), a,
-                                      out=term_bits[:m]).view(np.float64)
-                dn += np.bitwise_and(a, w_bits, out=a).view(np.float64)
-            # den is 0 only where no vector agrees, and num is +0.0 there;
-            # raising den to the least subnormal makes those quotients +0.0
-            # without a 0/0 and leaves every other den as it is
-            np.maximum(dn, _LEAST_SUBNORMAL, out=dn)
-            np.divide(num, dn, out=num)
-        merged = merged.reshape(shape)
-        merged.setflags(write=False)
-        out.deltas[name] = merged
+    # weighted products may overflow to inf, and inf / inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, shape in shapes.items():
+            elected = np.asarray(signs[name]).reshape(-1)
+            terms = [(_flat(tv.deltas[name]), float(w), np.float64(w).view(np.uint64))
+                     for tv, w in zip(trimmed, weights) if name in tv.deltas]
+            merged = np.empty(elected.size)
+            for start in range(0, merged.size, _CHUNK):
+                stop = min(start + _CHUNK, merged.size)
+                m = stop - start
+                num, g, dn, t, a = merged[start:stop], gamma[:m], den[:m], term[:m], agree[:m]
+                np.copyto(g, elected[start:stop])
+                num.fill(0.0)
+                dn.fill(0.0)
+                for d, w, w_bits in terms:
+                    part = d[start:stop]
+                    # sign(d) == gamma != 0 exactly when d * gamma > 0 (gamma is -1/0/+1)
+                    np.greater(np.multiply(part, g, out=t), 0.0, out=a)
+                    np.negative(a, out=a)
+                    num += np.bitwise_and(np.multiply(part, w, out=t).view(np.uint64), a,
+                                          out=term_bits[:m]).view(np.float64)
+                    dn += np.bitwise_and(a, w_bits, out=a).view(np.float64)
+                # den is 0 only where no vector agrees, and num is +0.0 there;
+                # raising den to the least subnormal makes those quotients +0.0
+                # without a 0/0 and leaves every other den as it is
+                np.maximum(dn, _LEAST_SUBNORMAL, out=dn)
+                np.divide(num, dn, out=num)
+            merged = merged.reshape(shape)
+            merged.setflags(write=False)
+            out.deltas[name] = merged
     return out
 
 

@@ -1,9 +1,10 @@
 """Task-vector extraction and scaled vector-addition merging.
 
 All arithmetic accumulates in float64 regardless of storage dtype; the
-rounding back to the base tensor's dtype happens exactly once per output
-element. Extraction and merging go through the operands' stored forms
-in cache-sized chunks, read by position where the file is mapped (see
+rounding back to the output's dtype happens exactly once per element.
+One kernel, `_merge_tensor`, merges and extracts (fine-tuned + -1 *
+base, kept as float64). It goes through the operands' stored forms in
+cache-sized chunks, read by position where the file is mapped (see
 `read_chunk`), so temporaries stay small whatever the tensor size, no
 mapped page is touched, and a merge made for writing (`tv_merge_lazy`)
 holds only the few tensors in flight.
@@ -97,7 +98,7 @@ def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
 
     tv = TaskVector(origin=f"extract(base={len(base)} tensors, finetuned={len(finetuned)} tensors)")
     for name in shared:
-        tv.deltas[name] = _subtract(finetuned[name].data, base[name].data)
+        tv.deltas[name] = _merge_tensor(finetuned[name], [(base[name].data, -1.0)], "F64").data
     if policy == "copy_from_finetuned":
         for name in mismatched:
             if name in finetuned:
@@ -141,44 +142,39 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
     return out
 
 
-def _subtract(finetuned: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """finetuned - base in float64, as a read-only array, from the two
-    stored forms read chunk by chunk as _merge_tensor reads them."""
-    ft, b = finetuned.reshape(-1), base.reshape(-1)
-    d = np.empty(ft.size)
-    n = min(d.size, _CHUNK)
-    ft_stored, b_stored = np.empty(n, ft.dtype), np.empty(n, b.dtype)
-    for start in range(0, d.size, _CHUNK):
-        k = min(_CHUNK, d.size - start)
-        part = widen(read_chunk(ft, start, ft_stored[:k]), d[start:start + k])
-        chunk = read_chunk(b, start, b_stored[:k])
-        part -= decode(chunk, "BF16") if b.dtype == np.uint16 else chunk  # -= casts the others
-    d = d.reshape(finetuned.shape)
-    d.setflags(write=False)
-    return d
-
-
-def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]]) -> Tensor:
+def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]], dtype: str) -> Tensor:
     """base + sum(lam*delta) in float64, chunk by chunk, each read into
-    per-call scratch (see read_chunk), rounded once to the base's stored
-    form. Every NaN is written as the positive quiet NaN of the stored
-    dtype, whatever sign and payload the sum gave it, since those follow
-    numpy's loop choice and so the chunk length and CPU."""
+    per-call scratch (see read_chunk), rounded once to `dtype`'s stored
+    form. A delta is float64 or a stored form, widened chunk by chunk.
+    Every NaN is written as the positive quiet NaN of `dtype`, whatever
+    sign and payload the sum gave it, since those follow numpy's loop
+    choice and so the chunk length and CPU. Overflow and NaN are results,
+    not warnings, in pool threads too, which do not inherit errstate."""
     src = base.data.reshape(-1)
-    flat = [(delta.reshape(-1), lam) for delta, lam in deltas]
-    out = np.empty(src.size, dtype=storage_dtype(base.dtype))
-    stored = np.empty(min(src.size, _CHUNK), src.dtype)
-    acc = np.empty(stored.size)
-    term = np.empty_like(acc)
-    for start in range(0, src.size, _CHUNK):
-        k = min(_CHUNK, src.size - start)
-        part = widen(read_chunk(src, start, stored[:k]), acc[:k])
-        for delta, lam in flat:
-            # a chunk read into term is scaled in place: the same rounding
-            part += np.multiply(read_chunk(delta, start, term[:k]), lam, out=term[:k])
-        part[np.isnan(part)] = np.nan
-        narrow(part, base.dtype, out[start:start + k])
-    return Tensor(base.dtype, out.reshape(base.shape))
+    out = np.empty(src.size, dtype=storage_dtype(dtype))
+    n = min(src.size, _CHUNK)
+    stored = np.empty(n, src.dtype)
+    acc = None if out.dtype == np.float64 else np.empty(n)  # float64 sums in `out` itself
+    term = np.empty(n)
+    flat = [(d.reshape(-1), np.float64(lam),
+             term if d.dtype == np.float64 else np.empty(n, d.dtype)) for d, lam in deltas]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, src.size, _CHUNK):
+            k = min(_CHUNK, src.size - start)
+            part = widen(read_chunk(src, start, stored[:k]),
+                         out[start:start + k] if acc is None else acc[:k])
+            for delta, lam, scratch in flat:
+                chunk = read_chunk(delta, start, scratch[:k])
+                if chunk.dtype == np.uint16:
+                    chunk = decode(chunk, "BF16")
+                if abs(lam) == 1.0:  # +-1 scales exactly, and x + -y rounds as x - y
+                    (np.add if lam > 0 else np.subtract)(part, chunk, out=part)
+                else:  # a float64 lam widens the chunk; one read into term scales in place
+                    part += np.multiply(chunk, lam, out=term[:k])
+            part[np.isnan(part)] = np.nan
+            if acc is not None:
+                narrow(part, dtype, out[start:start + k])
+    return Tensor(dtype, out.reshape(base.shape))
 
 
 def apply(base: Checkpoint, tv: TaskVector, threads: int = 1) -> Checkpoint:
@@ -257,7 +253,7 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
     def one(name: str) -> tuple[str, Tensor]:
         if name not in per_name:
             return name, base[name] if name in base else extras[name]
-        return name, _merge_tensor(base[name], per_name[name])
+        return name, _merge_tensor(base[name], per_name[name], base[name].dtype)
 
     names = sorted(layout)
     sizes = [base[n].data.size if n in per_name else 0 for n in names]

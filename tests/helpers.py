@@ -157,12 +157,18 @@ def reference_disjoint_merge(trimmed, weights, signs):
 
 
 def reference_extract(base, finetuned) -> dict:
-    """widen(finetuned) - widen(base) per shared name and shape."""
+    """widen(finetuned) - widen(base) per shared name and shape, every
+    NaN made the positive quiet NaN."""
     from vecmerge.dtypes import widen
 
-    return {name: widen(finetuned[name].data) - widen(base[name].data)
-            for name in finetuned.names()
-            if name in base and base[name].shape == finetuned[name].shape}
+    out = {}
+    for name in finetuned.names():
+        if name in base and base[name].shape == finetuned[name].shape:
+            with np.errstate(invalid="ignore"):  # inf - inf
+                d = np.asarray(widen(finetuned[name].data) - widen(base[name].data))
+            d[np.isnan(d)] = np.nan
+            out[name] = d
+    return out
 
 
 def reference_interference_stats(tvs, density) -> dict:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import vecmerge
-from vecmerge import Checkpoint, TaskVector, apply, read_archive, save_archive
+from vecmerge import Checkpoint, TaskVector, Tensor, apply, read_archive, save_archive
 from vecmerge.cli import main
+from vecmerge.dtypes import narrow
 
 
 @pytest.fixture
@@ -371,6 +372,8 @@ for dtype in ("F64", "F32", "F16", "BF16"):
     assert main(["merge", "ties", "--base", base, *vectors("finite"), "--weight", "1.0",
                  "--weight", "0.5", "--density", "0.3",
                  "--out", f"ties_{dtype}.st"]) == 0
+    assert main(["extract", "--base", base, "--finetuned", str(inputs / f"ft0_{dtype}.st"),
+                 "--out", f"extract_{dtype}.st"]) == 0
 """
 
 
@@ -385,10 +388,11 @@ def _special_values(rng, n: int, dtype: str, finite: bool = False) -> np.ndarray
 
 
 def test_merge_bytes_on_every_cpu_dispatch(tmp_path):
-    """merge tv, merge ties and run --sweep (TIES over stored vectors, TV
-    extracting from fine-tuned checkpoints) write the same bytes with
-    numpy's AVX-512 and AVX2 loops disabled as with its default dispatch,
-    over bases of every dtype holding NaN, +-inf and subnormals."""
+    """extract, merge tv, merge ties and run --sweep (TIES over stored
+    vectors, TV extracting from fine-tuned checkpoints) write the same
+    bytes with numpy's AVX-512 and AVX2 loops disabled as with its default
+    dispatch, over bases of every dtype holding NaN, +-inf and subnormals,
+    and every NaN extract writes is the positive quiet NaN."""
     from numpy._core._multiarray_umath import __cpu_features__
     if not all(__cpu_features__.get(group) for group in DISPATCH_GROUPS):
         pytest.skip(f"needs a CPU with {', '.join(DISPATCH_GROUPS)}")
@@ -416,5 +420,66 @@ def test_merge_bytes_on_every_cpu_dispatch(tmp_path):
         assert child.returncode == 0, child.stderr
         digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                         for p in sorted(out.glob("*.st"))})
-    assert len(digests[0]) == 4 * (3 + 4 + 2)  # per dtype: 3 TIES and 4 TV sweep points, 2 merges
+    assert len(digests[0]) == 4 * (3 + 4 + 3)  # per dtype: 3 TIES and 4 TV sweep points, 3 more
     assert digests[0] == digests[1]
+    for dtype in ("F64", "F32", "F16", "BF16"):
+        bits = read_archive(out / f"extract_{dtype}.st").values("w").view(np.uint64)
+        nan = np.isnan(bits.view(np.float64))
+        assert nan.any() and (bits[nan] == 0x7FF8_0000_0000_0000).all(), dtype
+
+
+@pytest.fixture(scope="module")
+def hostile(tmp_path_factory):
+    """Archives whose merges overflow, subtract inf from inf and carry
+    NaNs, and recipes that sweep them."""
+    root = tmp_path_factory.mktemp("hostile")
+    big, inf, nan = 1e308, np.inf, np.nan
+    base = {"a": [-big, inf, nan, 1.0, -inf, 0.5, 5e-324], "h": [6e4, -6e4, inf, nan, 1.0, 0.0],
+            "z": [3e38, -3e38, inf, nan, 1.0, 0.0]}
+    ft = {"a": [big, inf, 1.0, nan, -inf, -big, -0.0], "h": [-6e4, 6e4, inf, 1.0, nan, -0.0],
+          "z": [-3e38, 3e38, -inf, 1.0, 2.0, nan]}
+    dtypes = {"a": "F64", "h": "F16", "z": "BF16"}
+    for stem, arrays in (("base", base), ("ft", ft)):
+        save_archive(Checkpoint({n: Tensor(dtypes[n], narrow(np.array(v), dtypes[n]))
+                                 for n, v in arrays.items()}), root / f"{stem}.st")
+    special = [big, -big, inf, -inf, nan, 1e300, 2.0]
+    finite = [1e300, -1e300, 3.0, -2.0, 1e-300, 0.0, -0.0]
+    for i in range(2):
+        for kind, values in (("special", special), ("finite", finite)):
+            arrays = {n: np.roll(values, i)[:len(base[n])] * (-1) ** i for n in base}
+            save_archive(TaskVector.from_arrays(arrays).to_checkpoint(), root / f"{kind}{i}.st")
+    recipes = {
+        "tv": {"method": "tv", "vectors": [
+            {"source": str(root / "ft.st"), "weight": {"grid": [1.0, 3.0]}},
+            {"source": str(root / "special0.st"), "weight": -2.0}]},
+        "ties": {"method": "ties", "density": 0.5, "lambda": {"grid": [1.0, 1e10]}, "vectors": [
+            {"source": str(root / f"finite{i}.st"), "weight": {"grid": [1.0, 1e10]}}
+            for i in range(2)]}}
+    for method, recipe in recipes.items():
+        recipe.update(base=str(root / "base.st"), output=str(root / f"sweep_{method}.st"))
+        (root / f"{method}.json").write_text(json.dumps(recipe))
+    return root
+
+
+@pytest.mark.parametrize("command", [
+    "extract --base {r}/base.st --finetuned {r}/ft.st --out {r}/tau.st",
+    "merge tv --base {r}/base.st --vector {r}/special0.st --vector {r}/special1.st "
+    "--weight 2.0 --weight 0.5 --threads 1 --out {r}/tv1.st",
+    "merge tv --base {r}/base.st --vector {r}/special0.st --vector {r}/special1.st "
+    "--weight 2.0 --weight 0.5 --threads 2 --out {r}/tv2.st",
+    "merge ties --base {r}/base.st --vector {r}/finite0.st --vector {r}/finite1.st "
+    "--weight 1e10 --weight 3e10 --density 0.5 --lambda 1e10 --threads 2 "
+    "--report {r}/report.json --out {r}/ties.st",
+    "run --recipe {r}/tv.json --sweep --threads 2",
+    "run --recipe {r}/ties.json --sweep --threads 2",
+])
+def test_nonfinite_and_overflowing_inputs_print_no_runtime_warning(hostile, command):
+    """Overflow, inf - inf and NaN are results the merges write, not
+    errors: each command exits 0 with nothing on stderr even when every
+    RuntimeWarning, in the pool threads too, is an error."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vecmerge.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "vecmerge.cli",
+         *command.format(r=hostile).split()],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")

@@ -1,20 +1,29 @@
+import contextlib
 import copy
+import io
+import itertools
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from vecmerge import (Checkpoint, RecipeError, execute_recipe,
                       expand_sweep, extract_task_vector, parse_recipe,
                       read_archive, read_metrics, save_archive, select_best, tv_merge,
-                      write_archive, TaskVector, apply)
+                      write_archive, TaskVector, Tensor, apply)
+from vecmerge.cli import main
+from vecmerge.dtypes import narrow
 from vecmerge.recipes import DEFAULT_GRID
 
-from helpers import reference_parse_recipe, reference_schema_paths
+from helpers import (DTYPES, naive_ties_vector, reference_extract,
+                     reference_interference_stats, reference_parse_recipe,
+                     reference_schema_paths, reference_tv_merge_bits)
 
 
 def minimal(**overrides):
@@ -417,3 +426,148 @@ class TestExecuteRecipe:
         with pytest.raises(OSError):
             execute_recipe(parse_recipe(json.dumps(doc)))
         assert not (ws / "never.st").exists()
+
+
+class TestSweepOracle:
+    """`run --sweep` against references built outside the engine: every
+    output archive, its recipe metadata and every interference report."""
+
+    SHAPES = [(), (0,), (1,), (5,), (3, 4)]
+    GRIDS = {"tv": [0.5, -1.0, 1.0, 2.0, -0.75], "ties": [0.5, 1.0, 2.0, 0.25, 3.0]}
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_point_matches_the_references(self, data):
+        draw = data.draw
+        method = draw(st.sampled_from(["tv", "ties"]), label="method")
+        policy = draw(st.sampled_from(["error", "ignore", "copy_from_finetuned"]), label="policy")
+        specials = [0.0, -0.0, 5e-324, -1e-40, 6e4]
+        # TIES rejects non-finite deltas, so they are rare there: most points should merge
+        if draw(st.sampled_from([True, False] if method == "tv" else [False] * 4 + [True]),
+                label="non-finite inputs"):
+            specials += [np.inf, -np.inf, np.nan]
+        values = st.one_of(st.sampled_from(specials), st.floats(-1e4, 1e4, width=32))
+
+        def tensor(shape, dtype):
+            flat = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+            with np.errstate(over="ignore"):
+                return Tensor(dtype, narrow(np.array(flat, dtype=np.float64).reshape(shape), dtype))
+
+        base = Checkpoint({f"t{i}": tensor(draw(st.sampled_from(self.SHAPES)),
+                                           draw(st.sampled_from(DTYPES)))
+                           for i in range(draw(st.integers(1, 4)))})
+        sources, vectors = [], []  # archives to write; (deltas, extras) or None if rejected
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans(), label="stored task vector"):
+                names = draw(st.lists(st.sampled_from(base.names()), min_size=1, unique=True))
+                deltas = {n: tensor(base[n].shape, "F64").data for n in names}
+                sources.append(TaskVector.from_arrays(deltas).to_checkpoint())
+                vectors.append((deltas, {}))
+                continue
+            ft = Checkpoint()
+            for name in base.names():
+                fate = draw(st.sampled_from(["kept"] * 6 + ["dropped", "reshaped"]))
+                if fate != "dropped":
+                    shape = base[name].shape if fate == "kept" else (7,)
+                    ft.tensors[name] = tensor(shape, draw(st.sampled_from(DTYPES)))
+            if draw(st.sampled_from([False] * 3 + [True]), label="fine-tuned-only head"):
+                ft.tensors["zz.head"] = tensor((2,), draw(st.sampled_from(DTYPES)))
+            sources.append(ft)
+            deltas = reference_extract(base, ft)
+            mismatched = [n for n in {*base.names(), *ft.names()} if n not in deltas]
+            if not deltas or (mismatched and policy == "error"):
+                vectors.append(None)
+            elif policy == "copy_from_finetuned":
+                vectors.append((deltas, {n: ft[n] for n in mismatched if n in ft}))
+            else:
+                vectors.append((deltas, {}))
+
+        def weight(grid):
+            if draw(st.booleans(), label="grid"):
+                return {"grid": draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3,
+                                              unique=True))}
+            return draw(st.sampled_from(grid))
+
+        doc = {"method": method, "mismatch": policy,
+               "vectors": [{"weight": weight(self.GRIDS[method])} for _ in sources]}
+        if method == "ties":
+            doc["density"] = draw(st.sampled_from([0.2, 0.5, 1.0]))
+            doc["lambda"] = weight([0.5, 1.0, -1.5])
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            save_archive(base, root / "base.st")
+            for i, (src, vec) in enumerate(zip(sources, doc["vectors"])):
+                save_archive(src, root / f"src{i}.st")
+                vec["source"] = str(root / f"src{i}.st")
+            doc.update(base=str(root / "base.st"), output=str(root / "out" / "merged.st"))
+            (root / "recipe.json").write_text(json.dumps(doc))
+            for threads in (1, 2):
+                (root / "out").mkdir()
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(["run", "--recipe", str(root / "recipe.json"), "--sweep",
+                                 "--threads", str(threads)])
+                written = sorted(p.name for p in (root / "out").iterdir())
+                self.check(doc, base, vectors, code, stdout.getvalue(), stderr.getvalue(),
+                           written)
+                for p in (root / "out").iterdir():
+                    p.unlink()
+                (root / "out").rmdir()
+
+    def check(self, doc, base, vectors, code, stdout, stderr, written):
+        deltas = [vec[0] for vec in vectors if vec is not None]
+        if None in vectors or (doc["method"] == "ties" and not all(
+                np.isfinite(d).all() for vec in deltas for d in vec.values())):
+            assert (code, written) == (3, [])  # TIES rejects non-finite deltas
+            event("exit 3")
+            return
+        assert (code, stderr) == (0, "")
+        event(f"{doc['method']} exit 0, {len(written)} points, policy {doc['mismatch']}")
+        axes = [(f"w{i}", vec["weight"]["grid"]) for i, vec in enumerate(doc["vectors"])
+                if isinstance(vec["weight"], dict)]
+        if isinstance(doc.get("lambda"), dict):
+            axes.append(("lambda", doc["lambda"]["grid"]))
+        outcomes = json.loads(stdout)["outcomes"]
+        points = list(itertools.product(*(grid for _, grid in axes)))
+        assert len(outcomes) == len(points) == len(written)
+        for outcome, point in zip(outcomes, points):
+            at = dict(zip((name for name, _ in axes), point))
+            point_doc = dict(doc, vectors=[dict(vec, weight=at.get(f"w{i}", vec["weight"]))
+                                           for i, vec in enumerate(doc["vectors"])])
+            point_doc["output"] = doc["output"].replace(
+                "merged.st", "merged" + "".join(f"_{k}={v:g}" for k, v in at.items()) + ".st")
+            if "lambda" in doc:
+                point_doc["lambda"] = at.get("lambda", doc["lambda"])
+            weights = [vec["weight"] for vec in point_doc["vectors"]]
+            out = read_archive(point_doc["output"])
+            assert outcome["output"] == point_doc["output"]
+            assert out.metadata == {"vecmerge.recipe": json.dumps(
+                dict(point_doc, dtype="keep"), sort_keys=True, separators=(",", ":"))}
+            want = {}
+            for name in base.names():
+                terms = [(d[name], w) for d, w in zip(deltas, weights) if name in d]
+                if not terms:
+                    want[name] = base[name]
+                    continue
+                if doc["method"] == "ties":
+                    merged, _ = naive_ties_vector([list(d.reshape(-1)) for d, _ in terms],
+                                                  [w for _, w in terms], doc["density"])
+                    terms = [(np.array(merged), point_doc["lambda"])]
+                with np.errstate(over="ignore", invalid="ignore"):  # results, as in the merge
+                    bits = reference_tv_merge_bits(base.values(name), base[name].dtype, terms)
+                want[name] = Tensor(base[name].dtype, np.frombuffer(
+                    bits, base[name].data.dtype).reshape(base[name].shape))
+            for _, extras in filter(None, vectors):
+                for name, t in extras.items():
+                    want.setdefault(name, t)
+            assert out.names() == sorted(want)
+            for name, t in want.items():
+                assert (out[name].dtype, out[name].shape) == (t.dtype, t.shape)
+                assert out[name].data.tobytes() == t.data.tobytes(), (point_doc["output"], name)
+            if doc["method"] == "ties":
+                report = reference_interference_stats(
+                    [TaskVector.from_arrays(d) for d in deltas], doc["density"])
+                assert json.dumps(outcome["report"], sort_keys=True) == json.dumps(
+                    report, sort_keys=True)
+            else:
+                assert outcome["report"] is None

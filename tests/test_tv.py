@@ -84,9 +84,8 @@ class TestExtract:
                 side.tensors[f"t{i}"] = Tensor(dtype, data_)
         if data.draw(st.booleans(), label="through archives"):  # stored forms, misaligned views
             base, ft = (read_archive(write_archive(c)) for c in (base, ft))
-        with np.errstate(invalid="ignore"):  # inf - inf
-            got = extract_task_vector(base, ft)
-            want = reference_extract(base, ft)
+        got = extract_task_vector(base, ft)
+        want = reference_extract(base, ft)
         assert sorted(got.deltas) == sorted(want)
         for name, d in got.deltas.items():
             assert d.dtype == np.float64 and d.shape == want[name].shape
@@ -190,14 +189,14 @@ class TestLazyMerge:
         merged, workers, live, peak = [], set(), [0], [0]
         kernel = tv_mod._merge_tensor
 
-        def counted(tensor, deltas):
+        def counted(tensor, *args):
             with lock:
                 live[0] += 1
                 peak[0] = max(peak[0], live[0])
                 workers.add(threading.get_ident())
             time.sleep(0.002)  # gives the window time to fill
             try:
-                return kernel(tensor, deltas)
+                return kernel(tensor, *args)
             finally:
                 with lock:
                     live[0] -= 1
@@ -254,7 +253,7 @@ class TestLazyMerge:
         base, pairs = self.operands()
         calls = []
 
-        def failing(tensor, deltas):
+        def failing(tensor, *args):
             calls.append(1)
             if len(calls) == 3:
                 raise RuntimeError("kernel failed")
@@ -280,7 +279,8 @@ class TestChunking:
         base_data = narrow(np.array(data.draw(st.lists(
             st.floats(-1e4, 1e4), min_size=n, max_size=n)), dtype=np.float64), dtype)
         weighted = [(np.array(data.draw(st.lists(any_float, min_size=n, max_size=n)),
-                              dtype=np.float64), data.draw(st.floats(-4, 4)))
+                              dtype=np.float64),
+                     data.draw(st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-4, 4))))
                     for _ in range(data.draw(st.integers(1, 3)))]
         base = Checkpoint({"w": Tensor(dtype, base_data),
                            "x": Tensor("F32", np.ones(3, np.float32))})
