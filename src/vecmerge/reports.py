@@ -58,11 +58,37 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)]
 
 
-def _abs_sum(d: np.ndarray, scratch: np.ndarray) -> float:
-    """np.sum(np.abs(d)), bit for bit: |d| goes into `scratch` in d's
-    memory order, the order of np.abs's own output, so the pairwise sum
-    adds the same terms in the same order."""
-    return float(np.add.reduce(np.abs(d.ravel("K"), out=scratch[:d.size])))
+def _abs_sum(d: np.ndarray, scratch: np.ndarray, scale: float = 1.0) -> float:
+    """np.sum(np.abs(d) * scale), bit for bit: |d| goes into `scratch` in
+    d's memory order, the order of np.abs's own output, so the pairwise
+    sum adds the same terms in the same order."""
+    magnitude = np.abs(d.ravel("K"), out=scratch[:d.size])
+    if scale != 1.0:
+        magnitude *= scale
+    return float(np.add.reduce(magnitude))
+
+
+def _rescale(arrays) -> float:
+    """An exact power of two that brings the largest |entry| of `arrays`
+    under 1, so sums of entries, and of their squares, stay finite."""
+    top = max((float(np.max(np.abs(d))) for d in arrays if d.size), default=0.0)
+    return 2.0 ** -math.frexp(top)[1] if math.isfinite(top) else 1.0
+
+
+def _masses(tv: TaskVector, tr: TaskVector, names: list[str],
+            scratch: np.ndarray) -> dict[str, tuple[float, float]]:
+    """name -> (sum |kept|, sum |all|) of one vector, for each name it
+    holds; all rescaled by one power of two if their total overflows,
+    which leaves each ratio of two of them as it is."""
+    def at(scale: float) -> dict[str, tuple[float, float]]:
+        return {name: (_abs_sum(tr.deltas[name], scratch, scale),
+                       _abs_sum(tv.deltas[name], scratch, scale))
+                for name in names if name in tv.deltas}
+
+    masses = at(1.0)
+    if math.isfinite(sum(all_mass for _, all_mass in masses.values())):
+        return masses
+    return at(_rescale(tv.deltas.values()))
 
 
 def _signs(d: np.ndarray) -> np.ndarray:
@@ -94,16 +120,14 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
     glob_zero = 0
     # |delta| of one tensor at a time, in scratch the call allocates once
     magnitude = np.empty(max((d.size for tv in tvs for d in tv.deltas.values()), default=0))
+    with np.errstate(over="ignore"):  # an overflowing sum is rescaled
+        masses = [_masses(tv, tr, names, magnitude) for tv, tr in zip(tvs, trimmed)]
     for name in names:
         mass = []
-        for t, (tv, tr) in enumerate(zip(tvs, trimmed)):
-            if name in tv.deltas:
-                all_mass = _abs_sum(tv.deltas[name], magnitude)
-                kept_mass = _abs_sum(tr.deltas[name], magnitude)
-                glob_all[t] += all_mass
-                glob_kept[t] += kept_mass
-            else:
-                all_mass = kept_mass = 0.0
+        for t in range(len(tvs)):
+            kept_mass, all_mass = masses[t].get(name, (0.0, 0.0))
+            glob_all[t] += all_mass
+            glob_kept[t] += kept_mass
             mass.append(kept_mass / all_mass if all_mass else 1.0)
         agreement = {}
         sgn = [_signs(tr.deltas[name]) if name in tr.deltas else None for tr in trimmed]
@@ -143,15 +167,24 @@ def cosine(tv_a: TaskVector, tv_b: TaskVector) -> float:
     for n in shared:
         if tv_a.deltas[n].shape != tv_b.deltas[n].shape:
             raise MergeError(f"tensor {n!r}: shape conflict")
-    dot = 0.0
-    na = 0.0
-    nb = 0.0
-    for n in shared:
-        a = tv_a.deltas[n].reshape(-1)
-        b = tv_b.deltas[n].reshape(-1)
-        dot += float(np.dot(a, b))
-        na += float(np.dot(a, a))
-        nb += float(np.dot(b, b))
+    pairs = [(tv_a.deltas[n].reshape(-1), tv_b.deltas[n].reshape(-1)) for n in shared]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is rescaled
+        dot, na, nb = _dots(pairs, 1.0, 1.0)
+        if not math.isfinite(dot + na * nb):
+            dot, na, nb = _dots(pairs, _rescale(a for a, _ in pairs),
+                                _rescale(b for _, b in pairs))
     if na == 0.0 or nb == 0.0:
         raise MergeError("undefined cosine: zero vector")
     return float(np.clip(dot / math.sqrt(na * nb), -1.0, 1.0))
+
+
+def _dots(pairs: list[tuple[np.ndarray, np.ndarray]], sa: float,
+          sb: float) -> tuple[float, float, float]:
+    """(a.b, a.a, b.b) over the pairs, with a scaled by `sa` and b by `sb`."""
+    dot = na = nb = 0.0
+    for a, b in pairs:
+        a, b = a if sa == 1.0 else a * sa, b if sb == 1.0 else b * sb
+        dot += float(np.dot(a, b))
+        na += float(np.dot(a, a))
+        nb += float(np.dot(b, b))
+    return dot, na, nb

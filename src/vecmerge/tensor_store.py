@@ -4,37 +4,38 @@ Layout: 8-byte little-endian unsigned header length N, then N bytes of
 UTF-8 JSON `{name: {"dtype", "shape", "data_offsets"}}` (plus an optional
 "__metadata__" string map), then the raw little-endian data region.
 
-The writer is canonical: tensors are serialized in lexicographic name
-order with offsets packed contiguously from 0, so equal checkpoints
-produce byte-equal archives.
+The writer is canonical: tensors in lexicographic name order, offsets
+packed from 0, so equal checkpoints give byte-equal archives. The header
+fixes each tensor's offset, so tensors are written by position into a
+temp file, then renamed into place; a `LazyCheckpoint`'s are made while
+it is written, in any order, each chunk written as it is made.
 
 Every tensor holds one form, its stored form: the archive encoding, with
 BF16 as uint16 bits (see dtypes). Its `values` are a decoded view, made
 anew at each read and never cached. Files are mapped read-only, and
 nothing is copied at read: each tensor's data is a view of the map or of
 the bytes read, which may be misaligned. The TV merge kernel (extract
-runs it too) copies mapped data chunk by chunk with `read_chunk`, a
-positioned read, so it holds no mapped page, and raises ArchiveError on
-a file truncated after it was read. `values`, `diff`, the writer's copy
-of an unmerged tensor, and `trim`, `interference` and `cosine` of a
-stored F64 vector still read the map; such a file kills the process (SIGBUS).
-`_layout` alone decides what is valid: the reader raises its first
-problem, and `validate_archive` lists them all, then gaps and trailing
-bytes, in the JSON object that `vecmerge inspect` prints. Files are
-written one tensor at a time to a temp file that is then renamed into
-place, and a `LazyCheckpoint` makes each tensor only when the writer
-reaches it.
+runs it too) and the writer copy mapped data chunk by chunk with
+`read_chunk`, a positioned read, so they hold no mapped page, and raise
+ArchiveError on a file truncated after it was read. `values`, `diff`,
+and `trim`, `interference` and `cosine` of a stored F64 vector still
+read the map; such a file kills the process (SIGBUS). `_layout` alone
+decides what is valid: the reader raises its first problem, and
+`validate_archive` lists them all, then gaps and trailing bytes.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import mmap
 import os
 import stat
+import threading
 import weakref
 from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,7 @@ METADATA_KEY = "__metadata__"
 MAX_DIMS = 32  # numpy 1.x's limit; numpy 2 allows 64
 MAX_HEADER_BYTES = 100_000_000  # the safetensors limit
 _MAX_NBYTES = int(np.iinfo(np.intp).max)
+_CHUNK = 1 << 16  # elements per positioned read or write of a whole tensor
 
 
 class ArchiveError(ValueError):
@@ -132,16 +134,20 @@ class Checkpoint:
 
 @dataclass
 class LazyCheckpoint:
-    """A checkpoint whose tensors are made one at a time, as they are read.
+    """A checkpoint whose tensors are made only when they are written.
 
-    `layout` maps each name to its (dtype, shape), known before any
-    tensor is made, so an archive header can be written first. `produce()`
-    yields (name, Tensor) pairs in name order, making each tensor once.
-    """
+    `layout` maps each name to its (dtype, shape), so the header, and each
+    tensor's place in the file, is fixed before any tensor is made.
+    `make(name, put)` returns tensor `name` whole, or, given `put`, may
+    instead hand its stored elements to `put(start, data)` in 1-d pieces
+    that go at flat index `start` and return None. The writer and
+    `materialize` make each tensor once, up to `threads` at once, in any
+    order."""
 
     layout: dict[str, tuple[str, tuple[int, ...]]]
-    produce: Callable[[], Iterator[tuple[str, Tensor]]]
+    make: Callable[[str, Callable[[int, np.ndarray], None] | None], Tensor | None]
     metadata: dict[str, str] | None = None
+    threads: int = 1
 
     def __len__(self) -> int:
         return len(self.layout)
@@ -152,11 +158,20 @@ class LazyCheckpoint:
     def specs(self) -> list[tuple[str, str, tuple[int, ...]]]:
         return [(name, *self.layout[name]) for name in self.names()]
 
-    def items(self) -> Iterator[tuple[str, Tensor]]:
-        return self.produce()
-
     def materialize(self) -> Checkpoint:
-        return Checkpoint(dict(self.produce()), self.metadata)
+        names = self.names()
+        made = _each(lambda name: self.make(name, None), names, self.threads)
+        return Checkpoint(dict(zip(names, made)), self.metadata)
+
+
+def _each(fn: Callable, items: list, threads: int) -> list:
+    """[fn(item) for item in items], up to `threads` calls at once in a pool
+    (none at 1). A failure cancels the calls not yet started and is raised
+    once the running ones have ended."""
+    if threads <= 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 class _Object(dict):
@@ -337,49 +352,88 @@ def read_archive(path_or_bytes) -> Checkpoint:
     return Checkpoint(tensors, dict(metadata) if metadata else None)
 
 
-def _serialize(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str,
-               allow_nonfinite: bool):
-    """Yield an archive's bytes: the header, then one encoded tensor at a time.
-
-    The header needs only each tensor's dtype and shape; each tensor is
-    taken from the checkpoint just before it is encoded.
-    """
+def _write(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str, allow_nonfinite: bool,
+           fh: io.RawIOBase | io.BytesIO) -> None:
+    """Write an archive into `fh` by position: the header, from dtypes and
+    shapes alone, then each tensor at its own offset, in pieces as it is
+    made, from whatever thread makes it. A whole tensor is copied chunk by
+    chunk through `read_chunk`, so a mapped one is read by position."""
     if dtype_policy != "keep" and dtype_policy not in DTYPE_SIZES:
         raise ValueError(f"invalid dtype policy {dtype_policy!r}")
-
-    specs = checkpoint.specs()
     header: dict[str, dict] = {}
     if checkpoint.metadata:
         header[METADATA_KEY] = dict(sorted(checkpoint.metadata.items()))
+    layout = {name: (dtype, shape) for name, dtype, shape in checkpoint.specs()}
     offset = 0
-    for name, dtype, shape in specs:
+    for name, (dtype, shape) in layout.items():
         if not name or name == METADATA_KEY:
             raise ArchiveError(f"invalid tensor name {name!r}")
         stored = dtype if dtype_policy == "keep" else dtype_policy
         nbytes = math.prod(shape) * dtype_size(stored)
-        header[name] = {
-            "dtype": stored,
-            "shape": list(shape),
-            "data_offsets": [offset, offset + nbytes],
-        }
+        header[name] = {"dtype": stored, "shape": list(shape),
+                        "data_offsets": [offset, offset + nbytes]}
         offset += nbytes
-
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    yield len(header_bytes).to_bytes(8, "little") + header_bytes
-    for (name, dtype, shape), (got, tensor) in zip(specs, checkpoint.items(), strict=True):
-        if (got, tensor.dtype, tensor.shape) != (name, dtype, shape):
-            raise ValueError(f"tensor {got!r} {tensor.dtype} {list(tensor.shape)} was made "
-                             f"where the header holds {name!r} {dtype} {list(shape)}")
-        stored, data = header[name]["dtype"], tensor.data
+    start = 8 + len(header_bytes)
+    made = dict.fromkeys(layout, 0)  # elements written, per tensor
+    lazy = isinstance(checkpoint, LazyCheckpoint)
+    positioned = hasattr(os, "pwrite") and isinstance(fh, io.FileIO)
+    seeking = threading.Lock()  # keeps each seek with its write
+
+    def write_at(data: np.ndarray, offset: int) -> None:
+        done = 0
+        while done < data.size:  # a write may stop short
+            if positioned:
+                got = os.pwrite(fh.fileno(), data[done:], offset + done)
+            else:
+                with seeking:
+                    fh.seek(offset + done)
+                    got = fh.write(data[done:])
+            if not got:
+                raise OSError(f"write at byte {offset + done} made no progress")
+            done += got
+
+    def unlike(name: str, what: str) -> ValueError:
+        dtype, shape = layout[name]
+        return ValueError(f"tensor {name!r} was made as {what} "
+                          f"where the header holds {name!r} {dtype} {list(shape)}")
+
+    def put(name: str, first: int, data: np.ndarray) -> None:
+        (dtype, shape), stored = layout[name], header[name]["dtype"]
+        if data.dtype != storage_dtype(dtype) or not 0 <= first <= math.prod(shape) - data.size:
+            raise unlike(name, f"{data.dtype} elements [{first}, {first + data.size})")
         if not allow_nonfinite and not all_finite(data):
             raise ValueError(f"tensor {name!r}: non-finite value with allow_nonfinite=False")
-        yield encode(data if stored == dtype else narrow(widen(data), stored), stored)
+        piece = encode(data if stored == dtype else narrow(widen(data), stored), stored)
+        write_at(piece.view(np.uint8), start + header[name]["data_offsets"][0]
+                 + first * dtype_size(stored))
+        made[name] += data.size  # one thread makes each tensor
+
+    def make(name: str) -> None:
+        tensor = (checkpoint.make(name, lambda first, data: put(name, first, data)) if lazy
+                  else checkpoint[name])
+        if tensor is None:
+            return
+        if (tensor.dtype, tensor.shape) != layout[name]:
+            raise unlike(name, f"{tensor.dtype} {list(tensor.shape)}")
+        data = tensor.data.reshape(-1)
+        scratch = np.empty(min(data.size, _CHUNK), data.dtype)
+        for first in range(0, data.size, _CHUNK):
+            put(name, first, read_chunk(data, first, scratch[:min(_CHUNK, data.size - first)]))
+
+    write_at(np.frombuffer(len(header_bytes).to_bytes(8, "little") + header_bytes, np.uint8), 0)
+    _each(make, list(layout), checkpoint.threads if lazy else 1)
+    for name, (_, shape) in layout.items():
+        if made[name] != math.prod(shape):
+            raise unlike(name, f"{made[name]} elements")
 
 
 def write_archive(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str = "keep",
                   allow_nonfinite: bool = True) -> bytes:
     """Serialize a Checkpoint canonically; `dtype_policy` is "keep" or a dtype name."""
-    return b"".join(_serialize(checkpoint, dtype_policy, allow_nonfinite))
+    out = io.BytesIO()
+    _write(checkpoint, dtype_policy, allow_nonfinite, out)
+    return out.getvalue()
 
 
 def _create_temp(path) -> tuple[str, int]:
@@ -398,15 +452,13 @@ def _create_temp(path) -> tuple[str, int]:
 
 def save_archive(checkpoint: Checkpoint | LazyCheckpoint, path, dtype_policy: str = "keep",
                  allow_nonfinite: bool = True) -> None:
-    """Write atomically: stream to a temp file, then rename into place.
-
-    A LazyCheckpoint's tensors are made while the file is written, so at
-    most a few of them are held at once.
-    """
+    """Write atomically: place each tensor in a temp file, then rename it
+    into place. A LazyCheckpoint's tensors are made while the file is
+    written, each written as it is made, so none waits for another."""
     tmp, fd = _create_temp(path)
     try:
-        with open(fd, "wb") as fh:
-            fh.writelines(_serialize(checkpoint, dtype_policy, allow_nonfinite))
+        with open(fd, "wb", buffering=0) as fh:
+            _write(checkpoint, dtype_policy, allow_nonfinite, fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

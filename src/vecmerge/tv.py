@@ -5,16 +5,16 @@ rounding back to the output's dtype happens exactly once per element.
 One kernel, `_merge_tensor`, merges and extracts (fine-tuned + -1 *
 base, kept as float64). It goes through the operands' stored forms in
 cache-sized chunks, read by position where the file is mapped (see
-`read_chunk`), so temporaries stay small whatever the tensor size, no
-mapped page is touched, and a merge made for writing (`tv_merge_lazy`)
-holds only the few tensors in flight.
+`read_chunk`), so temporaries stay small whatever the tensor size and no
+mapped page is touched. A merge made for writing (`tv_merge_lazy`)
+hands each rounded chunk from the kernel's scratch to the writer, which
+writes it at its offset in the file, so its threads merge whole tensors
+in any order and hold only their scratch.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,17 +142,18 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
     return out
 
 
-def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]], dtype: str) -> Tensor:
+def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]], dtype: str,
+                  put: Callable[[int, np.ndarray], None] | None = None) -> Tensor | None:
     """base + sum(lam*delta) in float64, chunk by chunk, each read into
     per-call scratch (see read_chunk), rounded once to `dtype`'s stored
-    form. A delta is float64 or a stored form, widened chunk by chunk.
-    Every NaN is written as the positive quiet NaN of `dtype`, whatever
-    sign and payload the sum gave it, since those follow numpy's loop
-    choice and so the chunk length and CPU. Overflow and NaN are results,
-    not warnings, in pool threads too, which do not inherit errstate."""
+    form: into a new Tensor, returned, or, given `put`, into scratch handed
+    on as put(start, chunk). A delta is float64 or a stored form. Every NaN
+    is written as the positive quiet NaN of `dtype`, since sign and payload
+    follow numpy's loop choice and so the chunk length and CPU. Overflow
+    and NaN are results, not warnings, in pool threads too."""
     src = base.data.reshape(-1)
-    out = np.empty(src.size, dtype=storage_dtype(dtype))
     n = min(src.size, _CHUNK)
+    out = np.empty(src.size if put is None else n, dtype=storage_dtype(dtype))
     stored = np.empty(n, src.dtype)
     acc = None if out.dtype == np.float64 else np.empty(n)  # float64 sums in `out` itself
     term = np.empty(n)
@@ -161,8 +162,8 @@ def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]], dtype: s
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, src.size, _CHUNK):
             k = min(_CHUNK, src.size - start)
-            part = widen(read_chunk(src, start, stored[:k]),
-                         out[start:start + k] if acc is None else acc[:k])
+            dst = out[start:start + k] if put is None else out[:k]
+            part = widen(read_chunk(src, start, stored[:k]), dst if acc is None else acc[:k])
             for delta, lam, scratch in flat:
                 chunk = read_chunk(delta, start, scratch[:k])
                 if chunk.dtype == np.uint16:
@@ -173,63 +174,24 @@ def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]], dtype: s
                     part += np.multiply(chunk, lam, out=term[:k])
             part[np.isnan(part)] = np.nan
             if acc is not None:
-                narrow(part, dtype, out[start:start + k])
-    return Tensor(dtype, out.reshape(base.shape))
+                narrow(part, dtype, dst)
+            if put is not None:
+                put(start, dst)
+    return None if put is not None else Tensor(dtype, out.reshape(base.shape))
 
 
 def apply(base: Checkpoint, tv: TaskVector, threads: int = 1) -> Checkpoint:
-    """out = base + tv, cast back per-tensor to the base dtype.
-
-    Tensors untouched by tv are copied bit-exactly; extras are appended
-    verbatim.
-    """
+    """out = base + tv, cast back per-tensor to the base dtype; untouched
+    tensors are copied bit-exactly, and extras appended verbatim."""
     return tv_merge(base, [(tv, 1.0)], threads=threads)
-
-
-def _in_order(fn: Callable, items: list, sizes: list[int], threads: int) -> Iterator:
-    """fn over items, yielded in order. At most `threads` calls run at once,
-    and the next item is started only while the sizes of those started
-    and not yet yielded sum to under `threads` times the largest size."""
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    budget = threads * max(sizes, default=0)
-    queue = deque(zip(items, sizes))
-    window = deque()
-    held = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-
-        def fill():
-            nonlocal held
-            while queue and (not window or held < budget):
-                item, size = queue.popleft()
-                window.append((pool.submit(fn, item), size))
-                held += size
-
-        try:
-            fill()
-            while window:
-                future, size = window.popleft()
-                held -= size
-                result = future.result()
-                fill()  # before yielding, so the pool works while the caller uses result
-                yield result
-        finally:
-            for future, _ in window:
-                future.cancel()
 
 
 def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
                   threads: int = 1) -> LazyCheckpoint:
     """tv_merge for writing: the operands are checked now, and each tensor
-    is merged only when it is read, in name order.
-
-    At most `threads` tensors are merged at once, and merging runs ahead
-    of the reader by under `threads` times the largest tensor's elements,
-    so small tensors between large ones do not leave threads idle. Mapped
-    operands are read from their files chunk by chunk, and never mapped
-    in, so a merge holds no more of them than its scratch.
-    """
+    is merged only when it is written, up to `threads` at once in any
+    order, each chunk going from the kernel's scratch to its place in the
+    file, so a merge holds no more than its scratch."""
     if not weighted:
         raise MergeError("tv_merge requires at least one (vector, weight) pair")
     for _, lam in weighted:
@@ -250,15 +212,12 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
                 extras.setdefault(name, t)
     layout = {name: (t.dtype, t.shape) for name, t in (*base.items(), *extras.items())}
 
-    def one(name: str) -> tuple[str, Tensor]:
+    def make(name: str, put) -> Tensor | None:
         if name not in per_name:
-            return name, base[name] if name in base else extras[name]
-        return name, _merge_tensor(base[name], per_name[name], base[name].dtype)
+            return base[name] if name in base else extras[name]
+        return _merge_tensor(base[name], per_name[name], base[name].dtype, put)
 
-    names = sorted(layout)
-    sizes = [base[n].data.size if n in per_name else 0 for n in names]
-    return LazyCheckpoint(layout, lambda: _in_order(one, names, sizes, threads),
-                          dict(base.metadata) if base.metadata else None)
+    return LazyCheckpoint(layout, make, dict(base.metadata) if base.metadata else None, threads)
 
 
 def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],

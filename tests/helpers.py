@@ -171,10 +171,24 @@ def reference_extract(base, finetuned) -> dict:
     return out
 
 
+def reference_mass_scales(tvs) -> list[float]:
+    """Per vector, 1.0, or where the sum of its np.sum(np.abs(d)) masses
+    overflows, the power of two 2**-e with 2**(e-1) <= max|d| < 2**e."""
+    scales = []
+    for tv in tvs:
+        with np.errstate(over="ignore"):
+            total = sum(float(np.sum(np.abs(tv.deltas[name]))) for name in sorted(tv.deltas))
+        top = max((float(np.max(np.abs(d))) for d in tv.deltas.values() if d.size), default=0.0)
+        scales.append(1.0 if math.isfinite(total) or not math.isfinite(top)
+                      else 2.0 ** -math.frexp(top)[1])
+    return scales
+
+
 def reference_interference_stats(tvs, density) -> dict:
     """The interference report through the references above, with
-    np.sum(np.abs(d)) masses and np.sign signs."""
+    np.sum(np.abs(d) * scale) masses and np.sign signs."""
     trimmed = [reference_trim(tv, density) for tv in tvs]
+    scales = reference_mass_scales(tvs)
     signs = reference_elect_signs(trimmed, [1.0] * len(trimmed))
     n = len(tvs)
     pairs = ([(i, j) for i in range(n) for j in range(i + 1, n)] if n <= 8
@@ -188,8 +202,8 @@ def reference_interference_stats(tvs, density) -> dict:
         for t, (tv, tr) in enumerate(zip(tvs, trimmed)):
             all_mass = kept_mass = 0.0
             if name in tv.deltas:
-                all_mass = float(np.sum(np.abs(tv.deltas[name])))
-                kept_mass = float(np.sum(np.abs(tr.deltas[name])))
+                all_mass = float(np.sum(np.abs(tv.deltas[name]) * scales[t]))
+                kept_mass = float(np.sum(np.abs(tr.deltas[name]) * scales[t]))
                 glob_all[t] += all_mass
                 glob_kept[t] += kept_mass
             mass.append(kept_mass / all_mass if all_mass else 1.0)

@@ -281,8 +281,7 @@ def _write_plain(path, dtype, seed, metadata=None):
     misaligned, so the reader keeps every tensor in its stored form."""
     layout = {name: (dtype, shape) for name, shape in _LAYERS.items()}
     save_archive(LazyCheckpoint(
-        layout, lambda: ((n, Tensor(dtype, _layer(seed, n, dtype))) for n in sorted(layout)),
-        metadata), path)
+        layout, lambda name, put: Tensor(dtype, _layer(seed, name, dtype)), metadata), path)
     with open(path, "rb") as fh:
         assert (8 + int.from_bytes(fh.read(8), "little")) % 4 != 0
 

@@ -455,6 +455,12 @@ def hostile(tmp_path_factory):
         "ties": {"method": "ties", "density": 0.5, "lambda": {"grid": [1.0, 1e10]}, "vectors": [
             {"source": str(root / f"finite{i}.st"), "weight": {"grid": [1.0, 1e10]}}
             for i in range(2)]}}
+    huge = [big, -big, big, 2.0, -big, 1.0, big]  # finite, but their sums overflow
+    for i in range(2):
+        arrays = {n: np.roll(huge, i)[:len(base[n])] for n in base}
+        save_archive(TaskVector.from_arrays(arrays).to_checkpoint(), root / f"huge{i}.st")
+    recipes["ties_huge"] = {"method": "ties", "density": 0.5, "vectors": [
+        {"source": str(root / f"huge{i}.st"), "weight": 1.0} for i in range(2)]}
     for method, recipe in recipes.items():
         recipe.update(base=str(root / "base.st"), output=str(root / f"sweep_{method}.st"))
         (root / f"{method}.json").write_text(json.dumps(recipe))
@@ -483,3 +489,32 @@ def test_nonfinite_and_overflowing_inputs_print_no_runtime_warning(hostile, comm
          *command.format(r=hostile).split()],
         env=env, capture_output=True, text=True, timeout=120)
     assert (child.returncode, child.stderr) == (0, "")
+
+
+def _no_nan(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+@pytest.mark.parametrize("command", [
+    "interference --vector {r}/huge0.st --vector {r}/huge1.st --density 0.5 --json",
+    "cosine {r}/huge0.st {r}/huge1.st",
+    "run --recipe {r}/ties_huge.json",
+])
+def test_reports_on_vectors_whose_sums_overflow(hostile, command):
+    """Sums of |delta| and dot products past the float64 limit are
+    rescaled, not warned about: the reports are strict JSON, each
+    trimmed-mass fraction lies in [0, 1] and the cosine in [-1, 1]."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vecmerge.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "vecmerge.cli",
+         *command.format(r=hostile).split()],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
+    out = json.loads(child.stdout, parse_constant=_no_nan)
+    if command.startswith("cosine"):
+        assert -1.0 <= out <= 1.0
+        return
+    report = out if command.startswith("interference") else out["outcomes"][0]["report"]
+    fractions = [*report["global"]["trimmed_mass"],
+                 *(m for t in report["per_tensor"].values() for m in t["trimmed_mass"])]
+    assert fractions and all(0.0 <= m <= 1.0 for m in fractions)

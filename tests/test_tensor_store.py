@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 import vecmerge
 from vecmerge import (ArchiveError, Checkpoint, LazyCheckpoint, TaskVector, Tensor,
-                      read_archive, save_archive, tv_merge, validate_archive, write_archive)
+                      read_archive, save_archive, tv_merge, tv_merge_lazy, validate_archive,
+                      write_archive)
 from vecmerge import tv as tv_mod
 from vecmerge.cli import main
-from vecmerge.dtypes import _f32_to_bf16_bits, cast_values, dtype_size
+from vecmerge.dtypes import _f32_to_bf16_bits, cast_values, dtype_size, encode, narrow
 from vecmerge.tensor_store import MAX_HEADER_BYTES, read_chunk
 from vecmerge.tv import extract_task_vector, load_task_vector
 
@@ -457,12 +458,13 @@ TRUNCATE = """
 import os, sys
 import numpy as np
 from vecmerge import Checkpoint, TaskVector, extract_task_vector, read_archive, save_archive
-from vecmerge import tv_merge
+from vecmerge import tv_merge, tv_merge_lazy
 from vecmerge.tv import load_task_vector
 
 case, root = sys.argv[1], sys.argv[2]
 n = 1 << 20
-base = Checkpoint.from_arrays({"w": np.zeros(n)}, "F32")
+names = ("w", "x") if case == "unmerged" else ("w",)  # the vector has no "x"
+base = Checkpoint.from_arrays({name: np.zeros(n) for name in names}, "F32")
 save_archive(base, root + "/base.st")
 save_archive(TaskVector.from_arrays({"w": np.ones(n)}).to_checkpoint(), root + "/tv.st")
 save_archive(Checkpoint.from_arrays({"w": np.ones(n)}, "F32"), root + "/ft.st")
@@ -471,6 +473,10 @@ if case == "merge":
     operand = load_task_vector(root + "/tv.st")
     os.truncate(root + "/tv.st", 4096 + 8 * n // 2)
     tv_merge(base, [(operand, 0.5)])
+elif case == "unmerged":  # the writer copies "x", in the second half of the base file
+    operand = load_task_vector(root + "/tv.st")
+    os.truncate(root + "/base.st", 4096 + 4 * n + 4 * n // 2)
+    save_archive(tv_merge_lazy(base, [(operand, 0.5)]), root + "/out.st")
 else:
     operand = read_archive(root + "/ft.st")
     os.truncate(root + "/ft.st", 4096 + 4 * n // 2)
@@ -478,7 +484,7 @@ else:
 """
 
 
-@pytest.mark.parametrize("case", ["merge", "extract"])
+@pytest.mark.parametrize("case", ["merge", "extract", "unmerged"])
 def test_an_archive_truncated_after_reading_raises_not_a_signal(tmp_path, case):
     """Data read through the map past a truncated file's end kills the
     process with SIGBUS; a positioned read finds the end and raises."""
@@ -566,6 +572,44 @@ class TestSaveArchive:
         assert write_archive(signalling) == write_archive(
             Checkpoint({"w": Tensor("BF16", np.array([0x7FC1, 0x3F80], "<u2"))}))
 
+    @staticmethod
+    def lazy_merge():
+        rng = np.random.default_rng(17)
+        sizes = {"a": 3000, "b": 70_000, "c": 5}  # "b" crosses a chunk; no vector has "c"
+        base = Checkpoint({n: Tensor(dtype, narrow(rng.normal(size=sizes[n]), dtype))
+                           for n, dtype in zip(sizes, ("F32", "BF16", "F16"))})
+        tv = TaskVector.from_arrays({n: rng.normal(size=sizes[n]) for n in "ab"})
+        return tv_merge_lazy(base, [(tv, 0.3)], threads=2)
+
+    def test_short_writes_give_the_same_bytes(self, tmp_path, monkeypatch):
+        want = write_archive(self.lazy_merge())
+        pwrite, sizes = os.pwrite, []
+
+        def short(fd, data, offset):
+            got = pwrite(fd, memoryview(data).cast("B")[:1000], offset)
+            sizes.append(got)
+            return got
+
+        monkeypatch.setattr(os, "pwrite", short)
+        save_archive(self.lazy_merge(), tmp_path / "out.st")
+        assert (tmp_path / "out.st").read_bytes() == want
+        assert max(sizes) == 1000 and len(sizes) > len(want) // 1000
+
+    def test_a_write_that_makes_no_progress_raises(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.st"
+        path.write_bytes(b"old bytes")
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0)
+        with pytest.raises(OSError, match="made no progress"):
+            save_archive(self.lazy_merge(), path)
+        assert path.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.st"]
+
+    def test_without_pwrite_the_bytes_are_the_same(self, tmp_path, monkeypatch):
+        want = write_archive(self.lazy_merge())
+        monkeypatch.delattr(os, "pwrite")
+        save_archive(self.lazy_merge(), tmp_path / "out.st")
+        assert (tmp_path / "out.st").read_bytes() == want
+
     def test_concurrent_saves_to_one_path(self, tmp_path):
         path = tmp_path / "out.st"
         both_open = threading.Barrier(2, timeout=30)
@@ -573,13 +617,13 @@ class TestSaveArchive:
         def lazy(fill, gate):
             layout = {f"t{i}": ("F32", (1 << 16,)) for i in range(4)}
 
-            def produce():
-                for i, name in enumerate(sorted(layout)):
-                    if i == 1:
-                        gate()
-                    yield name, Tensor("F32", np.full(1 << 16, fill + i, dtype=np.float32))
+            def make(name, put):
+                i = int(name[1:])
+                if i == 1:
+                    gate()
+                return Tensor("F32", np.full(1 << 16, fill + i, dtype=np.float32))
 
-            return LazyCheckpoint(layout, produce, {"fill": str(fill)})
+            return LazyCheckpoint(layout, make, {"fill": str(fill)})
 
         fills = (1.0, -1.0)
         wanted = {write_archive(lazy(fill, lambda: None)) for fill in fills}
@@ -612,14 +656,14 @@ class TestInterruptedWrite:
     def lazy(fail_at=None, bad_shape_at=None):
         layout = {name: ("F32", (1000,)) for name in "abcd"}
 
-        def produce():
-            for i, name in enumerate(sorted(layout)):
-                if i == fail_at:
-                    raise RuntimeError("tensor could not be made")
-                shape = 999 if i == bad_shape_at else 1000
-                yield name, Tensor("F32", np.zeros(shape, dtype=np.float32))
+        def make(name, put):
+            i = "abcd".index(name)
+            if i == fail_at:
+                raise RuntimeError("tensor could not be made")
+            shape = 999 if i == bad_shape_at else 1000
+            return Tensor("F32", np.zeros(shape, dtype=np.float32))
 
-        return LazyCheckpoint(layout, produce)
+        return LazyCheckpoint(layout, make)
 
     def test_failure_while_a_tensor_is_made_keeps_destination(self, tmp_path):
         path = tmp_path / "out.st"
@@ -644,7 +688,7 @@ class TestInterruptedWrite:
         path = tmp_path / "out.st"
         path.write_bytes(b"old bytes")
         with pytest.raises(ValueError, match="where the header holds 'b'"):
-            save_archive(LazyCheckpoint(layout, lambda: iter(sorted(made.items()))), path)
+            save_archive(LazyCheckpoint(layout, lambda name, put: made[name]), path)
         assert path.read_bytes() == b"old bytes"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.st"]
 
@@ -1043,6 +1087,19 @@ class TestBF16Round:
         want = ((u.astype(np.uint64) + 0x7FFF + ((u >> 16) & 1)) >> 16).astype(np.uint16)
         want = np.where(np.isnan(f), ((u >> 16) | 0x0040).astype(np.uint16), want)
         np.testing.assert_array_equal(_f32_to_bf16_bits(f), want)
+
+
+def test_encode_quiets_each_bf16_nan_and_changes_nothing_else():
+    bits = np.arange(1 << 16, dtype=np.uint32).astype("<u2")
+    nan = (bits & 0x7FFF) > 0x7F80
+    got = encode(bits, "BF16")
+    assert np.array_equal(got[nan], bits[nan] | 0x0040)
+    assert np.array_equal(got[~nan], bits[~nan])
+    free = bits[~nan]
+    assert encode(free, "BF16") is free  # NaN-free data is not copied
+    for pattern in bits[nan]:  # each NaN alone among the largest non-NaN patterns
+        one = np.array([0x7F80, pattern, 0xFF80], "<u2")
+        assert encode(one, "BF16").tolist() == [0x7F80, pattern | 0x0040, 0xFF80]
 
 
 class TestCastValues:

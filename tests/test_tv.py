@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from vecmerge import (Checkpoint, MergeError, TaskVector, Tensor, apply, extract_task_vector,
                       read_archive, save_archive, scale, tv_merge, tv_merge_lazy,
                       write_archive)
+from vecmerge import tensor_store as store_mod
 from vecmerge import tv as tv_mod
 from vecmerge.tv import is_task_vector_archive
 
@@ -181,7 +183,7 @@ class TestLazyMerge:
         return base, [(tvs[0], 0.3), (tvs[1], -0.6)]
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_each_tensor_is_merged_once_within_the_window(self, tmp_path, monkeypatch, threads):
+    def test_each_tensor_is_merged_once(self, tmp_path, monkeypatch, threads):
         base, pairs = self.operands()
         want = write_archive(tv_merge(base, pairs))
         name_of = {id(base[n]): n for n in base.names()}
@@ -194,7 +196,7 @@ class TestLazyMerge:
                 live[0] += 1
                 peak[0] = max(peak[0], live[0])
                 workers.add(threading.get_ident())
-            time.sleep(0.002)  # gives the window time to fill
+            time.sleep(0.002)  # gives the other threads time to start theirs
             try:
                 return kernel(tensor, *args)
             finally:
@@ -204,13 +206,13 @@ class TestLazyMerge:
 
         pools = []
 
-        class Pool(tv_mod.ThreadPoolExecutor):
+        class Pool(store_mod.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(tv_mod, "_merge_tensor", counted)
-        monkeypatch.setattr(tv_mod, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(store_mod, "ThreadPoolExecutor", Pool)
         lazy = tv_merge_lazy(base, pairs, threads=threads)
         assert len(lazy) == len(base) + 1 and lazy.names()[-1] == "zz.head"
         assert merged == []  # nothing is merged before the writer reads it
@@ -226,17 +228,29 @@ class TestLazyMerge:
         if threads == 1:
             assert pools == [] and workers == {threading.get_ident()}
 
-    def test_window_runs_ahead_past_small_items(self):
-        second_started = threading.Event()
-
-        def fn(item):
-            if item == "big2":
-                second_started.set()
-            return item, item != "big1" or second_started.wait(timeout=10)
-
-        items = ["big1", "s1", "s2", "s3", "big2", "s4"]
-        out = list(tv_mod._in_order(fn, items, [100, 1, 1, 1, 100, 1], threads=2))
-        assert out == [(item, True) for item in items]  # both large items ran at once
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_writing_a_merge_holds_its_scratch_not_its_tensors(self, tmp_path, threads):
+        """Each merged chunk goes from the kernel's scratch to the file, so
+        the traced peak is the scratch of the merges running at once."""
+        n = 4 << 20  # 8 MiB of BF16 per merged tensor
+        rng = np.random.default_rng(13)
+        base = Checkpoint({name: Tensor("BF16", narrow(rng.normal(size=n), "BF16"))
+                           for name in ("a", "b")})
+        tv = TaskVector.from_arrays({name: rng.normal(size=n) for name in ("a", "b")})
+        one_chunk = Tensor("BF16", base["a"].data[:tv_mod._CHUNK])
+        tracemalloc.start()
+        try:  # the scratch of one merge: that of a tensor one chunk long, output included
+            tv_mod._merge_tensor(one_chunk, [(tv.deltas["a"][:tv_mod._CHUNK], 0.3)], "BF16")
+            scratch = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            save_archive(tv_merge_lazy(base, [(tv, 0.3)], threads=threads), tmp_path / "out.st")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "out.st").read_bytes() == write_archive(tv_merge(base, [(tv, 0.3)]))
+        assert peak < 2 * n, f"peak {peak / 2**20:.1f} MiB holds a whole merged tensor"
+        assert peak < threads * scratch + 2**20, \
+            f"peak {peak / 2**20:.2f} MiB over {threads} x {scratch / 2**20:.2f} MiB + 1 MiB"
 
     def test_operands_are_checked_before_any_tensor(self):
         base, pairs = self.operands()
@@ -251,19 +265,31 @@ class TestLazyMerge:
 
     def test_kernel_failure_reaches_the_writer(self, tmp_path, monkeypatch):
         base, pairs = self.operands()
-        calls = []
+        lock = threading.Lock()
+        calls, live = [], [0]
 
         def failing(tensor, *args):
-            calls.append(1)
-            if len(calls) == 3:
-                raise RuntimeError("kernel failed")
-            return tensor
+            with lock:
+                calls.append(1)
+                live[0] += 1
+                failed = len(calls) == 3
+            try:
+                if failed:
+                    raise RuntimeError("kernel failed")
+                time.sleep(0.02)  # still running when the third call fails
+                return tensor
+            finally:
+                with lock:
+                    live[0] -= 1
 
         monkeypatch.setattr(tv_mod, "_merge_tensor", failing)
         path = tmp_path / "out.st"
         path.write_bytes(b"old bytes")
+        before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="kernel failed"):
             save_archive(tv_merge_lazy(base, pairs, threads=2), path)
+        assert live == [0]  # the other worker's merge ended before the error came out
+        assert set(threading.enumerate()) == before  # and its thread with it
         assert path.read_bytes() == b"old bytes"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.st"]
 
