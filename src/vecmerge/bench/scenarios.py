@@ -9,10 +9,10 @@ over the default grid.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from ..recipes import DEFAULT_GRID, select_best
+from ..tensor_store import _each
 from ..ties import ties_merge
 from ..tv import extract_task_vector, tv_merge
 from .data import Dataset, ModelSpec, concat, gen_dataset
@@ -91,7 +91,8 @@ def _run_pipeline(name: str, ctx: _SeedContext):
         merged = [tv_merge(ctx.base, [(ctx.aux_vector, lam)]) for lam in DEFAULT_GRID]
     else:
         merged = [ties_merge(ctx.base, [(ctx.aux_vector, 1.0)], lam=lam) for lam in DEFAULT_GRID]
-    trained = dict(zip(DEFAULT_GRID, train_stack(merged, ctx.target_train, cfg)))
+    models = train_stack([m.materialize() for m in merged], ctx.target_train, cfg)
+    trained = dict(zip(DEFAULT_GRID, models))
     rows = [({"lambda": lam}, ctx.f1(model, ctx.target_dev)) for lam, model in trained.items()]
     lam = select_best(rows)["lambda"]
     info = {"lambda": lam, "dev_f1": dict((f"{a['lambda']:g}", m) for a, m in rows)}
@@ -116,11 +117,7 @@ def run_bench(scenarios: list[str], seeds: list[int], sizes: BenchSizes | None =
         raise ValueError("the bench needs at least one seed")
     sizes = sizes or BenchSizes()
     cfg = cfg or TrainConfig()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            contexts = list(pool.map(lambda s: _SeedContext(s, sizes, cfg), seeds))
-    else:
-        contexts = [_SeedContext(s, sizes, cfg) for s in seeds]
+    contexts = _each(lambda s: _SeedContext(s, sizes, cfg), seeds, threads)
     reports = {}
     for name in scenarios:
         runs = [_run_pipeline(name, ctx) for ctx in contexts]

@@ -18,7 +18,13 @@ from .reports import cosine, diff_stats, interference_stats
 from .tensor_store import (ArchiveError, read_archive, save_archive,
                            validate_archive)
 from .ties import DEFAULT_DENSITY, DEFAULT_LAMBDA, ties_merge
-from .tv import extract_task_vector, load_task_vector, tv_merge_lazy
+from .tv import extract_task_vector, load_task_vector, tv_merge
+
+
+def _positive_int(text: str) -> int:  # argparse exits 2 on ArgumentTypeError
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _json(obj) -> str:
@@ -49,22 +55,18 @@ def _weighted_pairs(args):
     return [(load_task_vector(v), w) for v, w in zip(args.vector, args.weight)]
 
 
-def _cmd_merge_tv(args) -> int:
-    base = read_archive(args.base)
-    merged = tv_merge_lazy(base, _weighted_pairs(args), threads=args.threads)
-    save_archive(merged, args.out)
-    print(json.dumps({"out": args.out, "tensor_count": len(merged)}, sort_keys=True))
-    return 0
-
-
-def _cmd_merge_ties(args) -> int:
+def _cmd_merge(args) -> int:
     base = read_archive(args.base)
     pairs = _weighted_pairs(args)
-    merged = ties_merge(base, pairs, args.density, args.lam, threads=args.threads)
+    report = None  # made first, so its trimmed copies are gone when the merge runs
+    if args.method == "ties" and args.report:
+        report = interference_stats([t for t, _ in pairs], args.density)
+    merged = (tv_merge(base, pairs, threads=args.threads) if args.method == "tv"
+              else ties_merge(base, pairs, args.density, args.lam, threads=args.threads))
     save_archive(merged, args.out)
-    if args.report:
+    if report is not None:
         with open(args.report, "w") as fh:
-            fh.write(_json(interference_stats([t for t, _ in pairs], args.density)))
+            fh.write(_json(report))
     print(json.dumps({"out": args.out, "tensor_count": len(merged)}, sort_keys=True))
     return 0
 
@@ -168,18 +170,18 @@ def build_parser() -> argparse.ArgumentParser:
         mp.add_argument("--vector", action="append", required=True)
         mp.add_argument("--weight", action="append", type=float, required=True)
         mp.add_argument("--out", required=True)
-        mp.add_argument("--threads", type=int, default=1)
+        mp.add_argument("--threads", type=_positive_int, default=1)
 
     mp = merge_sub.add_parser("tv", help="scaled vector addition")
     add_merge_common(mp)
-    mp.set_defaults(func=_cmd_merge_tv)
+    mp.set_defaults(func=_cmd_merge)
 
     mp = merge_sub.add_parser("ties", help="trim/elect-sign/disjoint-mean merge")
     add_merge_common(mp)
     mp.add_argument("--density", type=float, default=DEFAULT_DENSITY)
     mp.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     mp.add_argument("--report", default=None)
-    mp.set_defaults(func=_cmd_merge_ties)
+    mp.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("diff", help="compare two checkpoints")
     p.add_argument("a")
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--metrics", default=None)
     p.add_argument("--select", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("bench", help="run the toy pipeline comparison")
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--epochs", type=int, default=80)
     p.add_argument("--learning-rate", type=float, default=0.03)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 

@@ -210,16 +210,14 @@ def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> dict:
 
     report = None
     if recipe.method == "tv":
-        merged = tv_mod.tv_merge_lazy(base, pairs, threads=threads)
-    else:
+        merged = tv_mod.tv_merge(base, pairs, threads=threads)
+    else:  # the report first, so its trimmed copies are gone when the merge runs
+        report = interference_stats([t for t, _ in pairs], recipe.density)
         merged = ties_mod.ties_merge(base, pairs, recipe.density, float(recipe.lam),
                                      threads=threads)
-        report = interference_stats([t for t, _ in pairs], recipe.density)
 
-    metadata = dict(merged.metadata or {})
-    metadata["vecmerge.recipe"] = json.dumps(recipe.to_dict(), sort_keys=True,
-                                             separators=(",", ":"))
-    merged = dataclasses.replace(merged, metadata=metadata)
+    merged.metadata = {**(merged.metadata or {}), "vecmerge.recipe": json.dumps(
+        recipe.to_dict(), sort_keys=True, separators=(",", ":"))}
     save_archive(merged, recipe.output, dtype_policy=recipe.dtype)
     return {"output": recipe.output, "report": report, "tensor_count": len(merged),
             "wall_time": time.perf_counter() - start}

@@ -20,7 +20,8 @@ MAX_ALL_PAIRS = 8  # above this, only adjacent pairs (quadratic blowup guard)
 
 
 def diff_stats(a: Checkpoint, b: Checkpoint) -> dict:
-    """Per-tensor and global delta statistics over the shared intersection."""
+    """Per-tensor and global delta statistics over the shared intersection.
+    An L2 norm reads inf only where a delta itself is beyond float64."""
     shared = [n for n in a.names() if n in b and a[n].shape == b[n].shape]
     if not shared:
         raise MergeError("no shared tensors with matching shapes")
@@ -29,27 +30,37 @@ def diff_stats(a: Checkpoint, b: Checkpoint) -> dict:
     max_abs = 0.0
     equal = 0
     total = 0
-    for name in shared:
-        va = widen(a[name].data)
-        vb = widen(b[name].data)
-        d = vb - va
-        sq = float(np.sum(d * d))
-        n_eq = int(np.count_nonzero(va == vb))
-        t_max = float(np.max(np.abs(d))) if d.size else 0.0
-        per_tensor[name] = {"equal_fraction": n_eq / d.size if d.size else 1.0,
-                            "l2_norm": math.sqrt(sq), "max_abs": t_max}
-        sq_sum += sq
-        max_abs = max(max_abs, t_max)
-        equal += n_eq
-        total += d.size
+    with np.errstate(over="ignore"):  # an overflowing sum is rescaled
+        for name in shared:
+            va = widen(a[name].data)
+            vb = widen(b[name].data)
+            d = vb - va
+            sq = float(np.sum(d * d))
+            n_eq = int(np.count_nonzero(va == vb))
+            t_max = float(np.max(np.abs(d))) if d.size else 0.0
+            per_tensor[name] = {"equal_fraction": n_eq / d.size if d.size else 1.0,
+                                "l2_norm": _l2_norm(sq, d), "max_abs": t_max}
+            sq_sum += sq
+            max_abs = max(max_abs, t_max)
+            equal += n_eq
+            total += d.size
+        l2_norm = _l2_norm(sq_sum, np.array([t["l2_norm"] for t in per_tensor.values()]))
     return {
         "global": {"equal_fraction": equal / total if total else 1.0,
-                   "l2_norm": math.sqrt(sq_sum), "max_abs": max_abs},
+                   "l2_norm": l2_norm, "max_abs": max_abs},
         "only_in_a": [n for n in a.names() if n not in b],
         "only_in_b": [n for n in b.names() if n not in a],
         "per_tensor": per_tensor,
         "shape_mismatch": [n for n in a.names() if n in b and a[n].shape != b[n].shape],
     }
+
+
+def _l2_norm(sq: float, d: np.ndarray) -> float:
+    """sqrt(sq) for `sq` the sum of d's squares, or, if it overflowed, d's norm `_rescale`d."""
+    scale = 1.0 if math.isfinite(sq) else _rescale([d])
+    if scale != 1.0:
+        sq = float(np.sum(np.square(d * scale)))
+    return math.sqrt(sq) / scale
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -168,7 +179,7 @@ def cosine(tv_a: TaskVector, tv_b: TaskVector) -> float:
         if tv_a.deltas[n].shape != tv_b.deltas[n].shape:
             raise MergeError(f"tensor {n!r}: shape conflict")
     pairs = [(tv_a.deltas[n].reshape(-1), tv_b.deltas[n].reshape(-1)) for n in shared]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is rescaled
+    with np.errstate(over="ignore"):  # an overflowing sum is rescaled
         dot, na, nb = _dots(pairs, 1.0, 1.0)
         if not math.isfinite(dot + na * nb):
             dot, na, nb = _dots(pairs, _rescale(a for a, _ in pairs),

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .tensor_store import Checkpoint
+from .tensor_store import Checkpoint, LazyCheckpoint
 from .tv import MergeError, TaskVector, tv_merge
 
 DEFAULT_DENSITY = 0.2
@@ -199,9 +199,9 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
 
 def ties_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
                density: float = DEFAULT_DENSITY, lam: float = DEFAULT_LAMBDA,
-               threads: int = 1) -> Checkpoint:
+               threads: int = 1) -> LazyCheckpoint:
     """Full TIES pipeline over (vector, weight) pairs: trim, elect signs,
-    disjoint mean, then base + lam * merged."""
+    disjoint mean, then base + lam * merged, lazily, as `tv_merge` gives it."""
     if not weighted:
         raise MergeError("ties_merge requires at least one task vector")
     if not np.isfinite(lam):

@@ -6,10 +6,10 @@ One kernel, `_merge_tensor`, merges and extracts (fine-tuned + -1 *
 base, kept as float64). It goes through the operands' stored forms in
 cache-sized chunks, read by position where the file is mapped (see
 `read_chunk`), so temporaries stay small whatever the tensor size and no
-mapped page is touched. A merge made for writing (`tv_merge_lazy`)
-hands each rounded chunk from the kernel's scratch to the writer, which
-writes it at its offset in the file, so its threads merge whole tensors
-in any order and hold only their scratch.
+mapped page is touched. A merge (`tv_merge`) is a `LazyCheckpoint`: the
+writer takes each rounded chunk from the kernel's scratch to its offset
+in the file, so threads merge whole tensors in any order and hold only
+their scratch; `materialize()` keeps a merge in memory instead.
 """
 
 from __future__ import annotations
@@ -183,15 +183,15 @@ def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]], dtype: s
 def apply(base: Checkpoint, tv: TaskVector, threads: int = 1) -> Checkpoint:
     """out = base + tv, cast back per-tensor to the base dtype; untouched
     tensors are copied bit-exactly, and extras appended verbatim."""
-    return tv_merge(base, [(tv, 1.0)], threads=threads)
+    return tv_merge(base, [(tv, 1.0)], threads=threads).materialize()
 
 
-def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
-                  threads: int = 1) -> LazyCheckpoint:
-    """tv_merge for writing: the operands are checked now, and each tensor
-    is merged only when it is written, up to `threads` at once in any
-    order, each chunk going from the kernel's scratch to its place in the
-    file, so a merge holds no more than its scratch."""
+def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
+             threads: int = 1) -> LazyCheckpoint:
+    """Scaled vector addition, out = base + sum(lam_i * tv_i), accumulated
+    once in float64 and cast once per tensor. The operands are checked now;
+    each tensor is merged when it is written or `materialize()`d, up to
+    `threads` at once in any order, so a written merge holds only scratch."""
     if not weighted:
         raise MergeError("tv_merge requires at least one (vector, weight) pair")
     for _, lam in weighted:
@@ -218,13 +218,3 @@ def tv_merge_lazy(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
         return _merge_tensor(base[name], per_name[name], base[name].dtype, put)
 
     return LazyCheckpoint(layout, make, dict(base.metadata) if base.metadata else None, threads)
-
-
-def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
-             threads: int = 1) -> Checkpoint:
-    """Scaled vector addition: out = base + sum(lam_i * tv_i).
-
-    Accumulation happens once in float64 across all vectors, followed by
-    a single cast per tensor (never iterated casting).
-    """
-    return tv_merge_lazy(base, weighted, threads=threads).materialize()

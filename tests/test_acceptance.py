@@ -111,13 +111,13 @@ def test_criterion_4_ties_oracle_equivalence():
         out, signs = _run_ties_instance(base_vals, vectors, weights, density, lam)
         merged_ref, gamma_ref = naive_ties_vector(vectors, weights, density)
         expected = base_vals + lam * np.array(merged_ref)
-        np.testing.assert_allclose(out.values("w"), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.materialize().values("w"), expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(signs["w"], gamma_ref)
     # pinned hand case
     out, _ = _run_ties_instance(
         np.zeros(4), [np.array([1.0, -2.0, 0.5, 0.0]), np.array([2.0, 1.0, -0.4, 0.3])],
         [1.0, 1.0], 0.5, 1.0)
-    np.testing.assert_array_equal(out.values("w"), [1.5, -2.0, 0.0, 0.0])
+    np.testing.assert_array_equal(out.materialize().values("w"), [1.5, -2.0, 0.0, 0.0])
     ok(4, "TIES oracle equivalence")
 
 
@@ -130,8 +130,8 @@ def test_criterion_5_reduction_law():
         lam = float(rng.uniform(-2.0, 2.0))
         if lam == 0.0:
             lam = 1.0
-        got = ties_merge(base, [(tv, 1.0)], 1.0, lam)
-        want = tv_merge(base, [(tv, lam)])
+        got = ties_merge(base, [(tv, 1.0)], 1.0, lam).materialize()
+        want = tv_merge(base, [(tv, lam)]).materialize()
         for name in base.names():
             g = got.values(name).astype(np.float64)
             w = want.values(name).astype(np.float64)
@@ -228,13 +228,13 @@ def test_criterion_9_throughput():
     base, tvs = _big_instance()
     ckpt_bytes = sum(t.values.size * 4 for t in base.tensors.values())
     start = time.perf_counter()
-    merged = tv_merge(base, [(tvs[0], 0.5), (tvs[1], 0.25)])
+    merged = tv_merge(base, [(tvs[0], 0.5), (tvs[1], 0.25)]).materialize()
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"merge took {elapsed:.2f}s"
     assert len(merged) == 4
 
     tracemalloc.start()
-    tv_merge(base, [(tvs[0], 0.5), (tvs[1], 0.25)])
+    tv_merge(base, [(tvs[0], 0.5), (tvs[1], 0.25)]).materialize()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 3 * ckpt_bytes, f"peak {peak / 1e6:.0f}MB >= 3x checkpoint"

@@ -537,7 +537,7 @@ class TestScenarios:
 
     def test_lambda_zero_merge_equals_full_ft(self):
         ctx = _SeedContext(0, SMALL, FAST)
-        merged = tv_merge(ctx.base, [(ctx.aux_vector, 0.0)])
+        merged = tv_merge(ctx.base, [(ctx.aux_vector, 0.0)]).materialize()
         a = train(merged, ctx.target_train, FAST)
         b = train(ctx.base, ctx.target_train, FAST)
         for name in a.names():

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 import vecmerge
-from vecmerge import Checkpoint, TaskVector, Tensor, apply, read_archive, save_archive
+from vecmerge import (Checkpoint, TaskVector, Tensor, apply, read_archive, save_archive,
+                      ties_merge, write_archive)
+from vecmerge import tv as tv_mod
 from vecmerge.cli import main
+from vecmerge.tv import load_task_vector
 from vecmerge.dtypes import narrow
 
 
@@ -82,12 +85,14 @@ class TestExtractAndMerge:
                            "--out", workspace / "merged.st")
         assert code == 1 and "not a stored task vector" in err
 
-    @pytest.mark.parametrize("option, value, message", [
+    BAD_TIES_OPTIONS = pytest.mark.parametrize("option, value, message", [
         ("--lambda", "nan", "non-finite lambda nan"),
         ("--density", "0", "density must be in (0, 1], got 0.0"),
         ("--density", "1.5", "density must be in (0, 1], got 1.5"),
         ("--weight", "-1", "weights must be positive and finite"),
     ], ids=["lambda-nan", "density-0", "density-1.5", "weight-negative"])
+
+    @BAD_TIES_OPTIONS
     def test_merge_ties_bad_option_exit_1(self, workspace, capsys, option, value, message):
         args = {"--weight": "1.0", "--density": "0.5", "--lambda": "1.0", option: value}
         code, out, err = run(capsys, "merge", "ties", "--base", workspace / "base.st",
@@ -96,6 +101,53 @@ class TestExtractAndMerge:
                              "--out", workspace / "merged.st")
         assert code == 1 and out == "" and err == f"error: {message}\n"
         assert not (workspace / "merged.st").exists()
+
+    @BAD_TIES_OPTIONS
+    def test_merge_ties_bad_option_with_report_exit_1(self, workspace, capsys, option, value,
+                                                      message):
+        """The report is made before the merge, and written only after it."""
+        args = {"--weight": "1.0", "--density": "0.5", "--lambda": "1.0", option: value}
+        code, out, err = run(capsys, "merge", "ties", "--base", workspace / "base.st",
+                             "--vector", workspace / "tv.st",
+                             *[x for item in args.items() for x in item],
+                             "--out", workspace / "merged.st",
+                             "--report", workspace / "report.json")
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+        assert not (workspace / "merged.st").exists()
+        assert not (workspace / "report.json").exists()
+
+    @pytest.mark.parametrize("how", ["merge", "run"])
+    def test_ties_writes_every_tensor_from_the_kernel(self, workspace, capsys, monkeypatch,
+                                                      how):
+        """TIES output goes chunk by chunk from the merge kernel to the file:
+        every output tensor reaches `_merge_tensor` with a `put`."""
+        base = read_archive(workspace / "base.st")
+        tv = load_task_vector(workspace / "tv.st")
+        want = write_archive(ties_merge(base, [(tv, 1.0), (tv, 2.0)], 0.5, 0.7))
+        kernel, calls = tv_mod._merge_tensor, []
+
+        def spy(tensor, deltas, dtype, put=None):
+            calls.append(put is not None)
+            return kernel(tensor, deltas, dtype, put)
+
+        monkeypatch.setattr(tv_mod, "_merge_tensor", spy)
+        if how == "merge":
+            code, _, _ = run(capsys, "merge", "ties", "--base", workspace / "base.st",
+                             "--vector", workspace / "tv.st", "--weight", "1.0",
+                             "--vector", workspace / "tv.st", "--weight", "2.0",
+                             "--density", "0.5", "--lambda", "0.7",
+                             "--out", workspace / "merged.st")
+        else:
+            recipe = {"base": str(workspace / "base.st"), "method": "ties", "density": 0.5,
+                      "lambda": 0.7, "output": str(workspace / "merged.st"),
+                      "vectors": [{"source": str(workspace / "tv.st"), "weight": w}
+                                  for w in (1.0, 2.0)]}
+            (workspace / "recipe.json").write_text(json.dumps(recipe))
+            code, _, _ = run(capsys, "run", "--recipe", workspace / "recipe.json")
+        assert code == 0
+        assert calls == [True] * len(base)
+        merged = read_archive(workspace / "merged.st")  # with a recipe's metadata
+        assert write_archive(Checkpoint(merged.tensors)) == want
 
 
 class TestDiffInterference:
@@ -327,6 +379,25 @@ class TestBenchCommand:
         assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+@pytest.mark.parametrize("command", [
+    "merge tv --base {w}/base.st --vector {w}/tv.st --weight 1.0 --out {w}/out.st",
+    "merge ties --base {w}/base.st --vector {w}/tv.st --weight 1.0 --out {w}/out.st",
+    "run --recipe {w}/recipe.json",
+    "bench --scenario full_ft --seeds 1 --epochs 3 --out {w}/out.st",
+], ids=["merge-tv", "merge-ties", "run", "bench"])
+def test_threads_must_be_a_positive_integer(workspace, capsys, command, value):
+    (workspace / "recipe.json").write_text(json.dumps({
+        "base": str(workspace / "base.st"), "method": "tv", "output": str(workspace / "out.st"),
+        "vectors": [{"source": str(workspace / "tv.st"), "weight": 1.0}]}))
+    with pytest.raises(SystemExit) as exit_:
+        main([*command.format(w=workspace).split(), "--threads", value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --threads: expected a positive integer, got '{value}'" in err
+    assert not (workspace / "out.st").exists()
+
+
 class TestTemplates:
     def test_shipped_templates_parse(self):
         import importlib.resources as res
@@ -518,3 +589,16 @@ def test_reports_on_vectors_whose_sums_overflow(hostile, command):
     fractions = [*report["global"]["trimmed_mass"],
                  *(m for t in report["per_tensor"].values() for m in t["trimmed_mass"])]
     assert fractions and all(0.0 <= m <= 1.0 for m in fractions)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diff_of_finite_archives_whose_squares_overflow(tmp_path, capsys):
+    """The L2 norms are rescaled, not warned about, and the JSON is strict."""
+    save_archive(Checkpoint.from_arrays({"w": [1e200, 3.0]}), tmp_path / "a.st")
+    save_archive(Checkpoint.from_arrays({"w": [0.0, 3.0]}), tmp_path / "b.st")
+    code, out, err = run(capsys, "diff", tmp_path / "a.st", tmp_path / "b.st", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_constant=_no_nan)
+    assert report["global"]["l2_norm"] == report["per_tensor"]["w"]["l2_norm"] == 1e200
+    code, out, err = run(capsys, "diff", tmp_path / "a.st", tmp_path / "b.st")
+    assert (code, err) == (0, "") and "global L2 norm:   1e+200\n" in out

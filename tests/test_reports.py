@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,24 @@ class TestDiffStats:
         report = diff_stats(a, b)
         assert report["only_in_a"] == ["only_a"]
         assert report["only_in_b"] == ["only_b"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norms_whose_sums_of_squares_overflow_are_rescaled(self):
+        a = Checkpoint.from_arrays({"w": [1e200, 3.0]})
+        b = Checkpoint.from_arrays({"w": [0.0, 3.0]})
+        report = diff_stats(a, b)
+        assert report["global"]["l2_norm"] == 1e200
+        assert report["per_tensor"]["w"]["l2_norm"] == 1e200
+        # no tensor's sum overflows, but their total does
+        a = Checkpoint.from_arrays({"u": [1e154, 1e154], "v": [-1e154]})
+        b = Checkpoint.from_arrays({"u": [0.0, 0.0], "v": [0.0]})
+        report = diff_stats(a, b)
+        assert report["per_tensor"]["v"]["l2_norm"] == 1e154
+        assert report["global"]["l2_norm"] == pytest.approx(math.sqrt(3) * 1e154, rel=1e-15)
+        # a difference beyond the float64 range itself still reads inf
+        a = Checkpoint.from_arrays({"w": [1e308, -1e308]})
+        b = Checkpoint.from_arrays({"w": [-1e308, 1e308]})
+        assert diff_stats(a, b)["global"]["l2_norm"] == math.inf
 
     def test_json_stable(self):
         ckpt = random_checkpoint(np.random.default_rng(1))

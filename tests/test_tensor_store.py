@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import vecmerge
 from vecmerge import (ArchiveError, Checkpoint, LazyCheckpoint, TaskVector, Tensor,
-                      read_archive, save_archive, tv_merge, tv_merge_lazy, validate_archive,
+                      read_archive, save_archive, tv_merge, validate_archive,
                       write_archive)
 from vecmerge import tv as tv_mod
 from vecmerge.cli import main
@@ -319,7 +319,7 @@ class TestMappedRead:
         written[:] = np.arange(2 * n)
         base = Checkpoint({"w": Tensor("F64", written[:n])})
         tv = TaskVector.from_arrays({"w": written[n:]})
-        merged = tv_merge(base, [(tv, 0.5)])
+        merged = tv_merge(base, [(tv, 0.5)]).materialize()
         np.testing.assert_array_equal(written, np.arange(2 * n))
         np.testing.assert_array_equal(merged.values("w"), np.arange(n) + 0.5 * np.arange(n, 2 * n))
         delta = extract_task_vector(base, Checkpoint({"w": Tensor("F64", written[n:])}))
@@ -458,7 +458,7 @@ TRUNCATE = """
 import os, sys
 import numpy as np
 from vecmerge import Checkpoint, TaskVector, extract_task_vector, read_archive, save_archive
-from vecmerge import tv_merge, tv_merge_lazy
+from vecmerge import tv_merge
 from vecmerge.tv import load_task_vector
 
 case, root = sys.argv[1], sys.argv[2]
@@ -472,11 +472,11 @@ base = read_archive(root + "/base.st")
 if case == "merge":
     operand = load_task_vector(root + "/tv.st")
     os.truncate(root + "/tv.st", 4096 + 8 * n // 2)
-    tv_merge(base, [(operand, 0.5)])
+    tv_merge(base, [(operand, 0.5)]).materialize()
 elif case == "unmerged":  # the writer copies "x", in the second half of the base file
     operand = load_task_vector(root + "/tv.st")
     os.truncate(root + "/base.st", 4096 + 4 * n + 4 * n // 2)
-    save_archive(tv_merge_lazy(base, [(operand, 0.5)]), root + "/out.st")
+    save_archive(tv_merge(base, [(operand, 0.5)]), root + "/out.st")
 else:
     operand = read_archive(root + "/ft.st")
     os.truncate(root + "/ft.st", 4096 + 4 * n // 2)
@@ -579,7 +579,7 @@ class TestSaveArchive:
         base = Checkpoint({n: Tensor(dtype, narrow(rng.normal(size=sizes[n]), dtype))
                            for n, dtype in zip(sizes, ("F32", "BF16", "F16"))})
         tv = TaskVector.from_arrays({n: rng.normal(size=sizes[n]) for n in "ab"})
-        return tv_merge_lazy(base, [(tv, 0.3)], threads=2)
+        return tv_merge(base, [(tv, 0.3)], threads=2)
 
     def test_short_writes_give_the_same_bytes(self, tmp_path, monkeypatch):
         want = write_archive(self.lazy_merge())

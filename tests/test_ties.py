@@ -105,7 +105,7 @@ class TestNonFinite:
 
     def test_tv_merge_passes_through(self, bad):
         base = Checkpoint.from_arrays({"w": np.ones(5)})
-        out = tv_merge(base, [(bad, 1.0)])
+        out = tv_merge(base, [(bad, 1.0)]).materialize()
         np.testing.assert_array_equal(out.values("w"), 1.0 + bad.deltas["w"])
 
 
@@ -302,7 +302,7 @@ class TestTiesMerge:
         base = Checkpoint.from_arrays({"w": [0.0, 0.0, 0.0, 0.0]})
         t1 = tv_of([1.0, -2.0, 0.5, 0.0])
         t2 = tv_of([2.0, 1.0, -0.4, 0.3])
-        out = ties_merge(base, [(t1, 1.0), (t2, 1.0)], density=0.5, lam=1.0)
+        out = ties_merge(base, [(t1, 1.0), (t2, 1.0)], density=0.5, lam=1.0).materialize()
         np.testing.assert_array_equal(out.values("w"), [1.5, -2.0, 0.0, 0.0])
 
     def test_reduction_to_tv(self):
@@ -310,8 +310,8 @@ class TestTiesMerge:
         base = Checkpoint.from_arrays({"w": rng.normal(size=16)}, "F32")
         tv = tv_of(rng.normal(size=16))
         for lam in (0.25, 1.0, 2.0):
-            got = ties_merge(base, [(tv, 1.0)], 1.0, lam)
-            want = tv_merge(base, [(tv, lam)])
+            got = ties_merge(base, [(tv, 1.0)], 1.0, lam).materialize()
+            want = tv_merge(base, [(tv, lam)]).materialize()
             g = got.values("w")
             w = want.values("w")
             assert np.all(np.abs(g.astype(np.float64) - w.astype(np.float64))
@@ -342,9 +342,9 @@ class TestTiesMerge:
         base = Checkpoint.from_arrays({"w": np.zeros(24)})
         vs = [tv_of(rng.integers(-2 ** 16, 2 ** 16, size=24) / 1024.0) for _ in range(4)]
         weights = [1.0, 2.0, 0.5, 4.0]
-        ref = ties_merge(base, list(zip(vs, weights)), 0.5, 1.0)
+        ref = ties_merge(base, list(zip(vs, weights)), 0.5, 1.0).materialize()
         for perm in itertools.permutations(range(4)):
-            out = ties_merge(base, [(vs[i], weights[i]) for i in perm], 0.5, 1.0)
+            out = ties_merge(base, [(vs[i], weights[i]) for i in perm], 0.5, 1.0).materialize()
             np.testing.assert_array_equal(out.values("w"), ref.values("w"))
 
     def test_config_validation(self):
@@ -373,7 +373,7 @@ class TestOracleEquivalence:
 
             base = Checkpoint.from_arrays({"w": base_vals})
             tvs = [tv_of(v) for v in vectors]
-            out = ties_merge(base, list(zip(tvs, weights)), density, lam)
+            out = ties_merge(base, list(zip(tvs, weights)), density, lam).materialize()
             signs = elect_signs([trim(t, density) for t in tvs], weights)
 
             merged_ref, gamma_ref = naive_ties_vector(vectors, weights, density)

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecmerge import (Checkpoint, MergeError, TaskVector, Tensor, apply, extract_task_vector,
-                      read_archive, save_archive, scale, tv_merge, tv_merge_lazy,
-                      write_archive)
+from vecmerge import (Checkpoint, LazyCheckpoint, MergeError, TaskVector, Tensor, apply,
+                      extract_task_vector, read_archive, save_archive, scale, ties_merge,
+                      tv_merge, write_archive)
 from vecmerge import tensor_store as store_mod
 from vecmerge import tv as tv_mod
 from vecmerge.tv import is_task_vector_archive
@@ -137,7 +137,7 @@ class TestApply:
 class TestTvMerge:
     def test_single_weighted_vector(self):
         out = tv_merge(ckpt({"w": [1.0, 2.0]}),
-                       [(TaskVector.from_arrays({"w": [0.5, -1.0]}), 2.0)])
+                       [(TaskVector.from_arrays({"w": [0.5, -1.0]}), 2.0)]).materialize()
         np.testing.assert_array_equal(out.values("w"), [2.0, 0.0])
 
     def test_zero_weights_identity(self):
@@ -150,7 +150,7 @@ class TestTvMerge:
     def test_two_vector_combination(self):
         out = tv_merge(ckpt({"w": [0.0, 0.0]}),
                        [(TaskVector.from_arrays({"w": [1.0, 0.0]}), 0.3),
-                        (TaskVector.from_arrays({"w": [0.0, 2.0]}), 0.5)])
+                        (TaskVector.from_arrays({"w": [0.0, 2.0]}), 0.5)]).materialize()
         np.testing.assert_array_equal(out.values("w"), [0.3, 1.0])
 
     def test_linearity(self):
@@ -158,8 +158,8 @@ class TestTvMerge:
         base = ckpt({"w": rng.normal(size=16)}, "F32")
         tv = TaskVector.from_arrays({"w": rng.normal(size=16)})
         a, b = 0.3, 0.45
-        split = tv_merge(base, [(tv, a), (tv, b)]).values("w")
-        joint = tv_merge(base, [(tv, a + b)]).values("w")
+        split = tv_merge(base, [(tv, a), (tv, b)]).materialize().values("w")
+        joint = tv_merge(base, [(tv, a + b)]).materialize().values("w")
         ulp = np.spacing(np.abs(joint).astype(np.float32))
         assert np.all(np.abs(split - joint) <= 2 * ulp)
 
@@ -213,7 +213,7 @@ class TestLazyMerge:
 
         monkeypatch.setattr(tv_mod, "_merge_tensor", counted)
         monkeypatch.setattr(store_mod, "ThreadPoolExecutor", Pool)
-        lazy = tv_merge_lazy(base, pairs, threads=threads)
+        lazy = tv_merge(base, pairs, threads=threads)
         assert len(lazy) == len(base) + 1 and lazy.names()[-1] == "zz.head"
         assert merged == []  # nothing is merged before the writer reads it
         interval = sys.getswitchinterval()
@@ -243,7 +243,7 @@ class TestLazyMerge:
             tv_mod._merge_tensor(one_chunk, [(tv.deltas["a"][:tv_mod._CHUNK], 0.3)], "BF16")
             scratch = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            save_archive(tv_merge_lazy(base, [(tv, 0.3)], threads=threads), tmp_path / "out.st")
+            save_archive(tv_merge(base, [(tv, 0.3)], threads=threads), tmp_path / "out.st")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -252,16 +252,25 @@ class TestLazyMerge:
         assert peak < threads * scratch + 2**20, \
             f"peak {peak / 2**20:.2f} MiB over {threads} x {scratch / 2**20:.2f} MiB + 1 MiB"
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_merges_are_lazy_and_materialize_to_the_same_bytes(self, threads):
+        base, pairs = self.operands()
+        pairs = [(tv, abs(w)) for tv, w in pairs]  # TIES weights are positive
+        for merged in (tv_merge(base, pairs, threads=threads),
+                       ties_merge(base, pairs, 0.5, 0.7, threads=threads)):
+            assert isinstance(merged, LazyCheckpoint)
+            assert write_archive(merged.materialize()) == write_archive(merged)
+
     def test_operands_are_checked_before_any_tensor(self):
         base, pairs = self.operands()
         name = base.names()[0]
         bad = TaskVector.from_arrays({name: np.zeros(base[name].values.size + 1)})
         with pytest.raises(MergeError, match="shape mismatch"):
-            tv_merge_lazy(base, [*pairs, (bad, 1.0)])
+            tv_merge(base, [*pairs, (bad, 1.0)])
         with pytest.raises(MergeError, match="missing from base"):
-            tv_merge_lazy(base, [(TaskVector.from_arrays({"nope": [1.0]}), 1.0)])
+            tv_merge(base, [(TaskVector.from_arrays({"nope": [1.0]}), 1.0)])
         with pytest.raises(ValueError, match="non-finite merge weight"):
-            tv_merge_lazy(base, [(pairs[0][0], float("nan"))])
+            tv_merge(base, [(pairs[0][0], float("nan"))])
 
     def test_kernel_failure_reaches_the_writer(self, tmp_path, monkeypatch):
         base, pairs = self.operands()
@@ -287,7 +296,7 @@ class TestLazyMerge:
         path.write_bytes(b"old bytes")
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="kernel failed"):
-            save_archive(tv_merge_lazy(base, pairs, threads=2), path)
+            save_archive(tv_merge(base, pairs, threads=2), path)
         assert live == [0]  # the other worker's merge ended before the error came out
         assert set(threading.enumerate()) == before  # and its thread with it
         assert path.read_bytes() == b"old bytes"
