@@ -46,9 +46,6 @@ class Dataset:
     y: np.ndarray  # n int64 labels in [0, c)
     split: str = "train"
 
-    def __len__(self) -> int:
-        return len(self.y)
-
 
 def _class_means(kind: str, labels: np.ndarray, d: int) -> np.ndarray:
     means = np.zeros((len(labels), d))

@@ -99,12 +99,6 @@ def _run_pipeline(name: str, ctx: _SeedContext):
     return ctx.f1(trained[lam], ctx.target_test), info
 
 
-def run_scenario(name: str, seeds: list[int], sizes: BenchSizes | None = None,
-                 cfg: TrainConfig | None = None) -> dict:
-    """One scenario's report, as `run_bench` of that scenario alone holds it."""
-    return run_bench([name], seeds, sizes, cfg)["scenarios"][name]
-
-
 def run_bench(scenarios: list[str], seeds: list[int], sizes: BenchSizes | None = None,
               cfg: TrainConfig | None = None, threads: int = 1) -> dict:
     """Each scenario's test macro-F1 per seed, their mean and std, and the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -28,8 +29,8 @@ def _positive_int(text: str) -> int:  # argparse exits 2 on ArgumentTypeError
 
 
 def _json(obj) -> str:
-    """A report as the CLI prints and writes it."""
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """A report as the CLI prints and writes it: strict JSON, which has no NaN or ±inf."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _cmd_inspect(args) -> int:
@@ -74,6 +75,8 @@ def _cmd_merge(args) -> int:
 def _cmd_diff(args) -> int:
     report = diff_stats(read_archive(args.a), read_archive(args.b))
     if args.json:
+        for stats in (report["global"], *report["per_tensor"].values()):
+            stats.update((k, v if math.isfinite(v) else None) for k, v in stats.items())
         print(_json(report))
     else:
         g = report["global"]

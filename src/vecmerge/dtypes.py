@@ -20,13 +20,6 @@ _STORAGE = {
 
 DTYPE_SIZES = {name: stored.itemsize for name, stored in _STORAGE.items()}
 
-_MEMORY_DTYPE = {
-    "F64": np.float64,
-    "F32": np.float32,
-    "F16": np.float16,
-    "BF16": np.float32,
-}
-
 
 def storage_dtype(dtype: str) -> np.dtype:
     if dtype not in _STORAGE:
@@ -130,14 +123,7 @@ def narrow(acc: np.ndarray, dtype: str, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-def all_finite(data: np.ndarray) -> bool:
-    """Whether a stored form holds no NaN or ±inf."""
-    if data.dtype == np.uint16:
-        return not ((data & 0x7F80) == 0x7F80).any()
-    return bool(np.isfinite(data).all())
-
-
-def cast_values(values: np.ndarray, dtype: str, allow_nonfinite: bool = True) -> np.ndarray:
+def cast_values(values: np.ndarray, dtype: str) -> np.ndarray:
     """Cast arbitrary float values to `dtype`'s values, as `decode` gives
     them: for BF16, a float32 array holding exact bfloat16 values.
 
@@ -147,8 +133,6 @@ def cast_values(values: np.ndarray, dtype: str, allow_nonfinite: bool = True) ->
     name.
     """
     values = np.asarray(values)
-    if not allow_nonfinite and not np.isfinite(values).all():
-        raise ValueError(f"non-finite value cannot be cast to {dtype} (allow_nonfinite=False)")
     if dtype == "BF16":
         return _bf16_bits_to_f32(_f32_to_bf16_bits(values.astype(np.float32))).reshape(values.shape)
-    return values.astype(_MEMORY_DTYPE[dtype])
+    return values.astype(_STORAGE[dtype])

@@ -41,7 +41,7 @@ def diff_stats(a: Checkpoint, b: Checkpoint) -> dict:
             per_tensor[name] = {"equal_fraction": n_eq / d.size if d.size else 1.0,
                                 "l2_norm": _l2_norm(sq, d), "max_abs": t_max}
             sq_sum += sq
-            max_abs = max(max_abs, t_max)
+            max_abs = float(np.maximum(max_abs, t_max))  # a NaN is kept, as in l2_norm
             equal += n_eq
             total += d.size
         l2_norm = _l2_norm(sq_sum, np.array([t["l2_norm"] for t in per_tensor.values()]))

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dtypes import (DTYPE_SIZES, all_finite, decode, dtype_size, encode, narrow,
-                     storage_dtype, stored_view, widen)
+from .dtypes import (DTYPE_SIZES, decode, dtype_size, encode, narrow, storage_dtype,
+                     stored_view, widen)
 
 METADATA_KEY = "__metadata__"
 MAX_DIMS = 32  # numpy 1.x's limit; numpy 2 allows 64
@@ -116,9 +116,10 @@ class Checkpoint:
     def values(self, name: str) -> np.ndarray:
         return self.tensors[name].values
 
-    def specs(self) -> list[tuple[str, str, tuple[int, ...]]]:
-        """(name, dtype, shape) of every tensor, in name order."""
-        return [(name, self[name].dtype, self[name].shape) for name in self.names()]
+    @property
+    def layout(self) -> dict[str, tuple[str, tuple[int, ...]]]:
+        """Each tensor's (dtype, shape), by name, as a LazyCheckpoint holds it."""
+        return {name: (t.dtype, t.shape) for name, t in self.tensors.items()}
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         """(name, tensor) pairs in name order."""
@@ -154,9 +155,6 @@ class LazyCheckpoint:
 
     def names(self) -> list[str]:
         return sorted(self.layout)
-
-    def specs(self) -> list[tuple[str, str, tuple[int, ...]]]:
-        return [(name, *self.layout[name]) for name in self.names()]
 
     def materialize(self) -> Checkpoint:
         names = self.names()
@@ -352,7 +350,7 @@ def read_archive(path_or_bytes) -> Checkpoint:
     return Checkpoint(tensors, dict(metadata) if metadata else None)
 
 
-def _write(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str, allow_nonfinite: bool,
+def _write(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str,
            fh: io.RawIOBase | io.BytesIO) -> None:
     """Write an archive into `fh` by position: the header, from dtypes and
     shapes alone, then each tensor at its own offset, in pieces as it is
@@ -363,7 +361,7 @@ def _write(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str, allow_non
     header: dict[str, dict] = {}
     if checkpoint.metadata:
         header[METADATA_KEY] = dict(sorted(checkpoint.metadata.items()))
-    layout = {name: (dtype, shape) for name, dtype, shape in checkpoint.specs()}
+    layout = dict(sorted(checkpoint.layout.items()))
     offset = 0
     for name, (dtype, shape) in layout.items():
         if not name or name == METADATA_KEY:
@@ -402,8 +400,6 @@ def _write(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str, allow_non
         (dtype, shape), stored = layout[name], header[name]["dtype"]
         if data.dtype != storage_dtype(dtype) or not 0 <= first <= math.prod(shape) - data.size:
             raise unlike(name, f"{data.dtype} elements [{first}, {first + data.size})")
-        if not allow_nonfinite and not all_finite(data):
-            raise ValueError(f"tensor {name!r}: non-finite value with allow_nonfinite=False")
         piece = encode(data if stored == dtype else narrow(widen(data), stored), stored)
         write_at(piece.view(np.uint8), start + header[name]["data_offsets"][0]
                  + first * dtype_size(stored))
@@ -428,11 +424,10 @@ def _write(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str, allow_non
             raise unlike(name, f"{made[name]} elements")
 
 
-def write_archive(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str = "keep",
-                  allow_nonfinite: bool = True) -> bytes:
+def write_archive(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str = "keep") -> bytes:
     """Serialize a Checkpoint canonically; `dtype_policy` is "keep" or a dtype name."""
     out = io.BytesIO()
-    _write(checkpoint, dtype_policy, allow_nonfinite, out)
+    _write(checkpoint, dtype_policy, out)
     return out.getvalue()
 
 
@@ -450,15 +445,14 @@ def _create_temp(path) -> tuple[str, int]:
             continue
 
 
-def save_archive(checkpoint: Checkpoint | LazyCheckpoint, path, dtype_policy: str = "keep",
-                 allow_nonfinite: bool = True) -> None:
+def save_archive(checkpoint: Checkpoint | LazyCheckpoint, path, dtype_policy: str = "keep") -> None:
     """Write atomically: place each tensor in a temp file, then rename it
     into place. A LazyCheckpoint's tensors are made while the file is
     written, each written as it is made, so none waits for another."""
     tmp, fd = _create_temp(path)
     try:
         with open(fd, "wb", buffering=0) as fh:
-            _write(checkpoint, dtype_policy, allow_nonfinite, fh)
+            _write(checkpoint, dtype_policy, fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

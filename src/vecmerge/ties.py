@@ -69,8 +69,7 @@ def trim(tv: TaskVector, density: float) -> TaskVector:
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
-    out = TaskVector(extras=dict(tv.extras), ignored=list(tv.ignored),
-                     origin=f"trim({tv.origin}, density={density})")
+    out = TaskVector(extras=dict(tv.extras), ignored=list(tv.ignored))
     for name, d in tv.deltas.items():
         bits = _flat(d).view(np.uint64)
         n = bits.size
@@ -163,7 +162,7 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
     gamma, den, term, agree = _chunk_scratch(
         shapes.values(), np.float64, np.float64, np.float64, np.uint64)
     term_bits = term.view(np.uint64)
-    out = TaskVector(origin=f"ties disjoint merge of {len(trimmed)} vectors")
+    out = TaskVector()
     # weighted products may overflow to inf, and inf / inf is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         for name, shape in shapes.items():

@@ -57,19 +57,18 @@ class TaskVector:
         return Checkpoint(tensors, {KIND_KEY: TASK_VECTOR_KIND, "vecmerge.origin": self.origin})
 
     @staticmethod
-    def from_checkpoint(ckpt: Checkpoint, origin: str = "loaded from archive") -> "TaskVector":
+    def from_checkpoint(ckpt: Checkpoint) -> "TaskVector":
         """F64 deltas stay views of the checkpoint's data, misaligned or not."""
-        return TaskVector.from_arrays({name: widen(ckpt[name].data) for name in ckpt.names()},
-                                      origin=origin)
+        return TaskVector.from_arrays({name: widen(ckpt[name].data) for name in ckpt.names()})
 
     @staticmethod
-    def from_arrays(arrays: dict[str, np.ndarray], origin: str = "constructed") -> "TaskVector":
+    def from_arrays(arrays: dict[str, np.ndarray]) -> "TaskVector":
         deltas = {}
         for name, a in arrays.items():
             d = np.asarray(a, dtype=np.float64)
             d.setflags(write=False)
             deltas[name] = d
-        return TaskVector(deltas=deltas, origin=origin)
+        return TaskVector(deltas=deltas)
 
 
 def is_task_vector_archive(ckpt: Checkpoint) -> bool:
@@ -118,7 +117,7 @@ def load_task_vector(path, base: Checkpoint | None = None, policy: str = "error"
     """
     ckpt = read_archive(path)
     if is_task_vector_archive(ckpt):
-        return TaskVector.from_checkpoint(ckpt, origin=f"loaded from {path}")
+        return TaskVector.from_checkpoint(ckpt)
     if base is None:
         raise ArchiveError(f"{path} is not a stored task vector archive")
     return extract_task_vector(base, ckpt, policy=policy)
@@ -133,8 +132,7 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
     """
     if not np.isfinite(lam):
         raise ValueError(f"non-finite scale factor {lam}")
-    out = TaskVector(extras=dict(tv.extras), ignored=list(tv.ignored),
-                     origin=f"scale({tv.origin}, {lam})")
+    out = TaskVector(extras=dict(tv.extras), ignored=list(tv.ignored))
     for name, d in tv.deltas.items():
         s = d * float(lam)
         s.setflags(write=False)
@@ -180,10 +178,10 @@ def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]], dtype: s
     return None if put is not None else Tensor(dtype, out.reshape(base.shape))
 
 
-def apply(base: Checkpoint, tv: TaskVector, threads: int = 1) -> Checkpoint:
+def apply(base: Checkpoint, tv: TaskVector) -> Checkpoint:
     """out = base + tv, cast back per-tensor to the base dtype; untouched
     tensors are copied bit-exactly, and extras appended verbatim."""
-    return tv_merge(base, [(tv, 1.0)], threads=threads).materialize()
+    return tv_merge(base, [(tv, 1.0)]).materialize()
 
 
 def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
@@ -210,7 +208,7 @@ def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
         for name, t in tv.extras.items():
             if name not in base:
                 extras.setdefault(name, t)
-    layout = {name: (t.dtype, t.shape) for name, t in (*base.items(), *extras.items())}
+    layout = {**base.layout, **{name: (t.dtype, t.shape) for name, t in extras.items()}}
 
     def make(name: str, put) -> Tensor | None:
         if name not in per_name:

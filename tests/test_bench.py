@@ -18,7 +18,7 @@ from vecmerge import Checkpoint, Tensor, extract_task_vector, scale, tv_merge, a
 from vecmerge.bench import (BenchSizes, Dataset, DivergenceError, ModelSpec,
                             SplitMix64, TrainConfig, derive_stream, forward,
                             gen_dataset, init_model, loss_and_grads, macro_f1,
-                            predict, run_bench, run_scenario, train, train_stack)
+                            predict, run_bench, train, train_stack)
 from vecmerge.bench import data as bench_data
 from vecmerge.bench import scenarios as bench_scenarios
 from vecmerge.bench.model import _step, _workspace, softmax
@@ -78,6 +78,10 @@ class TestPrng:
         a, b = SplitMix64(987), SplitMix64(987)
         assert a.gaussians(11) == b.gaussians(11)
 
+    def test_negative_block_rejected(self):
+        with pytest.raises(ValueError, match="^need m >= 0, got -1$"):
+            SplitMix64(0).uniform_block(-1)
+
     @given(seed=st.integers(0, 2 ** 64 - 1), m=st.integers(0, 300))
     @settings(max_examples=100, deadline=None)
     def test_uniform_block_matches_sequential_draws(self, seed, m):
@@ -119,6 +123,16 @@ class TestGenDataset:
     def test_n_less_than_c_rejected(self):
         with pytest.raises(ValueError, match="n >= class_count"):
             gen_dataset("L1", 2, self.spec, seed=0)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown dataset kind 'L3'$"):
+            gen_dataset("L3", 3, self.spec, seed=0)
+
+    @pytest.mark.parametrize("dims", [(0, 8, 3), (6, 0, 3), (6, 8, 0)])
+    def test_zero_dim_rejected(self, dims):
+        with pytest.raises(ValueError,
+                           match="^input_dim, hidden_dim, class_count must all be >= 1$"):
+            ModelSpec(*dims)
 
     def test_documented_draw_order(self):
         # sample 0, class 0, kind L1: mean +2*e0 plus sigma * first d gaussians
@@ -213,6 +227,16 @@ class TestForward:
 
 class TestTrain:
     spec = ModelSpec(5, 6, 3)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"learning_rate": -0.1}, "invalid learning rate -0.1"),
+        ({"learning_rate": float("nan")}, "invalid learning rate nan"),
+        ({"epochs": -1}, "invalid epoch count -1"),
+    ], ids=["lr-negative", "lr-nan", "epochs-negative"])
+    def test_bad_config_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            TrainConfig(**kwargs)
+        assert str(err.value) == message
 
     def dataset(self, seed=0, n=30):
         return gen_dataset("L1", n, self.spec, seed)
@@ -530,8 +554,8 @@ class TestArgmaxInvariance:
 
 class TestScenarios:
     def test_reports_identical_across_runs(self):
-        a = run_scenario("full_ft", [0, 1], SMALL, FAST)
-        b = run_scenario("full_ft", [0, 1], SMALL, FAST)
+        a = run_bench(["full_ft"], [0, 1], SMALL, FAST)["scenarios"]["full_ft"]
+        b = run_bench(["full_ft"], [0, 1], SMALL, FAST)["scenarios"]["full_ft"]
         assert (json.dumps(a, indent=2, sort_keys=True)
                 == json.dumps(b, indent=2, sort_keys=True))
 
@@ -545,7 +569,7 @@ class TestScenarios:
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            run_scenario("bogus", [0], SMALL, FAST)
+            run_bench(["bogus"], [0], SMALL, FAST)
 
     @pytest.mark.parametrize("names, seeds, message", [
         (["full_ft", "bogus"], [0, 1, 2], "unknown scenario 'bogus'"),
@@ -558,17 +582,19 @@ class TestScenarios:
             with pytest.raises(ValueError, match=message):
                 run_bench(names, seeds, SMALL, FAST, threads=threads)
         with pytest.raises(ValueError, match=message):
-            run_scenario(names[-1], seeds, SMALL, FAST)
+            run_bench(names[-1:], seeds, SMALL, FAST)
         assert built == []
 
-    def test_run_scenario_is_run_bench_of_one(self):
-        alone = run_scenario("ties_merge_ft", [1], SMALL, FAST)
-        assert alone == run_bench(["ties_merge_ft"], [1], SMALL, FAST)["scenarios"]["ties_merge_ft"]
-        assert "seed" not in alone["train_config"]
+    def test_a_scenarios_report_does_not_depend_on_the_others(self):
+        alone = run_bench(["ties_merge_ft"], [1], SMALL, FAST)["scenarios"]["ties_merge_ft"]
+        together = run_bench(["full_ft", "ties_merge_ft"], [1], SMALL, FAST)["scenarios"]
+        assert alone == together["ties_merge_ft"]
 
     def test_run_bench_shape_and_determinism(self):
         res = run_bench(["full_ft", "tv_merge_ft"], [0, 1], SMALL, FAST)
         assert set(res["scenarios"]) == {"full_ft", "tv_merge_ft"}
+        assert "seed" not in res["train_config"]
+        assert all("seed" not in rep["train_config"] for rep in res["scenarios"].values())
         again = run_bench(["full_ft", "tv_merge_ft"], [0, 1], SMALL, FAST)
         assert json.dumps(res, sort_keys=True) == json.dumps(again, sort_keys=True)
 
@@ -578,7 +604,7 @@ class TestScenarios:
         assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
     def test_sweep_selection_recorded(self):
-        rep = run_scenario("tv_merge_ft", [0], SMALL, FAST)
+        rep = run_bench(["tv_merge_ft"], [0], SMALL, FAST)["scenarios"]["tv_merge_ft"]
         assert rep["selected"] and "lambda" in rep["selected"][0]
 
 

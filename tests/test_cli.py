@@ -67,6 +67,15 @@ class TestExtractAndMerge:
         for name in want.names():
             np.testing.assert_allclose(got.values(name), want.values(name), rtol=1e-6)
 
+    def test_extract_metadata_text(self, workspace, capsys):
+        code, _, _ = run(capsys, "extract", "--base", workspace / "base.st",
+                         "--finetuned", workspace / "ft.st", "--out", workspace / "tau.st")
+        blob = (workspace / "tau.st").read_bytes()
+        header = blob[8:8 + int.from_bytes(blob[:8], "little")].decode()
+        assert code == 0 and header.startswith(
+            '{"__metadata__":{"vecmerge.kind":"task_vector",'
+            '"vecmerge.origin":"extract(base=2 tensors, finetuned=2 tensors)"},"b":')
+
     def test_merge_ties_with_report(self, workspace, capsys):
         code, _, _ = run(capsys, "merge", "ties", "--base", workspace / "base.st",
                          "--vector", workspace / "tv.st", "--weight", "1.0",
@@ -78,6 +87,14 @@ class TestExtractAndMerge:
         report = json.loads((workspace / "report.json").read_text())
         assert report["density"] == 0.5
         assert report["global"]["sign_agreement"]["0-1"] == 1.0
+
+    @pytest.mark.parametrize("method", ["tv", "ties"])
+    def test_merge_needs_a_weight_per_vector(self, workspace, capsys, method):
+        code, out, err = run(capsys, "merge", method, "--base", workspace / "base.st",
+                             "--vector", workspace / "tv.st", "--vector", workspace / "tv.st",
+                             "--weight", "1.0", "--out", workspace / "merged.st")
+        assert (code, out, err) == (1, "", "error: 2 vectors but 1 weights\n")
+        assert not (workspace / "merged.st").exists()
 
     def test_merge_rejects_non_task_vector(self, workspace, capsys):
         code, _, err = run(capsys, "merge", "tv", "--base", workspace / "base.st",
@@ -276,6 +293,12 @@ class TestRun:
         code, out, err = run(capsys, "run", "--recipe", path, "--sweep", "--select")
         assert code == 2 and "--select requires --metrics" in err
         assert out == "" and not list(workspace.glob("out*"))
+
+    def test_grids_without_sweep_exit_2_before_any_output(self, workspace, capsys):
+        path = self.recipe(workspace, method="ties", **{"lambda": {"grid": [0.5, 1.0]}})
+        code, out, err = run(capsys, "run", "--recipe", path)
+        assert (code, out, err) == (2, "", "error: recipe contains sweep grids; pass --sweep\n")
+        assert not list(workspace.glob("out*"))
 
     def test_metrics_without_select_exit_2_before_any_output(self, workspace, capsys):
         metrics = workspace / "m.csv"
@@ -602,3 +625,22 @@ def test_diff_of_finite_archives_whose_squares_overflow(tmp_path, capsys):
     assert report["global"]["l2_norm"] == report["per_tensor"]["w"]["l2_norm"] == 1e200
     code, out, err = run(capsys, "diff", tmp_path / "a.st", tmp_path / "b.st")
     assert (code, err) == (0, "") and "global L2 norm:   1e+200\n" in out
+
+
+@pytest.mark.parametrize("dtype, a, b, text", [
+    ("F64", [1e308, -1e308], [-1e308, 1e308], "inf"),
+    ("F32", [np.nan, 1.0], [np.nan, 2.0], "nan"),
+], ids=["inf", "nan"])
+def test_diff_json_writes_non_finite_numbers_as_null(tmp_path, capsys, dtype, a, b, text):
+    """A NaN or ±inf delta statistic is null in strict JSON; the global
+    max |d| keeps a tensor's NaN. The text form prints it as it is."""
+    save_archive(Checkpoint.from_arrays({"w": a}, dtype), tmp_path / "a.st")
+    save_archive(Checkpoint.from_arrays({"w": b}, dtype), tmp_path / "b.st")
+    code, out, err = run(capsys, "diff", tmp_path / "a.st", tmp_path / "b.st", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_constant=_no_nan)
+    for stats in (report["global"], report["per_tensor"]["w"]):
+        assert (stats["l2_norm"], stats["max_abs"]) == (None, None)
+    code, out, err = run(capsys, "diff", tmp_path / "a.st", tmp_path / "b.st")
+    assert (code, err) == (0, "")
+    assert f"global L2 norm:   {text}\n" in out and f"global max |d|:   {text}\n" in out

@@ -77,6 +77,11 @@ class TestParseRecipe:
         with pytest.raises(RecipeError, match="invalid JSON"):
             parse_recipe("{nope")
 
+    def test_source_not_a_string(self):
+        with pytest.raises(RecipeError) as err:
+            parse_recipe(minimal(vectors=[{"source": 3, "weight": 0.5}]))
+        assert str(err.value) == "schema violation at $.vectors[0].source: 3 is not a string"
+
 
 # --- the hand-written validator against the jsonschema reference it replaced ---
 
@@ -300,6 +305,20 @@ class TestSelectBest:
     def test_csv_rejects_repeated_key(self):
         with pytest.raises(RecipeError, match="repeated key 'w0'"):
             read_metrics("assignment,metric\nw0=0.1;w0=0.9,5\n", {"w0": [0.1, 0.9]})
+
+    def test_csv_skips_blank_rows_and_empty_parts(self):
+        rows = read_metrics("assignment,metric\n\nlambda=0.2;;w0=1,0.5\n\n", {})
+        assert rows == [({"lambda": 0.2, "w0": 1.0}, 0.5)]
+
+    @pytest.mark.parametrize("row, message", [
+        ("lambda=0.2,0.5,1", "bad metrics row: ['lambda=0.2', '0.5', '1']"),
+        ("lambda=0.2;w0,0.5", "bad assignment 'lambda=0.2;w0'"),
+        ("lambda=0.2;w0=,0.5", "bad assignment 'lambda=0.2;w0='"),
+    ], ids=["three-columns", "key-without-value", "empty-value"])
+    def test_csv_rejects_malformed_rows(self, row, message):
+        with pytest.raises(RecipeError) as err:
+            read_metrics(f"assignment,metric\n{row}\n", {})
+        assert str(err.value) == message
 
     def test_csv_bad_header(self):
         with pytest.raises(RecipeError, match="header"):

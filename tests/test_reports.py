@@ -109,6 +109,11 @@ class TestInterference:
         with pytest.raises(ValueError, match="density"):
             interference_stats([tv_of([1.0])], 0.0)
 
+    def test_no_vectors(self):
+        with pytest.raises(MergeError) as err:
+            interference_stats([], 0.5)
+        assert str(err.value) == "interference_stats requires at least one task vector"
+
 
 class TestCosine:
     def test_self_similarity(self):
@@ -121,6 +126,15 @@ class TestCosine:
 
     def test_orthogonal(self):
         assert cosine(tv_of([1.0, 0.0]), tv_of([0.0, 1.0])) == 0.0
+
+    @pytest.mark.parametrize("b, message", [
+        ({"v": [1.0]}, "no shared tensors between task vectors"),
+        ({"w": [1.0, 2.0]}, "tensor 'w': shape conflict"),
+    ], ids=["no-shared-name", "shape-conflict"])
+    def test_incomparable_vectors(self, b, message):
+        with pytest.raises(MergeError) as err:
+            cosine(tv_of([1.0]), TaskVector.from_arrays(b))
+        assert str(err.value) == message
 
     def test_zero_vector_error(self):
         with pytest.raises(MergeError, match="undefined cosine"):

@@ -121,6 +121,25 @@ class TestReadArchive:
         with pytest.raises(ArchiveError, match="requires 12"):
             read_archive(raw)
 
+    @pytest.mark.parametrize("header, message", [
+        ([], "malformed JSON header: top level must be an object"),
+        ({"": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}},
+         "invalid tensor name ''"),
+        ({"w": {"dtype": "F32", "shape": [-1], "data_offsets": [0, 4]}},
+         "tensor 'w': shape must be a list of non-negative integers"),
+        ({"w": {"dtype": "F32", "shape": [1.0], "data_offsets": [0, 4]}},
+         "tensor 'w': shape must be a list of non-negative integers"),
+        ({"w": {"dtype": "F32", "shape": [1], "data_offsets": [4, 0]}},
+         "tensor 'w': data_offsets must be [begin, end] with 0 <= begin <= end"),
+        ({"w": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4, 4]}},
+         "tensor 'w': data_offsets must be [begin, end] with 0 <= begin <= end"),
+    ], ids=["top-level-list", "empty-name", "negative-dim", "float-dim", "reversed-offsets",
+            "three-offsets"])
+    def test_malformed_header_entry(self, header, message):
+        with pytest.raises(ArchiveError) as err:
+            read_archive(make_archive(header, b"\x00" * 4))
+        assert str(err.value) == message
+
     def test_duplicate_name(self):
         blob = b'{"w":{"dtype":"F32","shape":[1],"data_offsets":[0,4]},"w":{"dtype":"F32","shape":[1],"data_offsets":[4,8]}}'
         raw = len(blob).to_bytes(8, "little") + blob + b"\x00" * 8
@@ -537,30 +556,6 @@ class TestSaveArchive:
         save_archive(Checkpoint(), path)
         assert path.read_bytes() == write_archive(Checkpoint())
 
-    @pytest.mark.parametrize("policy", ["keep", "BF16"])
-    def test_nonfinite_last_tensor_keeps_destination(self, tmp_path, policy):
-        path = tmp_path / "out.st"
-        path.write_bytes(b"old bytes")
-        ckpt = Checkpoint({"a": Tensor("F32", np.zeros(1000, dtype=np.float32)),
-                           "z": Tensor("F32", np.array([1.0, np.nan], dtype=np.float32))})
-        with pytest.raises(ValueError, match="non-finite"):
-            save_archive(ckpt, path, dtype_policy=policy, allow_nonfinite=False)
-        assert path.read_bytes() == b"old bytes"
-        assert list(tmp_path.glob("*.tmp.*")) == []
-
-    @pytest.mark.parametrize("bits", [0x7F80, 0xFF80, 0x7FC0, 0x7F81])  # +-inf, NaNs
-    def test_nonfinite_check_covers_pre_encoded_tensors(self, tmp_path, bits):
-        data = np.array([0x3F80, bits], dtype="<u2")
-        ckpt = Checkpoint({"w": Tensor("BF16", data)})
-        path = tmp_path / "out.st"
-        path.write_bytes(b"old bytes")
-        with pytest.raises(ValueError, match="non-finite"):
-            save_archive(ckpt, path, allow_nonfinite=False)
-        assert path.read_bytes() == b"old bytes"
-        finite = Checkpoint({"w": Tensor("BF16", np.array([0x3F80, 0x7F7F], "<u2"))})
-        assert write_archive(finite, allow_nonfinite=False).endswith(
-            np.array([0x3F80, 0x7F7F], "<u2").tobytes())
-
     def test_pre_encoded_bytes_are_written_as_they_are(self):
         data = np.frombuffer(bytes(3) + np.arange(5.0).tobytes(), "<f8", offset=3)
         ckpt = Checkpoint({"w": Tensor("F64", data)})
@@ -773,11 +768,28 @@ class TestWriteArchive:
         assert header["a"]["data_offsets"] == [0, 24]
         assert header["b"]["data_offsets"] == [24, 32]
 
-    def test_nonfinite_policy(self):
-        ckpt = Checkpoint({"w": Tensor("F32", np.array([np.inf], dtype=np.float32))})
-        write_archive(ckpt)  # allowed by default
-        with pytest.raises(ValueError, match="non-finite"):
-            write_archive(ckpt, allow_nonfinite=False)
+    def test_bad_dtype_policy(self):
+        with pytest.raises(ValueError, match="^invalid dtype policy 'I8'$"):
+            write_archive(Checkpoint(), dtype_policy="I8")
+
+    @pytest.mark.parametrize("name", ["", "__metadata__"])
+    def test_reserved_tensor_name(self, name):
+        with pytest.raises(ArchiveError, match=f"^invalid tensor name '{name}'$"):
+            write_archive(Checkpoint({name: Tensor("F64", np.zeros(1))}))
+
+    @pytest.mark.parametrize("first, piece, made", [
+        (0, np.zeros(4), "float64 elements [0, 4)"),
+        (2, np.zeros(4, "<f4"), "float32 elements [2, 6)"),
+        (0, np.zeros(3, "<f4"), "3 elements"),
+    ], ids=["wrong-dtype", "past-the-end", "too-few"])
+    def test_pieces_unlike_the_header(self, first, piece, made):
+        def make(name, put):
+            put(first, piece)
+
+        lazy = LazyCheckpoint({"w": ("F32", (4,))}, make)
+        with pytest.raises(ValueError) as err:
+            write_archive(lazy)
+        assert str(err.value) == f"tensor 'w' was made as {made} where the header holds 'w' F32 [4]"
 
     def test_metadata_serialized_first(self):
         ckpt = Checkpoint({"w": Tensor("F64", np.zeros(1))}, metadata={"k": "v"})
@@ -1063,11 +1075,6 @@ class TestDtypePolicy:
             assert bits.size == 0 or not ckpt["w"].data.flags.aligned
         blob = write_archive(ckpt, dtype_policy=policy)
         assert blob[8 + int.from_bytes(blob[:8], "little"):] == want.tobytes()
-        if np.isfinite(values).all():
-            assert write_archive(ckpt, dtype_policy=policy, allow_nonfinite=False) == blob
-        else:
-            with pytest.raises(ValueError, match="non-finite"):
-                write_archive(ckpt, dtype_policy=policy, allow_nonfinite=False)
 
 
 class TestBF16Round:

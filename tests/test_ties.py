@@ -357,6 +357,12 @@ class TestTiesMerge:
             ties_merge(base, [(tv_of([1.0]), 1.0)], 0.5, float("nan"))
         with pytest.raises(ValueError, match="1 weights for 2"):
             elect_signs([tv_of([1.0]), tv_of([2.0])], [1.0])
+        with pytest.raises(MergeError, match="^ties_merge requires at least one task vector$"):
+            ties_merge(base, [], 0.5, 1.0)
+
+    def test_vectors_that_disagree_on_a_shape(self):
+        with pytest.raises(MergeError, match=r"^tensor 'w': shape conflict \(1,\) vs \(2,\)$"):
+            elect_signs([tv_of([1.0]), tv_of([1.0, 2.0])], [1.0, 1.0])
 
 
 class TestOracleEquivalence:

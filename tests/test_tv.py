@@ -57,6 +57,10 @@ class TestExtract:
         out = apply(base, tv)
         np.testing.assert_array_equal(out.values("head.weight"), [5.0])
 
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError, match="^unknown mismatch policy 'keep'$"):
+            extract_task_vector(ckpt({"w": [1.0]}), ckpt({"w": [2.0]}), policy="keep")
+
     def test_empty_intersection(self):
         with pytest.raises(MergeError, match="no shared tensors"):
             extract_task_vector(ckpt({"a": [1.0]}), ckpt({"b": [1.0]}), policy="ignore")
@@ -271,6 +275,9 @@ class TestLazyMerge:
             tv_merge(base, [(TaskVector.from_arrays({"nope": [1.0]}), 1.0)])
         with pytest.raises(ValueError, match="non-finite merge weight"):
             tv_merge(base, [(pairs[0][0], float("nan"))])
+        with pytest.raises(MergeError,
+                           match=r"^tv_merge requires at least one \(vector, weight\) pair$"):
+            tv_merge(base, [])
 
     def test_kernel_failure_reaches_the_writer(self, tmp_path, monkeypatch):
         base, pairs = self.operands()
