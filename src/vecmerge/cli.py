@@ -19,7 +19,7 @@ from .reports import cosine, diff_stats, interference_stats
 from .tensor_store import (ArchiveError, read_archive, save_archive,
                            validate_archive)
 from .ties import DEFAULT_DENSITY, DEFAULT_LAMBDA, ties_merge
-from .tv import extract_task_vector, load_task_vector, tv_merge
+from .tv import extract, load_task_vector, tv_merge
 
 
 def _positive_int(text: str) -> int:  # argparse exits 2 on ArgumentTypeError
@@ -40,13 +40,10 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    base = read_archive(args.base)
-    finetuned = read_archive(args.finetuned)
-    tv = extract_task_vector(base, finetuned, policy=args.on_mismatch)
-    save_archive(tv.to_checkpoint(), args.out)
-    summary = {"deltas": len(tv.deltas), "extras": sorted(tv.extras),
-               "ignored": tv.ignored, "out": args.out}
-    print(_json(summary))
+    tv, deltas = extract(read_archive(args.base), read_archive(args.finetuned), args.on_mismatch)
+    save_archive(deltas, args.out)  # each delta is made as it is written
+    print(_json({"deltas": len(deltas), "extras": sorted(tv.extras), "ignored": tv.ignored,
+                 "out": args.out}))
     return 0
 
 

@@ -8,15 +8,71 @@ lists and numbers, whose keys the CLI sorts when it prints them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
 from .dtypes import widen
-from .tensor_store import Checkpoint
+from .tensor_store import _CHUNK, Checkpoint, read_chunk
 from .ties import elect_signs, trim
 from .tv import MergeError, TaskVector
 
 MAX_ALL_PAIRS = 8  # above this, only adjacent pairs (quadratic blowup guard)
+
+
+def _pairwise(arrays: list[np.ndarray], terms: Callable, ufunc=np.add) -> np.ndarray:
+    """ufunc.reduce, bit for bit, of each array `terms(*chunks)` yields over the equal-length
+    1-d `arrays`, split as numpy's pairwise sum splits (n2 = n // 2 - (n // 2) % 8) down
+    to chunks of at most _CHUNK, each read into per-call scratch by `read_chunk`."""
+    scratch = [np.empty(min(arrays[0].size, _CHUNK), a.dtype) for a in arrays]
+
+    def total(start: int, size: int) -> np.ndarray:
+        if size > _CHUNK:
+            half = size // 2 - size // 2 % 8
+            return ufunc(total(start, half), total(start + half, size - half))
+        chunks = (read_chunk(a, start, s[:size]) for a, s in zip(arrays, scratch))
+        return np.array([ufunc.reduce(t) for t in terms(*chunks)])
+
+    sums = total(0, arrays[0].size)
+    del total  # it refers to itself, a cycle that would keep the scratch until collected
+    return sums
+
+
+def _raveled(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Same-shape arrays as 1-d, in the element order numpy's elementwise
+    operations take: their memory order where all share one, else C order."""
+    layouts = {tuple(s / a.itemsize for s in a.strides) for a in arrays}
+    return [a.ravel("K" if len(layouts) == 1 else "C") for a in arrays]
+
+
+def _rescale(arrays) -> float:
+    """A power of two that brings every |entry| of `arrays` under 1, so sums stay finite."""
+    top = max((float(_pairwise([d.reshape(-1)], lambda c: (np.abs(c),), np.maximum)[0])
+               for d in arrays if d.size), default=0.0)
+    return 2.0 ** -math.frexp(top)[1] if math.isfinite(top) else 1.0
+
+
+def _l2_norm(sq: float, entries: np.ndarray, squares: Callable[[float], float]) -> float:
+    """sqrt(sq), or if it overflowed, sqrt(squares(s)) / s, s = `_rescale` of `entries`."""
+    scale = 1.0 if math.isfinite(sq) else _rescale([entries])
+    return math.sqrt(sq if scale == 1.0 else squares(scale)) / scale
+
+
+def _tensor_diff(x: np.ndarray, y: np.ndarray, scale: float = 1.0) -> tuple[float, int, float]:
+    """(sum of (d * scale)**2, count of x == y, max |d|), d = y - x widened by chunk."""
+    wx, wy = np.empty(min(x.size, _CHUNK)), np.empty(min(x.size, _CHUNK))
+    stats = [0, 0.0]
+
+    def terms(cx: np.ndarray, cy: np.ndarray):
+        u, d = widen(cx, wx[:cx.size]), widen(cy, wy[:cx.size])
+        stats[0] += int(np.count_nonzero(u == d))
+        d -= u
+        stats[1] = np.maximum(stats[1], np.max(np.abs(d, out=u), initial=0.0))  # keeps a NaN
+        d *= scale
+        yield np.square(d, out=d)
+
+    sq, = _pairwise([x, y], terms)
+    return float(sq), stats[0], float(stats[1])
 
 
 def diff_stats(a: Checkpoint, b: Checkpoint) -> dict:
@@ -25,26 +81,18 @@ def diff_stats(a: Checkpoint, b: Checkpoint) -> dict:
     shared = [n for n in a.names() if n in b and a[n].shape == b[n].shape]
     if not shared:
         raise MergeError("no shared tensors with matching shapes")
-    per_tensor = {}
-    sq_sum = 0.0
-    max_abs = 0.0
-    equal = 0
-    total = 0
-    with np.errstate(over="ignore"):  # an overflowing sum is rescaled
+    per_tensor, sq_sum, max_abs, equal, total = {}, 0.0, 0.0, 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):  # sums rescaled; inf - inf is NaN
         for name in shared:
-            va = widen(a[name].data)
-            vb = widen(b[name].data)
-            d = vb - va
-            sq = float(np.sum(d * d))
-            n_eq = int(np.count_nonzero(va == vb))
-            t_max = float(np.max(np.abs(d))) if d.size else 0.0
-            per_tensor[name] = {"equal_fraction": n_eq / d.size if d.size else 1.0,
-                                "l2_norm": _l2_norm(sq, d), "max_abs": t_max}
-            sq_sum += sq
+            x, y = _raveled(a[name].data, b[name].data)
+            sq, n_eq, t_max = _tensor_diff(x, y)
+            norm = _l2_norm(sq, np.array(t_max), lambda s: _tensor_diff(x, y, s)[0])
+            per_tensor[name] = {"equal_fraction": n_eq / x.size if x.size else 1.0,
+                                "l2_norm": norm, "max_abs": t_max}
+            sq_sum, equal, total = sq_sum + sq, equal + n_eq, total + x.size
             max_abs = float(np.maximum(max_abs, t_max))  # a NaN is kept, as in l2_norm
-            equal += n_eq
-            total += d.size
-        l2_norm = _l2_norm(sq_sum, np.array([t["l2_norm"] for t in per_tensor.values()]))
+        norms = np.array([t["l2_norm"] for t in per_tensor.values()])
+        l2_norm = _l2_norm(sq_sum, norms, lambda s: np.add.reduce(np.square(norms * s)))
     return {
         "global": {"equal_fraction": equal / total if total else 1.0,
                    "l2_norm": l2_norm, "max_abs": max_abs},
@@ -55,51 +103,34 @@ def diff_stats(a: Checkpoint, b: Checkpoint) -> dict:
     }
 
 
-def _l2_norm(sq: float, d: np.ndarray) -> float:
-    """sqrt(sq) for `sq` the sum of d's squares, or, if it overflowed, d's norm `_rescale`d."""
-    scale = 1.0 if math.isfinite(sq) else _rescale([d])
-    if scale != 1.0:
-        sq = float(np.sum(np.square(d * scale)))
-    return math.sqrt(sq) / scale
-
-
 def _pairs(n: int) -> list[tuple[int, int]]:
     if n <= MAX_ALL_PAIRS:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     return [(i, i + 1) for i in range(n - 1)]
 
 
-def _abs_sum(d: np.ndarray, scratch: np.ndarray, scale: float = 1.0) -> float:
-    """np.sum(np.abs(d) * scale), bit for bit: |d| goes into `scratch` in
-    d's memory order, the order of np.abs's own output, so the pairwise
-    sum adds the same terms in the same order."""
-    magnitude = np.abs(d.ravel("K"), out=scratch[:d.size])
-    if scale != 1.0:
-        magnitude *= scale
-    return float(np.add.reduce(magnitude))
-
-
-def _rescale(arrays) -> float:
-    """An exact power of two that brings the largest |entry| of `arrays`
-    under 1, so sums of entries, and of their squares, stay finite."""
-    top = max((float(np.max(np.abs(d))) for d in arrays if d.size), default=0.0)
-    return 2.0 ** -math.frexp(top)[1] if math.isfinite(top) else 1.0
-
-
-def _masses(tv: TaskVector, tr: TaskVector, names: list[str],
-            scratch: np.ndarray) -> dict[str, tuple[float, float]]:
-    """name -> (sum |kept|, sum |all|) of one vector, for each name it
-    holds; all rescaled by one power of two if their total overflows,
-    which leaves each ratio of two of them as it is."""
+def _masses(tv: TaskVector, tr: TaskVector, names: list[str]) -> dict[str, tuple[float, float]]:
+    """name -> (sum |kept|, sum |all|) of one vector, as np.sum(np.abs(d)) sums them,
+    all rescaled by one power of two, which keeps their ratios, if their total overflows."""
     def at(scale: float) -> dict[str, tuple[float, float]]:
-        return {name: (_abs_sum(tr.deltas[name], scratch, scale),
-                       _abs_sum(tv.deltas[name], scratch, scale))
-                for name in names if name in tv.deltas}
+        magnitude = np.empty(_CHUNK)
+
+        def terms(*chunks):
+            for c in chunks:
+                m = np.abs(c, out=magnitude[:c.size])
+                yield m if scale == 1.0 else np.multiply(m, scale, out=m)
+
+        return {name: tuple(map(float, _pairwise(
+            [tr.deltas[name].ravel("K"), tv.deltas[name].ravel("K")], terms)))
+            for name in names if name in tv.deltas}
 
     masses = at(1.0)
-    if math.isfinite(sum(all_mass for _, all_mass in masses.values())):
-        return masses
-    return at(_rescale(tv.deltas.values()))
+    total = sum(all_mass for _, all_mass in masses.values())
+    return masses if math.isfinite(total) else at(_rescale(tv.deltas.values()))
+
+
+def _ratio(part: float, whole: float) -> float:
+    return part / whole if whole else 1.0
 
 
 def _signs(d: np.ndarray) -> np.ndarray:
@@ -110,92 +141,63 @@ def _signs(d: np.ndarray) -> np.ndarray:
 
 
 def interference_stats(tvs: list[TaskVector], density: float) -> dict:
-    """Trim-mass and pairwise sign agreement after TIES trimming.
-
+    """Trim-mass and pairwise sign agreement after TIES trimming:
     `trimmed_mass` holds sum|kept| / sum|all| per vector, and
-    `sign_agreement` maps "i-j" to the agreement of vectors i and j,
-    computed only at positions where both keep a nonzero entry. A single
-    vector yields trim-mass only.
-    """
+    `sign_agreement` maps "i-j" to the agreement of vectors i and j where
+    both keep a nonzero entry (none for a single vector)."""
     if not tvs:
         raise MergeError("interference_stats requires at least one task vector")
     trimmed = [trim(tv, density) for tv in tvs]
     signs = elect_signs(trimmed, [1.0] * len(trimmed))
-    per_tensor = {}
-
     names = sorted({n for tv in tvs for n in tv.deltas})
-    pair_idx = _pairs(len(tvs))
-    glob_kept = [0.0] * len(tvs)
-    glob_all = [0.0] * len(tvs)
-    glob_agree = {f"{i}-{j}": [0, 0] for i, j in pair_idx}
-    glob_zero = 0
-    # |delta| of one tensor at a time, in scratch the call allocates once
-    magnitude = np.empty(max((d.size for tv in tvs for d in tv.deltas.values()), default=0))
     with np.errstate(over="ignore"):  # an overflowing sum is rescaled
-        masses = [_masses(tv, tr, names, magnitude) for tv, tr in zip(tvs, trimmed)]
+        masses = [_masses(tv, tr, names) for tv, tr in zip(tvs, trimmed)]
+    agree = {f"{i}-{j}": (i, j, [0, 0]) for i, j in _pairs(len(tvs))}  # agreeing, joint
+    per_tensor = {}
     for name in names:
-        mass = []
-        for t in range(len(tvs)):
-            kept_mass, all_mass = masses[t].get(name, (0.0, 0.0))
-            glob_all[t] += all_mass
-            glob_kept[t] += kept_mass
-            mass.append(kept_mass / all_mass if all_mass else 1.0)
-        agreement = {}
         sgn = [_signs(tr.deltas[name]) if name in tr.deltas else None for tr in trimmed]
-        for i, j in pair_idx:
-            key = f"{i}-{j}"
+        agreement = {}
+        for key, (i, j, counts) in agree.items():
             if sgn[i] is None or sgn[j] is None:
                 continue
             both = sgn[i] * sgn[j]  # +1 agree, -1 disagree, 0 unless both kept
-            n_joint = int(np.count_nonzero(both))
-            n_agree = int(np.count_nonzero(both > 0))
+            n_agree, n_joint = int(np.count_nonzero(both > 0)), int(np.count_nonzero(both))
             if n_joint:
                 agreement[key] = n_agree / n_joint
-            glob_agree[key][0] += n_agree
-            glob_agree[key][1] += n_joint
-        zero_count = int(np.count_nonzero(signs[name] == 0))
-        per_tensor[name] = {"sign_agreement": agreement, "trimmed_mass": mass,
-                            "zero_sign_count": zero_count}
-        glob_zero += zero_count
-
-    return {
-        "density": density,
-        "global": {
-            "sign_agreement": {key: (v[0] / v[1] if v[1] else 1.0)
-                               for key, v in glob_agree.items()},
-            "trimmed_mass": [k / a if a else 1.0 for k, a in zip(glob_kept, glob_all)],
-            "zero_sign_count": glob_zero,
-        },
-        "per_tensor": per_tensor,
-    }
+            counts[0] += n_agree
+            counts[1] += n_joint
+        per_tensor[name] = {"sign_agreement": agreement,
+                            "trimmed_mass": [_ratio(*m.get(name, (0.0, 0.0))) for m in masses],
+                            "zero_sign_count": int(np.count_nonzero(signs[name] == 0))}
+    glob = {"sign_agreement": {key: _ratio(*counts) for key, (_, _, counts) in agree.items()},
+            "trimmed_mass": [_ratio(*map(sum, zip(*m.values()))) if m else 1.0 for m in masses],
+            "zero_sign_count": sum(t["zero_sign_count"] for t in per_tensor.values())}
+    return {"density": density, "global": glob, "per_tensor": per_tensor}
 
 
 def cosine(tv_a: TaskVector, tv_b: TaskVector) -> float:
-    """Cosine similarity of the flattened concatenation over shared names."""
+    """Cosine similarity of the flattened concatenation over shared names,
+    from sums as np.add.reduce makes them, not a BLAS dot product's, which
+    depend on the CPU."""
     shared = [n for n in tv_a.names() if n in tv_b.deltas]
     if not shared:
         raise MergeError("no shared tensors between task vectors")
     for n in shared:
         if tv_a.deltas[n].shape != tv_b.deltas[n].shape:
             raise MergeError(f"tensor {n!r}: shape conflict")
-    pairs = [(tv_a.deltas[n].reshape(-1), tv_b.deltas[n].reshape(-1)) for n in shared]
-    with np.errstate(over="ignore"):  # an overflowing sum is rescaled
-        dot, na, nb = _dots(pairs, 1.0, 1.0)
+    pairs = [_raveled(tv_a.deltas[n], tv_b.deltas[n]) for n in shared]
+
+    def products(sa: float, sb: float) -> np.ndarray:  # [a.b, a.a, b.b], a * sa and b * sb
+        def terms(ca: np.ndarray, cb: np.ndarray):
+            u, v = ca * sa, cb * sb
+            yield from (u * v, u * u, v * v)
+
+        return sum((_pairwise(pair, terms) for pair in pairs), np.zeros(3))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is rescaled
+        dot, na, nb = products(1.0, 1.0)
         if not math.isfinite(dot + na * nb):
-            dot, na, nb = _dots(pairs, _rescale(a for a, _ in pairs),
-                                _rescale(b for _, b in pairs))
+            dot, na, nb = products(_rescale(a for a, _ in pairs), _rescale(b for _, b in pairs))
     if na == 0.0 or nb == 0.0:
         raise MergeError("undefined cosine: zero vector")
     return float(np.clip(dot / math.sqrt(na * nb), -1.0, 1.0))
-
-
-def _dots(pairs: list[tuple[np.ndarray, np.ndarray]], sa: float,
-          sb: float) -> tuple[float, float, float]:
-    """(a.b, a.a, b.b) over the pairs, with a scaled by `sa` and b by `sb`."""
-    dot = na = nb = 0.0
-    for a, b in pairs:
-        a, b = a if sa == 1.0 else a * sa, b if sb == 1.0 else b * sb
-        dot += float(np.dot(a, b))
-        na += float(np.dot(a, a))
-        nb += float(np.dot(b, b))
-    return dot, na, nb

@@ -14,14 +14,15 @@ Every tensor holds one form, its stored form: the archive encoding, with
 BF16 as uint16 bits (see dtypes). Its `values` are a decoded view, made
 anew at each read and never cached. Files are mapped read-only, and
 nothing is copied at read: each tensor's data is a view of the map or of
-the bytes read, which may be misaligned. The TV merge kernel (extract
-runs it too) and the writer copy mapped data chunk by chunk with
-`read_chunk`, a positioned read, so they hold no mapped page, and raise
-ArchiveError on a file truncated after it was read. `values`, `diff`,
-and `trim`, `interference` and `cosine` of a stored F64 vector still
-read the map; such a file kills the process (SIGBUS). `_layout` alone
-decides what is valid: the reader raises its first problem, and
-`validate_archive` lists them all, then gaps and trailing bytes.
+the bytes read, which may be misaligned. The merge kernel (extract runs
+it too), the writer, `diff`, `cosine` and the interference masses read
+mapped data chunk by chunk with `read_chunk`, a positioned read, so they
+hold no mapped page, and raise ArchiveError on a file truncated after it
+was read. `values`, and `trim` (so `interference` and `ties`) over a
+stored F64 vector, still read the map; such a file kills the process
+with SIGBUS. `_layout` alone decides what is valid: the reader raises
+its first problem, and `validate_archive` lists them all, then gaps and
+trailing bytes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ METADATA_KEY = "__metadata__"
 MAX_DIMS = 32  # numpy 1.x's limit; numpy 2 allows 64
 MAX_HEADER_BYTES = 100_000_000  # the safetensors limit
 _MAX_NBYTES = int(np.iinfo(np.intp).max)
-_CHUNK = 1 << 16  # elements per positioned read or write of a whole tensor
+_CHUNK = 1 << 16  # elements per chunk of a merge, a whole-tensor copy or a report sum
 
 
 class ArchiveError(ValueError):

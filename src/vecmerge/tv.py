@@ -6,10 +6,11 @@ One kernel, `_merge_tensor`, merges and extracts (fine-tuned + -1 *
 base, kept as float64). It goes through the operands' stored forms in
 cache-sized chunks, read by position where the file is mapped (see
 `read_chunk`), so temporaries stay small whatever the tensor size and no
-mapped page is touched. A merge (`tv_merge`) is a `LazyCheckpoint`: the
-writer takes each rounded chunk from the kernel's scratch to its offset
-in the file, so threads merge whole tensors in any order and hold only
-their scratch; `materialize()` keeps a merge in memory instead.
+mapped page is touched. A merge (`tv_merge`) and an extraction
+(`extract`) are `LazyCheckpoint`s: the writer takes each rounded chunk
+from the kernel's scratch to its offset in the file, so threads make
+whole tensors in any order and hold only their scratch; `materialize()`
+keeps them in memory instead.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dtypes import decode, narrow, storage_dtype, widen
-from .tensor_store import (ArchiveError, Checkpoint, LazyCheckpoint, Tensor, read_archive,
-                           read_chunk)
+from .tensor_store import (_CHUNK, ArchiveError, Checkpoint, LazyCheckpoint, Tensor,
+                           read_archive, read_chunk)
 
 TASK_VECTOR_KIND = "task_vector"
 KIND_KEY = "vecmerge.kind"
-
-_CHUNK = 1 << 16  # elements per accumulation chunk: 512 KiB of float64
 
 MISMATCH_MODES = ("error", "ignore", "copy_from_finetuned")
 
@@ -41,7 +40,7 @@ class TaskVector:
 
     `extras` carries fine-tuned-only tensors (e.g. task heads) under the
     copy_from_finetuned policy, for verbatim re-attachment on apply.
-    `ignored` lists tensors dropped under the ignore policy.
+    `ignored` lists the other mismatched tensors, which are dropped.
     """
 
     deltas: dict[str, np.ndarray] = field(default_factory=dict)
@@ -75,37 +74,37 @@ def is_task_vector_archive(ckpt: Checkpoint) -> bool:
     return bool(ckpt.metadata) and ckpt.metadata.get(KIND_KEY) == TASK_VECTOR_KIND
 
 
-def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
-                        policy: str = "error") -> TaskVector:
-    """delta = finetuned - base over the shared name/shape intersection.
-
-    Tensors present in only one checkpoint, or with differing shapes, are
-    handled per `policy`: error aborts, ignore drops them, and
-    copy_from_finetuned carries fine-tuned-side tensors as extras.
-    """
+def extract(base: Checkpoint, finetuned: Checkpoint,
+            policy: str = "error") -> tuple[TaskVector, LazyCheckpoint]:
+    """finetuned - base over the shared name/shape intersection, as (the
+    task vector without deltas, its archive, each delta made as it is
+    written). Other tensors go per `policy`: error aborts, ignore drops
+    them, and copy_from_finetuned makes the fine-tuned-only ones extras
+    and drops a reshaped one, as a merge keeps the base's."""
     if policy not in MISMATCH_MODES:
         raise ValueError(f"unknown mismatch policy {policy!r}")
     shared = [n for n in finetuned.names()
               if n in base and base[n].shape == finetuned[n].shape]
     if not shared:
         raise MergeError("no shared tensors with matching shapes between base and finetuned")
-    mismatched = sorted(
-        set(base.names()).symmetric_difference(finetuned.names())
-        | {n for n in finetuned.names() if n in base and base[n].shape != finetuned[n].shape})
+    mismatched = sorted({*base.names(), *finetuned.names()} - set(shared))
     if mismatched and policy == "error":
         raise MergeError(f"mismatched tensors (policy=error): {', '.join(mismatched)}")
+    extras = ({n: finetuned[n] for n in mismatched if n not in base}
+              if policy == "copy_from_finetuned" else {})
+    tv = TaskVector(extras=extras, ignored=[n for n in mismatched if n not in extras],
+                    origin=f"extract(base={len(base)} tensors, finetuned={len(finetuned)} tensors)")
+    return tv, LazyCheckpoint(
+        {n: ("F64", finetuned[n].shape) for n in shared},
+        lambda name, put: _merge_tensor(finetuned[name], [(base[name].data, -1.0)], "F64", put),
+        tv.to_checkpoint().metadata)
 
-    tv = TaskVector(origin=f"extract(base={len(base)} tensors, finetuned={len(finetuned)} tensors)")
-    for name in shared:
-        tv.deltas[name] = _merge_tensor(finetuned[name], [(base[name].data, -1.0)], "F64").data
-    if policy == "copy_from_finetuned":
-        for name in mismatched:
-            if name in finetuned:
-                tv.extras[name] = finetuned[name]
-            else:
-                tv.ignored.append(name)
-    else:
-        tv.ignored = mismatched
+
+def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
+                        policy: str = "error") -> TaskVector:
+    """`extract`'s task vector, with its deltas in memory."""
+    tv, deltas = extract(base, finetuned, policy)
+    tv.deltas = {name: t.data for name, t in deltas.materialize().items()}
     return tv
 
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -10,6 +11,16 @@ from vecmerge import Checkpoint, Tensor
 from vecmerge.dtypes import narrow
 
 DTYPES = ["F64", "F32", "F16", "BF16"]
+
+
+def blas_core_types() -> list[str]:
+    """OpenBLAS kernel families to force with OPENBLAS_CORETYPE, SkylakeX
+    only on a CPU that has AVX-512."""
+    cores = ["Haswell", "Sandybridge", "Nehalem", "Katmai"]
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists() and "avx512f" in cpuinfo.read_text().split():
+        cores.append("SkylakeX")
+    return cores
 
 
 def random_checkpoint(rng: np.random.Generator, n_tensors=None, max_numel=64,

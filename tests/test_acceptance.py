@@ -286,20 +286,24 @@ def _write_plain(path, dtype, seed, metadata=None):
         assert (8 + int.from_bytes(fh.read(8), "little")) % 4 != 0
 
 
-def _merge_tv_peak(base, vectors, out) -> int:
-    """Peak RSS in bytes of a `vecmerge merge tv` child, from its own wait4
+def _child_peak(argv: list) -> int:
+    """Peak RSS in bytes of a `vecmerge <argv>` child, from its own wait4
     rusage. A fresh small interpreter starts it, because a child forked
     from this grown process would begin with this process's peak."""
-    argv = [sys.executable, "-m", "vecmerge.cli", "merge", "tv", "--base", str(base),
-            "--out", str(out)]
-    for path in vectors:
-        argv += ["--vector", str(path), "--weight", "0.5"]
     env = dict(os.environ, PYTHONPATH=str(Path(vecmerge.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", _CHILD_PEAK, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", _CHILD_PEAK, sys.executable, "-m",
+                           "vecmerge.cli", *map(str, argv)], env=env,
                           capture_output=True, text=True, check=True, timeout=300)
     code, kib = map(int, done.stdout.split())
     assert code == 0
     return kib * 1024
+
+
+def _merge_tv_argv(base, vectors, out) -> list:
+    argv = ["merge", "tv", "--base", base, "--out", out]
+    for path in vectors:
+        argv += ["--vector", path, "--weight", "0.5"]
+    return argv
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
@@ -315,10 +319,41 @@ def test_criterion_9_merge_tv_child_memory(tmp_path, write, bound):
     for k, path in enumerate(vectors, 1):
         write(path, "F64", k, _TV_META)
     inputs = sum(os.path.getsize(p) for p in [base, *vectors])
-    peak = _merge_tv_peak(base, vectors, tmp_path / "merged.st")
+    peak = _child_peak(_merge_tv_argv(base, vectors, tmp_path / "merged.st"))
     assert peak < bound * inputs, \
         f"peak {peak / 2**20:.0f} MiB >= {bound} x {inputs / 2**20:.0f} MiB of inputs"
     ok(9, f"merge tv child peak {peak / 2**20:.0f} MiB for {inputs / 2**20:.0f} MiB of inputs")
+
+
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory):
+    """Archives from vecmerge's own writer: a base and a fine-tuned F32
+    checkpoint and two stored F64 vectors, of 8M params each, and the
+    peak of a `merge tv` of the vectors into the base."""
+    root = tmp_path_factory.mktemp("reports")
+    _write_plain(root / "base.st", "F32", 0)
+    _write_plain(root / "ft.st", "F32", 3)
+    for k in (1, 2):
+        _write_plain(root / f"tau{k}.st", "F64", k, _TV_META)
+    peak = _child_peak(_merge_tv_argv(root / "base.st", [root / "tau1.st", root / "tau2.st"],
+                                      root / "merged.st"))
+    return root, peak
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("command", ["diff {r}/base.st {r}/ft.st",
+                                     "cosine {r}/tau1.st {r}/tau2.st",
+                                     "extract --base {r}/base.st --finetuned {r}/ft.st "
+                                     "--out {r}/extracted.st"],
+                         ids=["diff", "cosine", "extract"])
+def test_reports_and_extract_hold_scratch_not_tensors(report_inputs, command):
+    """diff, cosine and extract read by position into chunk scratch, and
+    extract writes each delta as it is made, so each peaks within 10 MiB
+    of `merge tv` on the same inputs, not at the size of a tensor."""
+    root, merge_peak = report_inputs
+    peak = _child_peak(command.format(r=root).split())
+    assert peak < merge_peak + 10 * 2**20, \
+        f"peak {peak / 2**20:.1f} MiB against merge tv {merge_peak / 2**20:.1f} MiB"
 
 
 def test_criterion_10_determinism(bench_runs):

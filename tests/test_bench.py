@@ -25,7 +25,8 @@ from vecmerge.bench.model import _step, _workspace, softmax
 from vecmerge.bench.scenarios import _SeedContext
 from vecmerge.cli import main
 
-from helpers import naive_gaussians, naive_gen_dataset, naive_loss_and_grads, naive_train
+from helpers import (blas_core_types, naive_gaussians, naive_gen_dataset, naive_loss_and_grads,
+                     naive_train)
 
 
 SMALL = BenchSizes(input_dim=6, hidden_dim=8, class_count=3, n_target=30,
@@ -615,11 +616,7 @@ def test_report_bytes_on_every_blas_core_type(tmp_path, capsys):
     assert main(args + [str(tmp_path / "default.json")]) == 0
     capsys.readouterr()
     want = hashlib.sha256((tmp_path / "default.json").read_bytes()).hexdigest()
-    cores = ["Haswell", "Sandybridge", "Nehalem", "Katmai"]
-    cpuinfo = Path("/proc/cpuinfo")
-    if cpuinfo.exists() and "avx512f" in cpuinfo.read_text().split():
-        cores.append("SkylakeX")
-    for core in cores:
+    for core in blas_core_types():
         env = dict(os.environ, OPENBLAS_CORETYPE=core,
                    PYTHONPATH=str(Path(vecmerge.__file__).parents[1]))
         out = tmp_path / f"{core}.json"

@@ -439,7 +439,9 @@ DISPATCH_GROUPS = ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")
 DISPATCH_RUN = """
 import json, sys
 from pathlib import Path
+from vecmerge import cosine
 from vecmerge.cli import main
+from vecmerge.tv import load_task_vector
 
 inputs = Path(sys.argv[1])  # outputs go to the working directory, named alike in each child
 
@@ -468,6 +470,8 @@ for dtype in ("F64", "F32", "F16", "BF16"):
                  "--out", f"ties_{dtype}.st"]) == 0
     assert main(["extract", "--base", base, "--finetuned", str(inputs / f"ft0_{dtype}.st"),
                  "--out", f"extract_{dtype}.st"]) == 0
+tvs = [load_task_vector(inputs / f"finite{i}.st") for i in range(2)]
+Path("cosine.hex").write_text(float.hex(cosine(*tvs)))
 """
 
 
@@ -484,7 +488,7 @@ def _special_values(rng, n: int, dtype: str, finite: bool = False) -> np.ndarray
 def test_merge_bytes_on_every_cpu_dispatch(tmp_path):
     """extract, merge tv, merge ties and run --sweep (TIES over stored
     vectors, TV extracting from fine-tuned checkpoints) write the same
-    bytes with numpy's AVX-512 and AVX2 loops disabled as with its default
+    bytes, and cosine gives the same float64, with numpy's AVX-512 and AVX2 loops disabled as with its default
     dispatch, over bases of every dtype holding NaN, +-inf and subnormals,
     and every NaN extract writes is the positive quiet NaN."""
     from numpy._core._multiarray_umath import __cpu_features__
@@ -513,8 +517,8 @@ def test_merge_bytes_on_every_cpu_dispatch(tmp_path):
                                env=env, capture_output=True, text=True, timeout=300)
         assert child.returncode == 0, child.stderr
         digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                        for p in sorted(out.glob("*.st"))})
-    assert len(digests[0]) == 4 * (3 + 4 + 3)  # per dtype: 3 TIES and 4 TV sweep points, 3 more
+                        for p in sorted([*out.glob("*.st"), out / "cosine.hex"])})
+    assert len(digests[0]) == 4 * (3 + 4 + 3) + 1  # per dtype: 3 TIES and 4 TV sweep points, 3 more
     assert digests[0] == digests[1]
     for dtype in ("F64", "F32", "F16", "BF16"):
         bits = read_archive(out / f"extract_{dtype}.st").values("w").view(np.uint64)

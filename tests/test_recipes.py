@@ -497,7 +497,8 @@ class TestSweepOracle:
             if not deltas or (mismatched and policy == "error"):
                 vectors.append(None)
             elif policy == "copy_from_finetuned":
-                vectors.append((deltas, {n: ft[n] for n in mismatched if n in ft}))
+                # a reshaped tensor is dropped: the merge keeps the base's
+                vectors.append((deltas, {n: ft[n] for n in mismatched if n not in base}))
             else:
                 vectors.append((deltas, {}))
 

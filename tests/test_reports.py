@@ -1,17 +1,45 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import vecmerge
 from vecmerge import (Checkpoint, MergeError, TaskVector, cosine, diff_stats,
-                      interference_stats)
+                      interference_stats, save_archive)
+from vecmerge.reports import _pairwise
+from vecmerge.tensor_store import _CHUNK
+from vecmerge.tv import load_task_vector
 
-from helpers import random_checkpoint
+from helpers import blas_core_types, random_checkpoint
 
 
 def tv_of(values):
     return TaskVector.from_arrays({"w": values})
+
+
+@given(n=st.integers(0, 3 * _CHUNK), seed=st.integers(0, 2**32 - 1))
+@example(n=0, seed=0)
+@example(n=1, seed=1)
+@example(n=8, seed=2)
+@example(n=_CHUNK - 1, seed=3)
+@example(n=_CHUNK, seed=4)
+@example(n=_CHUNK + 1, seed=5)
+@example(n=2 * _CHUNK + 7, seed=6)
+@example(n=(1 << 22) + 9, seed=7)
+@settings(max_examples=25, deadline=None)
+def test_the_chunked_sum_is_numpys_pairwise_sum_bit_for_bit(n, seed):
+    """The reports' sums split a range as numpy's own pairwise sum does, so
+    a numpy that sums another way fails here, not in a report's last bit."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * 2.0 ** rng.integers(-40, 40, size=n)
+    assert float(_pairwise([x], lambda c: (c,))[0]).hex() == float(np.add.reduce(x)).hex()
 
 
 class TestDiffStats:
@@ -59,6 +87,13 @@ class TestDiffStats:
         a = Checkpoint.from_arrays({"w": [1e308, -1e308]})
         b = Checkpoint.from_arrays({"w": [-1e308, 1e308]})
         assert diff_stats(a, b)["global"]["l2_norm"] == math.inf
+
+    def test_infinities_at_one_position_give_a_nan_delta_without_a_warning(self):
+        report = diff_stats(Checkpoint.from_arrays({"w": [math.inf, 1.0]}),
+                            Checkpoint.from_arrays({"w": [math.inf, 2.0]}))
+        assert report["global"]["equal_fraction"] == 0.5
+        assert math.isnan(report["global"]["l2_norm"])
+        assert math.isnan(report["per_tensor"]["w"]["max_abs"])
 
     def test_json_stable(self):
         ckpt = random_checkpoint(np.random.default_rng(1))
@@ -152,3 +187,35 @@ class TestCosine:
         a = TaskVector.from_arrays({"w": [1.0], "v": [0.0], "a_only": [9.0]})
         b = TaskVector.from_arrays({"w": [1.0], "v": [0.0], "b_only": [9.0]})
         assert cosine(a, b) == 1.0
+
+
+COSINE = """
+import sys
+from vecmerge import cosine
+from vecmerge.tv import load_task_vector
+print(float.hex(cosine(load_task_vector(sys.argv[1]), load_task_vector(sys.argv[2]))))
+"""
+
+
+def test_cosine_bits_on_every_blas_core_type(tmp_path):
+    """cosine sums its products as np.add.reduce does, in this process and
+    in children that force each OpenBLAS kernel family, where a BLAS dot
+    product gives another last bit on each."""
+    rng = np.random.default_rng(11)
+    paths = [tmp_path / f"tv{i}.st" for i in range(2)]
+    for path in paths:
+        arrays = {"w": rng.normal(size=(1 << 20) + 3), "b": rng.normal(size=(9, 11))}
+        save_archive(TaskVector.from_arrays(arrays).to_checkpoint(), path)
+    a, b = (load_task_vector(path) for path in paths)
+    sums = np.zeros(3)
+    for name in ("b", "w"):
+        x, y = a.deltas[name].reshape(-1), b.deltas[name].reshape(-1)
+        sums += [np.add.reduce(x * y), np.add.reduce(x * x), np.add.reduce(y * y)]
+    want = float.hex(float(np.clip(sums[0] / math.sqrt(sums[1] * sums[2]), -1.0, 1.0)))
+    assert float.hex(cosine(a, b)) == want
+    for core in blas_core_types():
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   PYTHONPATH=str(Path(vecmerge.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-c", COSINE, *map(str, paths)], env=env,
+                               capture_output=True, text=True, check=True, timeout=300)
+        assert child.stdout.strip() == want, core

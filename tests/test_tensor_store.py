@@ -477,7 +477,8 @@ TRUNCATE = """
 import os, sys
 import numpy as np
 from vecmerge import Checkpoint, TaskVector, extract_task_vector, read_archive, save_archive
-from vecmerge import tv_merge
+from vecmerge import cosine, diff_stats, tv_merge
+from vecmerge import cli
 from vecmerge.tv import load_task_vector
 
 case, root = sys.argv[1], sys.argv[2]
@@ -496,14 +497,28 @@ elif case == "unmerged":  # the writer copies "x", in the second half of the bas
     operand = load_task_vector(root + "/tv.st")
     os.truncate(root + "/base.st", 4096 + 4 * n + 4 * n // 2)
     save_archive(tv_merge(base, [(operand, 0.5)]), root + "/out.st")
+elif case == "cosine":
+    operand = load_task_vector(root + "/tv.st")
+    os.truncate(root + "/tv.st", 4096 + 8 * n // 2)
+    cosine(operand, operand)
+elif case == "cli-extract":  # the CLI reads the fine-tuned archive, which is then cut
+    def read_then_truncate(path):
+        ckpt = read_archive(path)
+        if path.endswith("ft.st"):
+            os.truncate(path, 4096 + 4 * n // 2)
+        return ckpt
+    cli.read_archive = read_then_truncate
+    sys.exit(cli.main(["extract", "--base", root + "/base.st", "--finetuned", root + "/ft.st",
+                       "--out", root + "/tv_out.st"]))
 else:
     operand = read_archive(root + "/ft.st")
     os.truncate(root + "/ft.st", 4096 + 4 * n // 2)
-    extract_task_vector(base, operand)
+    (diff_stats if case == "diff" else extract_task_vector)(base, operand)
 """
 
 
-@pytest.mark.parametrize("case", ["merge", "extract", "unmerged"])
+@pytest.mark.parametrize("case", ["merge", "extract", "unmerged", "diff", "cosine",
+                                  "cli-extract"])
 def test_an_archive_truncated_after_reading_raises_not_a_signal(tmp_path, case):
     """Data read through the map past a truncated file's end kills the
     process with SIGBUS; a positioned read finds the end and raises."""
@@ -511,8 +526,9 @@ def test_an_archive_truncated_after_reading_raises_not_a_signal(tmp_path, case):
     child = subprocess.run([sys.executable, "-c", TRUNCATE, case, str(tmp_path)], env=env,
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 1, f"exit {child.returncode}: {child.stderr}"
+    raised = "error" if case.startswith("cli") else "vecmerge.tensor_store.ArchiveError"
     assert child.stderr.splitlines()[-1].startswith(
-        "vecmerge.tensor_store.ArchiveError: archive truncated after it was read: byte ")
+        f"{raised}: archive truncated after it was read: byte ")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

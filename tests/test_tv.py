@@ -57,6 +57,18 @@ class TestExtract:
         out = apply(base, tv)
         np.testing.assert_array_equal(out.values("head.weight"), [5.0])
 
+    def test_policy_copy_ignores_a_reshaped_tensor_the_merge_keeps_from_the_base(self):
+        base = ckpt({"w": [1.0, 2.0, 3.0], "head": [4.0, 5.0]})
+        ft = ckpt({"w": [2.0, 2.0, 1.0], "head": [6.0, 7.0, 8.0, 9.0], "new": [10.0]})
+        tv = extract_task_vector(base, ft, policy="copy_from_finetuned")
+        assert sorted(tv.extras) == ["new"]
+        assert tv.ignored == ["head"]
+        out = apply(base, tv)
+        assert out.names() == ["head", "new", "w"]
+        assert out["head"].data.tobytes() == base["head"].data.tobytes()
+        assert out["new"].data.tobytes() == ft["new"].data.tobytes()
+        assert out["w"].data.tobytes() == ft["w"].data.tobytes()
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="^unknown mismatch policy 'keep'$"):
             extract_task_vector(ckpt({"w": [1.0]}), ckpt({"w": [2.0]}), policy="keep")
