@@ -56,7 +56,7 @@ def _weighted_pairs(args):
 def _cmd_merge(args) -> int:
     base = read_archive(args.base)
     pairs = _weighted_pairs(args)
-    report = None  # made first, so its trimmed copies are gone when the merge runs
+    report = None  # made before the merge, written after it
     if args.method == "ties" and args.report:
         report = interference_stats([t for t, _ in pairs], args.density)
     merged = (tv_merge(base, pairs, threads=args.threads) if args.method == "tv"

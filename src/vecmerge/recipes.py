@@ -211,7 +211,7 @@ def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> dict:
     report = None
     if recipe.method == "tv":
         merged = tv_mod.tv_merge(base, pairs, threads=threads)
-    else:  # the report first, so its trimmed copies are gone when the merge runs
+    else:
         report = interference_stats([t for t, _ in pairs], recipe.density)
         merged = ties_mod.ties_merge(base, pairs, recipe.density, float(recipe.lam),
                                      threads=threads)

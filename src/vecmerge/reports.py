@@ -14,7 +14,7 @@ import numpy as np
 
 from .dtypes import widen
 from .tensor_store import _CHUNK, Checkpoint, read_chunk
-from .ties import elect_signs, trim
+from .ties import _check_trimmable, _union_shapes, elect_signs, trim
 from .tv import MergeError, TaskVector
 
 MAX_ALL_PAIRS = 8  # above this, only adjacent pairs (quadratic blowup guard)
@@ -109,24 +109,16 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)]
 
 
-def _masses(tv: TaskVector, tr: TaskVector, names: list[str]) -> dict[str, tuple[float, float]]:
-    """name -> (sum |kept|, sum |all|) of one vector, as np.sum(np.abs(d)) sums them,
-    all rescaled by one power of two, which keeps their ratios, if their total overflows."""
-    def at(scale: float) -> dict[str, tuple[float, float]]:
-        magnitude = np.empty(_CHUNK)
+def _mass(kept: np.ndarray, delta: np.ndarray, scale: float) -> tuple[float, float]:
+    """(sum |kept|, sum |delta|), each entry times `scale`, as np.sum(np.abs(d)) sums them."""
+    magnitude = np.empty(min(delta.size, _CHUNK))
 
-        def terms(*chunks):
-            for c in chunks:
-                m = np.abs(c, out=magnitude[:c.size])
-                yield m if scale == 1.0 else np.multiply(m, scale, out=m)
+    def terms(*chunks):
+        for c in chunks:
+            m = np.abs(c, out=magnitude[:c.size])
+            yield m if scale == 1.0 else np.multiply(m, scale, out=m)
 
-        return {name: tuple(map(float, _pairwise(
-            [tr.deltas[name].ravel("K"), tv.deltas[name].ravel("K")], terms)))
-            for name in names if name in tv.deltas}
-
-    masses = at(1.0)
-    total = sum(all_mass for _, all_mass in masses.values())
-    return masses if math.isfinite(total) else at(_rescale(tv.deltas.values()))
+    return tuple(map(float, _pairwise([kept.ravel("K"), delta.ravel("K")], terms)))
 
 
 def _ratio(part: float, whole: float) -> float:
@@ -144,31 +136,54 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
     """Trim-mass and pairwise sign agreement after TIES trimming:
     `trimmed_mass` holds sum|kept| / sum|all| per vector, and
     `sign_agreement` maps "i-j" to the agreement of vectors i and j where
-    both keep a nonzero entry (none for a single vector)."""
+    both keep a nonzero entry (none for a single vector).
+
+    Tensor by tensor, each vector's delta is trimmed into a buffer of the
+    call's, counted and dropped. If a vector's total mass overflows, its
+    masses are summed again, all rescaled by one power of two, which keeps
+    their ratios."""
     if not tvs:
         raise MergeError("interference_stats requires at least one task vector")
-    trimmed = [trim(tv, density) for tv in tvs]
-    signs = elect_signs(trimmed, [1.0] * len(trimmed))
-    names = sorted({n for tv in tvs for n in tv.deltas})
-    with np.errstate(over="ignore"):  # an overflowing sum is rescaled
-        masses = [_masses(tv, tr, names) for tv, tr in zip(tvs, trimmed)]
+    _check_trimmable(tvs, density)
+    _union_shapes(tvs)
+    largest = max((d.size for tv in tvs for d in tv.deltas.values()), default=0)
+    buffers = list(np.empty((len(tvs), largest)))  # one allocation, as in ties_merge
+
+    def trimmed(i: int, name: str) -> TaskVector:
+        return trim(TaskVector({name: tvs[i].deltas[name]}), density, out=buffers[i])
+
+    def mass(i: int, name: str, kept: TaskVector, scale: float) -> tuple[float, float]:
+        delta = tvs[i].deltas[name]  # at density 1 it is kept whole, in its own order
+        return _mass(delta if density == 1.0 else kept.deltas[name], delta, scale)
+
+    masses: list[dict[str, tuple[float, float]]] = [{} for _ in tvs]  # (kept, all) by name
     agree = {f"{i}-{j}": (i, j, [0, 0]) for i, j in _pairs(len(tvs))}  # agreeing, joint
     per_tensor = {}
-    for name in names:
-        sgn = [_signs(tr.deltas[name]) if name in tr.deltas else None for tr in trimmed]
-        agreement = {}
-        for key, (i, j, counts) in agree.items():
-            if sgn[i] is None or sgn[j] is None:
-                continue
-            both = sgn[i] * sgn[j]  # +1 agree, -1 disagree, 0 unless both kept
-            n_agree, n_joint = int(np.count_nonzero(both > 0)), int(np.count_nonzero(both))
-            if n_joint:
-                agreement[key] = n_agree / n_joint
-            counts[0] += n_agree
-            counts[1] += n_joint
-        per_tensor[name] = {"sign_agreement": agreement,
-                            "trimmed_mass": [_ratio(*m.get(name, (0.0, 0.0))) for m in masses],
-                            "zero_sign_count": int(np.count_nonzero(signs[name] == 0))}
+    with np.errstate(over="ignore"):  # an overflowing sum is rescaled
+        for name in sorted({n for tv in tvs for n in tv.deltas}):
+            held = {i: trimmed(i, name) for i, tv in enumerate(tvs) if name in tv.deltas}
+            for i, kept in held.items():
+                masses[i][name] = mass(i, name, kept, 1.0)
+            signs = elect_signs(list(held.values()), [1.0] * len(held))[name]
+            sgn = {i: _signs(kept.deltas[name]) for i, kept in held.items()}
+            agreement = {}
+            for key, (i, j, counts) in agree.items():
+                if i not in sgn or j not in sgn:
+                    continue
+                both = sgn[i] * sgn[j]  # +1 agree, -1 disagree, 0 unless both kept
+                n_agree, n_joint = int(np.count_nonzero(both > 0)), int(np.count_nonzero(both))
+                if n_joint:
+                    agreement[key] = n_agree / n_joint
+                counts[0] += n_agree
+                counts[1] += n_joint
+            per_tensor[name] = {"sign_agreement": agreement,
+                                "zero_sign_count": int(np.count_nonzero(signs == 0))}
+        for i, tv in enumerate(tvs):
+            if not math.isfinite(sum(all_mass for _, all_mass in masses[i].values())):
+                scale = _rescale(tv.deltas.values())
+                masses[i] = {name: mass(i, name, trimmed(i, name), scale) for name in masses[i]}
+    for name, stats in per_tensor.items():
+        stats["trimmed_mass"] = [_ratio(*m.get(name, (0.0, 0.0))) for m in masses]
     glob = {"sign_agreement": {key: _ratio(*counts) for key, (_, _, counts) in agree.items()},
             "trimmed_mass": [_ratio(*map(sum, zip(*m.values()))) if m else 1.0 for m in masses],
             "zero_sign_count": sum(t["zero_sign_count"] for t in per_tensor.values())}

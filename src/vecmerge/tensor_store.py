@@ -15,14 +15,13 @@ BF16 as uint16 bits (see dtypes). Its `values` are a decoded view, made
 anew at each read and never cached. Files are mapped read-only, and
 nothing is copied at read: each tensor's data is a view of the map or of
 the bytes read, which may be misaligned. The merge kernel (extract runs
-it too), the writer, `diff`, `cosine` and the interference masses read
-mapped data chunk by chunk with `read_chunk`, a positioned read, so they
-hold no mapped page, and raise ArchiveError on a file truncated after it
-was read. `values`, and `trim` (so `interference` and `ties`) over a
-stored F64 vector, still read the map; such a file kills the process
-with SIGBUS. `_layout` alone decides what is valid: the reader raises
-its first problem, and `validate_archive` lists them all, then gaps and
-trailing bytes.
+it too), the writer, `diff`, `cosine` and the TIES kernels (`trim`, so
+`interference` and `ties`) read mapped data chunk by chunk with
+`read_chunk`, a positioned read, so they hold no mapped page, and raise
+ArchiveError on a file truncated after it was read. Only `values` still
+reads the map; such a file kills the process with SIGBUS. `_layout`
+alone decides what is valid: the reader raises its first problem, and
+`validate_archive` lists them all, then gaps and trailing bytes.
 """
 
 from __future__ import annotations

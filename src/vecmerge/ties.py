@@ -1,6 +1,9 @@
 """TIES merging: trim by magnitude, elect per-parameter signs, disjoint mean.
 
-Trimming is per-tensor. Per-vector weights enter both the sign election
+Trimming is per-tensor, and so are the sign election and the disjoint
+mean, so `ties_merge` makes each tensor alone when it is written, as
+`tv_merge` does, trimming into buffers each thread keeps, and holds no
+whole trimmed vector. Per-vector weights enter both the sign election
 and the disjoint weighted mean, which keeps the single-vector,
 density-1 case an exact reduction to plain scaled vector addition.
 An elected sign of 0 (exact cancellation) always yields a merged entry
@@ -11,17 +14,21 @@ The kernels select entries by bit masks, not branches: a mask is all
 ones where an entry is kept and all zeros elsewhere, and ANDing a
 float64's bits with it keeps the float or makes it +0.0. They work a
 chunk at a time in scratch that each call allocates once, so they hold
-no state between calls and threads may call them at once.
+no state between calls and threads may call them at once. `trim` reads
+a delta that views a mapped archive by position (see read_chunk), so no
+kernel touches a page of the map.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
-from .tensor_store import Checkpoint, LazyCheckpoint
-from .tv import MergeError, TaskVector, tv_merge
+from .tensor_store import _CHUNK as _READ_CHUNK
+from .tensor_store import Checkpoint, LazyCheckpoint, read_chunk
+from .tv import MergeError, TaskVector, _lazy_merge
 
 DEFAULT_DENSITY = 0.2
 DEFAULT_LAMBDA = 1.0
@@ -38,7 +45,7 @@ _LEAST_SUBNORMAL = np.float64(5e-324)
 def _check_weights(weights: list[float], n_vectors: int) -> None:
     if len(weights) != n_vectors:
         raise ValueError(f"{len(weights)} weights for {n_vectors} vectors")
-    if any(w <= 0 or not np.isfinite(w) for w in weights):
+    if any(w <= 0 or not math.isfinite(w) for w in weights):
         raise ValueError("weights must be positive and finite")
 
 
@@ -54,7 +61,30 @@ def _chunk_scratch(shapes, *dtypes) -> list[np.ndarray]:
     return [np.empty(size, dtype) for dtype in dtypes]
 
 
-def trim(tv: TaskVector, density: float) -> TaskVector:
+def _check_density(density: float) -> None:
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+
+
+def _check_trimmable(tvs: list[TaskVector], density: float) -> None:
+    """Raise as trimming each of `tvs` in turn would: for the density, then
+    for the first non-finite delta in vector order. Each chunk is read by
+    position (see read_chunk); one whose sum is finite holds no NaN or inf,
+    so only the others are checked entry by entry."""
+    _check_density(density)
+    scratch = np.empty(min(_READ_CHUNK, max((d.size for tv in tvs for d in tv.deltas.values()),
+                                            default=0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow, and inf - inf is NaN
+        for tv in tvs:
+            for name, d in tv.deltas.items():
+                flat = _flat(d)
+                for start in range(0, flat.size, _READ_CHUNK):
+                    chunk = read_chunk(flat, start, scratch[:min(_READ_CHUNK, flat.size - start)])
+                    if not math.isfinite(np.add.reduce(chunk)) and not np.isfinite(chunk).all():
+                        raise MergeError(f"tensor {name!r}: non-finite delta cannot be trimmed")
+
+
+def trim(tv: TaskVector, density: float, out: np.ndarray | None = None) -> TaskVector:
     """Keep the ceil(density*numel) largest-|value| entries per tensor.
 
     Selection is a linear-time partition threshold: entries above it are
@@ -63,32 +93,46 @@ def trim(tv: TaskVector, density: float) -> TaskVector:
     deltas raise MergeError at every density, since they have no rank.
 
     Entries are ranked by their magnitude bits, `bits & 0x7FF...F` as
-    uint64, whose order is that of |value| for finite floats. The
-    output's own buffer holds the partition; a kept entry keeps its bits
-    (-0.0 included) and a dropped one is +0.0.
+    uint64, whose order is that of |value| for finite floats. The trimmed
+    tensors lie one after another in `out`, a contiguous 1-d float64
+    buffer, or in a new one: it holds the partition, then the trimmed
+    entries, a kept one with its bits (-0.0 included) and a dropped one as
+    +0.0. Each delta is read by position (see read_chunk), whole into the
+    buffer to rank it and a chunk at a time to select, so a trim touches no
+    mapped page.
     """
-    if not 0.0 < density <= 1.0:
-        raise ValueError(f"density must be in (0, 1], got {density}")
-    out = TaskVector(extras=dict(tv.extras), ignored=list(tv.ignored))
+    _check_density(density)
+    size = sum(d.size for d in tv.deltas.values())
+    if out is None:
+        out = np.empty(size)
+    elif not (out.dtype == np.float64 and out.ndim == 1 and out.flags.c_contiguous
+              and out.size >= size):
+        raise ValueError(f"out must be a contiguous 1-d float64 buffer of {size} or more entries")
+    trimmed = TaskVector(extras=dict(tv.extras), ignored=list(tv.ignored))
+    source = np.empty(min(_CHUNK, max((d.size for d in tv.deltas.values()), default=0)))
+    offset = 0
     for name, d in tv.deltas.items():
-        bits = _flat(d).view(np.uint64)
-        n = bits.size
+        flat, n = _flat(d), d.size
         k = math.ceil(density * n)
-        kept = np.bitwise_and(bits, _MAGNITUDE)
+        kept = out[offset:offset + n].view(np.uint64)
+        offset += n
+        np.bitwise_and(read_chunk(flat, 0, kept.view(np.float64)).view(np.uint64), _MAGNITUDE,
+                       out=kept)
         if k < n:
             kept.partition(n - k)  # the k largest, so the greatest of all, sit from n - k on
+            threshold = kept[n - k]
+            if kept[:n - k].max() < threshold:  # no tie across the cut: keep all >= threshold
+                cut, room = threshold - np.uint64(1), 0
+            else:  # the lowest-index ties fill the slots left above the threshold
+                cut, room = threshold, k - int(np.count_nonzero(kept[n - k + 1:] > threshold))
         if n and kept[n - k:].max() > _MAX_FINITE:
             raise MergeError(f"tensor {name!r}: non-finite delta cannot be trimmed")
-        if k == n:
-            out.deltas[name] = d
-            continue
-        threshold = kept[n - k]
-        if kept[:n - k].max() < threshold:  # no tie across the cut: keep all >= threshold
-            cut, room = threshold - np.uint64(1), 0
-        else:  # the lowest-index ties fill the slots left above the threshold
-            cut, room = threshold, k - int(np.count_nonzero(kept[n - k + 1:] > threshold))
         for start in range(0, n, _CHUNK):
-            part, src = kept[start:start + _CHUNK], bits[start:start + _CHUNK]
+            part = kept[start:start + _CHUNK]
+            src = read_chunk(flat, start, source[:part.size]).view(np.uint64)
+            if k == n:  # every entry is kept
+                np.copyto(part, src)
+                continue
             np.bitwise_and(src, _MAGNITUDE, out=part)
             tied = np.flatnonzero(part == threshold)[:room] if room else []
             room -= len(tied)
@@ -98,8 +142,8 @@ def trim(tv: TaskVector, density: float) -> TaskVector:
             np.bitwise_and(part, src, out=part)
         kept = kept.view(np.float64).reshape(d.shape)
         kept.setflags(write=False)
-        out.deltas[name] = kept
-    return out
+        trimmed.deltas[name] = kept
+    return trimmed
 
 
 def _union_shapes(tvs: list[TaskVector]) -> dict[str, tuple[int, ...]]:
@@ -199,17 +243,33 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
 def ties_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
                density: float = DEFAULT_DENSITY, lam: float = DEFAULT_LAMBDA,
                threads: int = 1) -> LazyCheckpoint:
-    """Full TIES pipeline over (vector, weight) pairs: trim, elect signs,
-    disjoint mean, then base + lam * merged, lazily, as `tv_merge` gives it."""
+    """Full TIES pipeline over (vector, weight) pairs: base + lam * the
+    disjoint mean of the trimmed vectors under their elected signs, lazily,
+    as `tv_merge` gives it. The operands are checked now. Each tensor is
+    trimmed, elected and merged when it is made, in buffers that each
+    thread keeps, one per vector as long as the largest tensor."""
     if not weighted:
         raise MergeError("ties_merge requires at least one task vector")
     if not np.isfinite(lam):
         raise ValueError(f"non-finite lambda {lam}")
-    trimmed = [trim(tv, density) for tv, _ in weighted]
-    weights = [w for _, w in weighted]
-    merged = disjoint_merge(trimmed, weights, elect_signs(trimmed, weights))
-    # extras survive the pipeline for re-attachment by the merge
-    for tv, _ in weighted:
-        for name, t in tv.extras.items():
-            merged.extras.setdefault(name, t)
-    return tv_merge(base, [(merged, lam)], threads=threads)
+    tvs, weights = [tv for tv, _ in weighted], [w for _, w in weighted]
+    _check_trimmable(tvs, density)
+    _check_weights(weights, len(tvs))
+    _union_shapes(tvs)
+    largest = max((d.size for tv in tvs for d in tv.deltas.values()), default=0)
+    held = threading.local()
+
+    def combine(name: str, deltas: list[tuple[np.ndarray, float]]) -> list:
+        if not hasattr(held, "buffers"):
+            # rows of one allocation: freed, it lifts glibc's trim threshold above one
+            # tensor's temporaries, where tensor-sized buffers of their own left the
+            # temporaries' pages to be handed back and faulted in again at every tensor
+            held.buffers = list(np.empty((len(tvs), largest)))
+        trimmed = [trim(TaskVector({name: d}), density, out=buffer)
+                   for (d, _), buffer in zip(deltas, held.buffers)]
+        tensor_weights = [w for _, w in deltas]
+        merged = disjoint_merge(trimmed, tensor_weights,
+                                elect_signs(trimmed, tensor_weights)).deltas[name]
+        return [(merged, float(lam))]
+
+    return _lazy_merge(base, weighted, threads, combine)

@@ -194,6 +194,15 @@ def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
     for _, lam in weighted:
         if not np.isfinite(lam):
             raise ValueError(f"non-finite merge weight {lam}")
+    return _lazy_merge(base, weighted, threads)
+
+
+def _lazy_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]], threads: int = 1,
+                combine: Callable | None = None) -> LazyCheckpoint:
+    """The base with each tensor that a vector holds merged by `_merge_tensor`
+    from its [(delta, weight)] in vector order, or from what combine(name,
+    those pairs) makes of them, and each extra the base lacks appended.
+    Every delta is checked against the base now."""
     per_name: dict[str, list[tuple[np.ndarray, float]]] = {}
     extras: dict[str, Tensor] = {}
     for tv, lam in weighted:
@@ -212,6 +221,7 @@ def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
     def make(name: str, put) -> Tensor | None:
         if name not in per_name:
             return base[name] if name in base else extras[name]
-        return _merge_tensor(base[name], per_name[name], base[name].dtype, put)
+        deltas = per_name[name] if combine is None else combine(name, per_name[name])
+        return _merge_tensor(base[name], deltas, base[name].dtype, put)
 
     return LazyCheckpoint(layout, make, dict(base.metadata) if base.metadata else None, threads)

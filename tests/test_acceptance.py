@@ -340,19 +340,29 @@ def report_inputs(tmp_path_factory):
     return root, peak
 
 
+_TENSOR = max(math.prod(shape) for shape in _LAYERS.values())  # entries of the largest
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-@pytest.mark.parametrize("command", ["diff {r}/base.st {r}/ft.st",
-                                     "cosine {r}/tau1.st {r}/tau2.st",
-                                     "extract --base {r}/base.st --finetuned {r}/ft.st "
-                                     "--out {r}/extracted.st"],
-                         ids=["diff", "cosine", "extract"])
-def test_reports_and_extract_hold_scratch_not_tensors(report_inputs, command):
+@pytest.mark.parametrize("command,margin", [
+    ("diff {r}/base.st {r}/ft.st", 10 * 2**20),
+    ("cosine {r}/tau1.st {r}/tau2.st", 10 * 2**20),
+    ("extract --base {r}/base.st --finetuned {r}/ft.st --out {r}/extracted.st", 10 * 2**20),
+    ("merge ties --base {r}/base.st --vector {r}/tau1.st --weight 1.0 --vector {r}/tau2.st "
+     "--weight 0.5 --out {r}/ties.st", (2 + 2) * 8 * _TENSOR),
+    ("interference --vector {r}/tau1.st --vector {r}/tau2.st", (2 + 2) * 8 * _TENSOR)],
+    ids=["diff", "cosine", "extract", "merge-ties", "interference"])
+def test_reports_and_extract_hold_scratch_not_tensors(report_inputs, command, margin):
     """diff, cosine and extract read by position into chunk scratch, and
     extract writes each delta as it is made, so each peaks within 10 MiB
-    of `merge tv` on the same inputs, not at the size of a tensor."""
+    of `merge tv` on the same inputs, not at the size of a tensor. TIES
+    works one tensor at a time and reads by position too: `merge ties` and
+    `interference` hold one buffer per vector as long as the largest
+    tensor, and about two more, so they peak within (vectors + 2) float64
+    copies of that tensor of `merge tv`."""
     root, merge_peak = report_inputs
     peak = _child_peak(command.format(r=root).split())
-    assert peak < merge_peak + 10 * 2**20, \
+    assert peak < merge_peak + margin, \
         f"peak {peak / 2**20:.1f} MiB against merge tv {merge_peak / 2**20:.1f} MiB"
 
 

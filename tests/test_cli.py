@@ -167,6 +167,25 @@ class TestExtractAndMerge:
         assert write_archive(Checkpoint(merged.tensors)) == want
 
 
+    def test_ties_threads_write_the_same_archive(self, tmp_path, capsys):
+        """Tensors of many sizes, from stored vectors read by position, made
+        two at a time, give the bytes that one at a time gives."""
+        rng = np.random.default_rng(23)
+        shapes = {"a": (300,), "b": (17, 40), "c": (5000,), "d": (0,), "e": (64, 64)}
+        save_archive(Checkpoint.from_arrays({n: rng.normal(size=s) for n, s in shapes.items()},
+                                            "F32"), tmp_path / "base.st")
+        argv = ["merge", "ties", "--base", tmp_path / "base.st", "--density", "0.3"]
+        for k in range(2):
+            tv = TaskVector.from_arrays({n: rng.normal(size=s) for n, s in shapes.items()})
+            save_archive(tv.to_checkpoint(), tmp_path / f"tv{k}.st")
+            argv += ["--vector", tmp_path / f"tv{k}.st", "--weight", f"{k + 1}"]
+        for threads in (1, 2):
+            code, _, _ = run(capsys, *argv, "--threads", threads,
+                             "--out", tmp_path / f"threads{threads}.st")
+            assert code == 0
+        assert (tmp_path / "threads2.st").read_bytes() == (tmp_path / "threads1.st").read_bytes()
+
+
 class TestDiffInterference:
     def test_diff_json(self, workspace, capsys):
         code, out, _ = run(capsys, "diff", workspace / "base.st", workspace / "base.st",

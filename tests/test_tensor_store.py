@@ -477,7 +477,7 @@ TRUNCATE = """
 import os, sys
 import numpy as np
 from vecmerge import Checkpoint, TaskVector, extract_task_vector, read_archive, save_archive
-from vecmerge import cosine, diff_stats, tv_merge
+from vecmerge import cosine, diff_stats, interference_stats, ties_merge, trim, tv_merge
 from vecmerge import cli
 from vecmerge.tv import load_task_vector
 
@@ -497,10 +497,17 @@ elif case == "unmerged":  # the writer copies "x", in the second half of the bas
     operand = load_task_vector(root + "/tv.st")
     os.truncate(root + "/base.st", 4096 + 4 * n + 4 * n // 2)
     save_archive(tv_merge(base, [(operand, 0.5)]), root + "/out.st")
-elif case == "cosine":
+elif case in ("cosine", "ties", "interference", "trim"):  # TIES at density 1 keeps all
     operand = load_task_vector(root + "/tv.st")
     os.truncate(root + "/tv.st", 4096 + 8 * n // 2)
-    cosine(operand, operand)
+    if case == "cosine":
+        cosine(operand, operand)
+    elif case == "ties":
+        ties_merge(base, [(operand, 1.0)], 1.0).materialize()
+    elif case == "interference":
+        interference_stats([operand], 1.0)
+    else:
+        trim(operand, 0.2)
 elif case == "cli-extract":  # the CLI reads the fine-tuned archive, which is then cut
     def read_then_truncate(path):
         ckpt = read_archive(path)
@@ -517,8 +524,8 @@ else:
 """
 
 
-@pytest.mark.parametrize("case", ["merge", "extract", "unmerged", "diff", "cosine",
-                                  "cli-extract"])
+@pytest.mark.parametrize("case", ["merge", "extract", "unmerged", "diff", "cosine", "ties",
+                                  "interference", "trim", "cli-extract"])
 def test_an_archive_truncated_after_reading_raises_not_a_signal(tmp_path, case):
     """Data read through the map past a truncated file's end kills the
     process with SIGBUS; a positioned read finds the end and raises."""

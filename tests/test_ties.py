@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import vecmerge.reports as reports_mod
 import vecmerge.ties as ties_mod
 from vecmerge import (Checkpoint, MergeError, TaskVector, apply,
                       disjoint_merge, elect_signs, interference_stats, read_archive,
@@ -42,6 +43,20 @@ class TestTrim:
         for density in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="density"):
                 trim(tv_of([1.0]), density)
+
+    @pytest.mark.parametrize("density", [0.5, 1.0])
+    def test_out_receives_the_tensors_one_after_another(self, density):
+        tv = TaskVector.from_arrays({"a": [0.1, -3.0, 2.0, 0.05], "b": [[-0.0, 4.0], [1.0, -5.0]]})
+        buffer = np.full(9, np.nan)
+        got = trim(tv, density, out=buffer)
+        want = trim(tv, density)
+        for name, offset in (("a", 0), ("b", 4)):
+            assert _same_bits(got.deltas[name], want.deltas[name])
+            assert np.shares_memory(got.deltas[name], buffer[offset:offset + 4])
+        assert np.isnan(buffer[8])
+        for bad in (np.empty(7), np.empty(8, np.float32), np.empty((2, 4)), np.empty(16)[::2]):
+            with pytest.raises(ValueError, match="8 or more entries"):
+                trim(tv, density, out=bad)
 
     def test_exact_sparsity(self):
         rng = np.random.default_rng(0)
@@ -102,6 +117,32 @@ class TestNonFinite:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:") and "non-finite" in err
         assert not (tmp_path / "out.st").exists()
+
+    def test_the_first_non_finite_tensor_in_vector_order_is_named(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        """Vector 0 is non-finite in 'b' and vector 1 in 'a'. Each vector is
+        checked whole, in order, before any tensor is trimmed or made."""
+        base = Checkpoint.from_arrays({"a": np.zeros(3), "b": np.zeros(3)}, "F32")
+        tvs = [TaskVector.from_arrays({"a": [1.0, 2.0, 3.0], "b": [1.0, np.inf, 3.0]}),
+               TaskVector.from_arrays({"a": [np.nan, 2.0, 3.0], "b": [1.0, 2.0, 3.0]})]
+        message = "tensor 'b': non-finite delta cannot be trimmed"
+        trimmed = []
+        for module in (ties_mod, reports_mod):
+            monkeypatch.setattr(module, "trim", lambda *args, **kwargs: trimmed.append(args))
+        with pytest.raises(MergeError, match=f"^{message}$"):
+            ties_merge(base, [(tv, 1.0) for tv in tvs], 0.5, 1.0)
+        with pytest.raises(MergeError, match=f"^{message}$"):
+            interference_stats(tvs, 0.5)
+        assert trimmed == []
+        save_archive(base, tmp_path / "base.st")
+        argv = ["merge", "ties", "--base", str(tmp_path / "base.st"), "--out",
+                str(tmp_path / "out.st")]
+        for k, tv in enumerate(tvs):
+            save_archive(tv.to_checkpoint(), tmp_path / f"tv{k}.st")
+            argv += ["--vector", str(tmp_path / f"tv{k}.st"), "--weight", "1.0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base.st", "tv0.st", "tv1.st"]
 
     def test_tv_merge_passes_through(self, bad):
         base = Checkpoint.from_arrays({"w": np.ones(5)})
@@ -330,6 +371,24 @@ class TestTiesMerge:
         for lam in DEFAULT_GRID + [-0.7]:
             got = ties_merge(base, list(zip(tvs, weights)), density, lam)
             assert write_archive(got) == write_archive(apply(base, scale(merged, lam)))
+
+    def test_threads_give_the_same_bytes_over_tensors_of_many_sizes(self):
+        """Each pool thread trims into its own buffers, one per vector as long
+        as the largest tensor, whichever tensors the vectors hold."""
+        rng = np.random.default_rng(22)
+        shapes = {"a": (300,), "b": (17, 40), "c": (5000,), "d": (0,), "e": (64, 64), "f": (1,)}
+        held = [set(shapes), set(shapes) - {"c"}, set(shapes) - {"a", "e"}]
+        base = Checkpoint.from_arrays({n: rng.normal(size=s) for n, s in shapes.items()}, "F32")
+        tvs = [TaskVector.from_arrays({n: rng.normal(size=s) for n, s in shapes.items()
+                                       if n in names}) for names in held]
+        weights, density, lam = [1.0, 0.5, 2.0], 0.3, 0.7
+        trimmed = [reference_trim(tv, density) for tv in tvs]
+        merged = reference_disjoint_merge(trimmed, weights,
+                                          reference_elect_signs(trimmed, weights))
+        want = write_archive(tv_merge(base, [(merged, lam)]))
+        for threads in (1, 2, 4):
+            got = ties_merge(base, list(zip(tvs, weights)), density, lam, threads=threads)
+            assert write_archive(got) == want
 
     def test_lambda_zero_identity(self):
         base = Checkpoint.from_arrays({"w": [1.0, -2.0]}, "F16")
