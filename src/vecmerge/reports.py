@@ -138,10 +138,10 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
     `sign_agreement` maps "i-j" to the agreement of vectors i and j where
     both keep a nonzero entry (none for a single vector).
 
-    Tensor by tensor, each vector's delta is trimmed into a buffer of the
-    call's, counted and dropped. If a vector's total mass overflows, its
-    masses are summed again, all rescaled by one power of two, which keeps
-    their ratios."""
+    Tensor by tensor, each vector's delta is made if it is a `LazyDelta`,
+    trimmed into a buffer of the call's, counted and dropped. If a vector's
+    total mass overflows, its masses are summed again, all rescaled by one
+    power of two, which keeps their ratios."""
     if not tvs:
         raise MergeError("interference_stats requires at least one task vector")
     _check_trimmable(tvs, density)
@@ -149,21 +149,22 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
     largest = max((d.size for tv in tvs for d in tv.deltas.values()), default=0)
     buffers = list(np.empty((len(tvs), largest)))  # one allocation, as in ties_merge
 
-    def trimmed(i: int, name: str) -> TaskVector:
-        return trim(TaskVector({name: tvs[i].deltas[name]}), density, out=buffers[i])
-
-    def mass(i: int, name: str, kept: TaskVector, scale: float) -> tuple[float, float]:
-        delta = tvs[i].deltas[name]  # at density 1 it is kept whole, in its own order
-        return _mass(delta if density == 1.0 else kept.deltas[name], delta, scale)
-
     masses: list[dict[str, tuple[float, float]]] = [{} for _ in tvs]  # (kept, all) by name
+
+    def trimmed(i: int, name: str, scale: float = 1.0) -> TaskVector:
+        """Vector i's tensor `name` trimmed into buffer i, its masses times
+        `scale` put in `masses`, from one making of the delta."""
+        delta = np.asarray(tvs[i].deltas[name])
+        kept = trim(TaskVector({name: delta}), density, out=buffers[i])
+        # at density 1 the delta is kept whole, in its own order
+        masses[i][name] = _mass(delta if density == 1.0 else kept.deltas[name], delta, scale)
+        return kept
+
     agree = {f"{i}-{j}": (i, j, [0, 0]) for i, j in _pairs(len(tvs))}  # agreeing, joint
     per_tensor = {}
     with np.errstate(over="ignore"):  # an overflowing sum is rescaled
         for name in sorted({n for tv in tvs for n in tv.deltas}):
             held = {i: trimmed(i, name) for i, tv in enumerate(tvs) if name in tv.deltas}
-            for i, kept in held.items():
-                masses[i][name] = mass(i, name, kept, 1.0)
             signs = elect_signs(list(held.values()), [1.0] * len(held))[name]
             sgn = {i: _signs(kept.deltas[name]) for i, kept in held.items()}
             agreement = {}
@@ -180,8 +181,9 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
                                 "zero_sign_count": int(np.count_nonzero(signs == 0))}
         for i, tv in enumerate(tvs):
             if not math.isfinite(sum(all_mass for _, all_mass in masses[i].values())):
-                scale = _rescale(tv.deltas.values())
-                masses[i] = {name: mass(i, name, trimmed(i, name), scale) for name in masses[i]}
+                scale = _rescale(map(np.asarray, tv.deltas.values()))
+                for name in list(masses[i]):
+                    trimmed(i, name, scale)
     for name, stats in per_tensor.items():
         stats["trimmed_mass"] = [_ratio(*m.get(name, (0.0, 0.0))) for m in masses]
     glob = {"sign_agreement": {key: _ratio(*counts) for key, (_, _, counts) in agree.items()},
@@ -200,7 +202,7 @@ def cosine(tv_a: TaskVector, tv_b: TaskVector) -> float:
     for n in shared:
         if tv_a.deltas[n].shape != tv_b.deltas[n].shape:
             raise MergeError(f"tensor {n!r}: shape conflict")
-    pairs = [_raveled(tv_a.deltas[n], tv_b.deltas[n]) for n in shared]
+    pairs = [_raveled(np.asarray(tv_a.deltas[n]), np.asarray(tv_b.deltas[n])) for n in shared]
 
     def products(sa: float, sb: float) -> np.ndarray:  # [a.b, a.a, b.b], a * sa and b * sb
         def terms(ca: np.ndarray, cb: np.ndarray):

@@ -3,9 +3,11 @@
 Trimming is per-tensor, and so are the sign election and the disjoint
 mean, so `ties_merge` makes each tensor alone when it is written, as
 `tv_merge` does, trimming into buffers each thread keeps, and holds no
-whole trimmed vector. Per-vector weights enter both the sign election
-and the disjoint weighted mean, which keeps the single-vector,
-density-1 case an exact reduction to plain scaled vector addition.
+whole trimmed vector, nor a whole extracted one: each `LazyDelta` of the
+tensor is made in the thread that makes the tensor. Per-vector weights
+enter both the sign election and the disjoint weighted mean, which keeps
+the single-vector, density-1 case an exact reduction to plain scaled
+vector addition.
 An elected sign of 0 (exact cancellation) always yields a merged entry
 of 0, and so does a NaN weighted total, which finite deltas reach when
 their weighted products overflow to inf and -inf.
@@ -26,9 +28,10 @@ import threading
 
 import numpy as np
 
+from .dtypes import decode
 from .tensor_store import _CHUNK as _READ_CHUNK
 from .tensor_store import Checkpoint, LazyCheckpoint, read_chunk
-from .tv import MergeError, TaskVector, _lazy_merge
+from .tv import LazyDelta, MergeError, TaskVector, _lazy_merge
 
 DEFAULT_DENSITY = 0.2
 DEFAULT_LAMBDA = 1.0
@@ -68,20 +71,46 @@ def _check_density(density: float) -> None:
 
 def _check_trimmable(tvs: list[TaskVector], density: float) -> None:
     """Raise as trimming each of `tvs` in turn would: for the density, then
-    for the first non-finite delta in vector order. Each chunk is read by
-    position (see read_chunk); one whose sum is finite holds no NaN or inf,
-    so only the others are checked entry by entry."""
+    for the first non-finite delta in vector order. Stored forms are read a
+    chunk at a time by position (see read_chunk); a chunk whose sum is finite
+    holds no NaN or inf, so only the others are checked entry by entry. A
+    `LazyDelta` is not made unless a side of it is F64: narrower, it is
+    finite exactly where its fine-tuned and base tensors are, so those are
+    checked, each base tensor once. A difference of F64s may overflow, so
+    such a delta is made and checked a chunk at a time."""
     _check_density(density)
-    scratch = np.empty(min(_READ_CHUNK, max((d.size for tv in tvs for d in tv.deltas.values()),
-                                            default=0)))
+    size = min(_READ_CHUNK, max((d.size for tv in tvs for d in tv.deltas.values()), default=0))
+    scratch: dict[np.dtype, np.ndarray] = {}
+    bases: dict[int, bool] = {}  # id of a base tensor -> whether it is finite
+
+    def finite(chunk: np.ndarray) -> bool:
+        if chunk.dtype == np.uint16:
+            chunk = decode(chunk, "BF16")
+        return math.isfinite(np.add.reduce(chunk)) or bool(np.isfinite(chunk).all())
+
+    def all_finite(data: np.ndarray) -> bool:
+        flat = data.reshape(-1)
+        if flat.dtype not in scratch:
+            scratch[flat.dtype] = np.empty(size, flat.dtype)
+        buffer = scratch[flat.dtype]
+        return all(finite(read_chunk(flat, start, buffer[:min(size, flat.size - start)]))
+                   for start in range(0, flat.size, _READ_CHUNK))
+
+    def check(name: str, ok: bool) -> None:
+        if not ok:
+            raise MergeError(f"tensor {name!r}: non-finite delta cannot be trimmed")
+
     with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow, and inf - inf is NaN
         for tv in tvs:
             for name, d in tv.deltas.items():
-                flat = _flat(d)
-                for start in range(0, flat.size, _READ_CHUNK):
-                    chunk = read_chunk(flat, start, scratch[:min(_READ_CHUNK, flat.size - start)])
-                    if not math.isfinite(np.add.reduce(chunk)) and not np.isfinite(chunk).all():
-                        raise MergeError(f"tensor {name!r}: non-finite delta cannot be trimmed")
+                if not isinstance(d, LazyDelta):
+                    check(name, all_finite(_flat(d)))
+                elif "F64" in (d.finetuned.dtype, d.base.dtype):
+                    d.make(lambda start, chunk: check(name, finite(chunk)))
+                else:
+                    if id(d.base) not in bases:
+                        bases[id(d.base)] = all_finite(d.base.data)
+                    check(name, bases[id(d.base)] and all_finite(d.finetuned.data))
 
 
 def trim(tv: TaskVector, density: float, out: np.ndarray | None = None) -> TaskVector:
@@ -245,9 +274,11 @@ def ties_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
                threads: int = 1) -> LazyCheckpoint:
     """Full TIES pipeline over (vector, weight) pairs: base + lam * the
     disjoint mean of the trimmed vectors under their elected signs, lazily,
-    as `tv_merge` gives it. The operands are checked now. Each tensor is
-    trimmed, elected and merged when it is made, in buffers that each
-    thread keeps, one per vector as long as the largest tensor."""
+    as `tv_merge` gives it. The operands are checked now, a `LazyDelta`
+    without being made (see _check_trimmable). Each tensor is trimmed,
+    elected and merged when it is made, in buffers that each thread keeps,
+    one per vector as long as the largest tensor, from its deltas, each
+    `LazyDelta` made in that thread."""
     if not weighted:
         raise MergeError("ties_merge requires at least one task vector")
     if not np.isfinite(lam):

@@ -10,7 +10,9 @@ mapped page is touched. A merge (`tv_merge`) and an extraction
 (`extract`) are `LazyCheckpoint`s: the writer takes each rounded chunk
 from the kernel's scratch to its offset in the file, so threads make
 whole tensors in any order and hold only their scratch; `materialize()`
-keeps them in memory instead.
+keeps them in memory instead. A vector extracted from a fine-tuned
+checkpoint holds `LazyDelta`s: a merge makes each tensor's delta in the
+thread that merges that tensor, so no whole extracted vector is held.
 """
 
 from __future__ import annotations
@@ -34,16 +36,44 @@ class MergeError(ValueError):
     """Incompatible operands for a merge operation."""
 
 
+@dataclass(frozen=True)
+class LazyDelta:
+    """The float64 delta of a fine-tuned tensor against its base tensor,
+    not yet made: it holds the two tensors and knows its shape and size.
+    It is an array-like, so np.asarray, numpy's functions and every kernel
+    that takes a delta make it, by `make`, anew at each call."""
+
+    finetuned: Tensor
+    base: Tensor
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.finetuned.shape
+
+    @property
+    def size(self) -> int:
+        return self.finetuned.data.size
+
+    def make(self, put: Callable[[int, np.ndarray], None] | None = None) -> Tensor | None:
+        """finetuned + -1 * base by `_merge_tensor`: an F64 tensor, or given
+        `put`, its chunks handed on as the kernel makes them."""
+        return _merge_tensor(self.finetuned, [(self.base.data, -1.0)], "F64", put)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:  # numpy casts to `dtype`
+        return self.make().data
+
+
 @dataclass
 class TaskVector:
-    """Per-tensor float64 deltas (fine-tuned minus base).
+    """Per-tensor float64 deltas (fine-tuned minus base), each an array or
+    a `LazyDelta`, which is made where it is read.
 
     `extras` carries fine-tuned-only tensors (e.g. task heads) under the
     copy_from_finetuned policy, for verbatim re-attachment on apply.
     `ignored` lists the other mismatched tensors, which are dropped.
     """
 
-    deltas: dict[str, np.ndarray] = field(default_factory=dict)
+    deltas: dict[str, np.ndarray | LazyDelta] = field(default_factory=dict)
     extras: dict[str, Tensor] = field(default_factory=dict)
     ignored: list[str] = field(default_factory=list)
     origin: str = "constructed"
@@ -51,9 +81,14 @@ class TaskVector:
     def names(self) -> list[str]:
         return sorted(self.deltas)
 
+    @property
+    def metadata(self) -> dict[str, str]:
+        return {KIND_KEY: TASK_VECTOR_KIND, "vecmerge.origin": self.origin}
+
     def to_checkpoint(self) -> Checkpoint:
-        tensors = {name: Tensor("F64", d) for name, d in self.deltas.items()}
-        return Checkpoint(tensors, {KIND_KEY: TASK_VECTOR_KIND, "vecmerge.origin": self.origin})
+        """The deltas as F64 tensors in memory, each `LazyDelta` made."""
+        return Checkpoint({name: Tensor("F64", np.asarray(d)) for name, d in self.deltas.items()},
+                          self.metadata)
 
     @staticmethod
     def from_checkpoint(ckpt: Checkpoint) -> "TaskVector":
@@ -77,10 +112,11 @@ def is_task_vector_archive(ckpt: Checkpoint) -> bool:
 def extract(base: Checkpoint, finetuned: Checkpoint,
             policy: str = "error") -> tuple[TaskVector, LazyCheckpoint]:
     """finetuned - base over the shared name/shape intersection, as (the
-    task vector without deltas, its archive, each delta made as it is
-    written). Other tensors go per `policy`: error aborts, ignore drops
-    them, and copy_from_finetuned makes the fine-tuned-only ones extras
-    and drops a reshaped one, as a merge keeps the base's."""
+    task vector, whose deltas are `LazyDelta`s, and its archive, each
+    delta made as it is written). Other tensors go per `policy`: error
+    aborts, ignore drops them, and copy_from_finetuned makes the
+    fine-tuned-only ones extras and drops a reshaped one, as a merge keeps
+    the base's."""
     if policy not in MISMATCH_MODES:
         raise ValueError(f"unknown mismatch policy {policy!r}")
     shared = [n for n in finetuned.names()
@@ -92,12 +128,11 @@ def extract(base: Checkpoint, finetuned: Checkpoint,
         raise MergeError(f"mismatched tensors (policy=error): {', '.join(mismatched)}")
     extras = ({n: finetuned[n] for n in mismatched if n not in base}
               if policy == "copy_from_finetuned" else {})
-    tv = TaskVector(extras=extras, ignored=[n for n in mismatched if n not in extras],
+    tv = TaskVector({n: LazyDelta(finetuned[n], base[n]) for n in shared}, extras=extras,
+                    ignored=[n for n in mismatched if n not in extras],
                     origin=f"extract(base={len(base)} tensors, finetuned={len(finetuned)} tensors)")
-    return tv, LazyCheckpoint(
-        {n: ("F64", finetuned[n].shape) for n in shared},
-        lambda name, put: _merge_tensor(finetuned[name], [(base[name].data, -1.0)], "F64", put),
-        tv.to_checkpoint().metadata)
+    return tv, LazyCheckpoint({n: ("F64", finetuned[n].shape) for n in shared},
+                              lambda name, put: tv.deltas[name].make(put), tv.metadata)
 
 
 def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
@@ -112,14 +147,16 @@ def load_task_vector(path, base: Checkpoint | None = None, policy: str = "error"
     """Read a stored task vector archive.
 
     Any other archive is taken as a fine-tuned checkpoint whose vector is
-    extracted against `base` under `policy`; without a base it is rejected.
+    extracted against `base` under `policy`, as `extract` makes it: each
+    delta is a `LazyDelta`, made where it is read. Without a base it is
+    rejected.
     """
     ckpt = read_archive(path)
     if is_task_vector_archive(ckpt):
         return TaskVector.from_checkpoint(ckpt)
     if base is None:
         raise ArchiveError(f"{path} is not a stored task vector archive")
-    return extract_task_vector(base, ckpt, policy=policy)
+    return extract(base, ckpt, policy)[0]
 
 
 def scale(tv: TaskVector, lam: float) -> TaskVector:
@@ -133,7 +170,7 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
         raise ValueError(f"non-finite scale factor {lam}")
     out = TaskVector(extras=dict(tv.extras), ignored=list(tv.ignored))
     for name, d in tv.deltas.items():
-        s = d * float(lam)
+        s = np.multiply(d, float(lam))
         s.setflags(write=False)
         out.deltas[name] = s
     return out
@@ -188,7 +225,8 @@ def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
     """Scaled vector addition, out = base + sum(lam_i * tv_i), accumulated
     once in float64 and cast once per tensor. The operands are checked now;
     each tensor is merged when it is written or `materialize()`d, up to
-    `threads` at once in any order, so a written merge holds only scratch."""
+    `threads` at once in any order, so a written merge holds only scratch
+    and the `LazyDelta`s of the tensors in flight, made there."""
     if not weighted:
         raise MergeError("tv_merge requires at least one (vector, weight) pair")
     for _, lam in weighted:
@@ -202,8 +240,9 @@ def _lazy_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]], thre
     """The base with each tensor that a vector holds merged by `_merge_tensor`
     from its [(delta, weight)] in vector order, or from what combine(name,
     those pairs) makes of them, and each extra the base lacks appended.
-    Every delta is checked against the base now."""
-    per_name: dict[str, list[tuple[np.ndarray, float]]] = {}
+    Every delta is checked against the base now; a `LazyDelta` is made in
+    the thread that makes its tensor, just before it is merged."""
+    per_name: dict[str, list[tuple[np.ndarray | LazyDelta, float]]] = {}
     extras: dict[str, Tensor] = {}
     for tv, lam in weighted:
         for name, d in tv.deltas.items():
@@ -221,7 +260,9 @@ def _lazy_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]], thre
     def make(name: str, put) -> Tensor | None:
         if name not in per_name:
             return base[name] if name in base else extras[name]
-        deltas = per_name[name] if combine is None else combine(name, per_name[name])
+        deltas = [(np.asarray(d), lam) for d, lam in per_name[name]]
+        if combine is not None:
+            deltas = combine(name, deltas)
         return _merge_tensor(base[name], deltas, base[name].dtype, put)
 
     return LazyCheckpoint(layout, make, dict(base.metadata) if base.metadata else None, threads)

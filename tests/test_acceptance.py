@@ -327,14 +327,20 @@ def test_criterion_9_merge_tv_child_memory(tmp_path, write, bound):
 
 @pytest.fixture(scope="module")
 def report_inputs(tmp_path_factory):
-    """Archives from vecmerge's own writer: a base and a fine-tuned F32
-    checkpoint and two stored F64 vectors, of 8M params each, and the
-    peak of a `merge tv` of the vectors into the base."""
+    """Archives from vecmerge's own writer: a base and two fine-tuned F32
+    checkpoints and two stored F64 vectors, of 8M params each, TIES and TV
+    recipes over the fine-tuned ones, and the peak of a `merge tv` of the
+    vectors into the base."""
     root = tmp_path_factory.mktemp("reports")
     _write_plain(root / "base.st", "F32", 0)
     _write_plain(root / "ft.st", "F32", 3)
+    _write_plain(root / "ft2.st", "F32", 4)
     for k in (1, 2):
         _write_plain(root / f"tau{k}.st", "F64", k, _TV_META)
+    for method in ("ties", "tv"):
+        (root / f"{method}.json").write_text(json.dumps({
+            "base": str(root / "base.st"), "method": method, "output": str(root / f"{method}.st"),
+            "vectors": [{"source": str(root / ft), "weight": 1.0} for ft in ("ft.st", "ft2.st")]}))
     peak = _child_peak(_merge_tv_argv(root / "base.st", [root / "tau1.st", root / "tau2.st"],
                                       root / "merged.st"))
     return root, peak
@@ -350,8 +356,10 @@ _TENSOR = max(math.prod(shape) for shape in _LAYERS.values())  # entries of the 
     ("extract --base {r}/base.st --finetuned {r}/ft.st --out {r}/extracted.st", 10 * 2**20),
     ("merge ties --base {r}/base.st --vector {r}/tau1.st --weight 1.0 --vector {r}/tau2.st "
      "--weight 0.5 --out {r}/ties.st", (2 + 2) * 8 * _TENSOR),
-    ("interference --vector {r}/tau1.st --vector {r}/tau2.st", (2 + 2) * 8 * _TENSOR)],
-    ids=["diff", "cosine", "extract", "merge-ties", "interference"])
+    ("interference --vector {r}/tau1.st --vector {r}/tau2.st", (2 + 2) * 8 * _TENSOR),
+    ("run --recipe {r}/ties.json", (2 * 2 + 4) * 8 * _TENSOR),
+    ("run --recipe {r}/tv.json", (2 + 2) * 8 * _TENSOR)],
+    ids=["diff", "cosine", "extract", "merge-ties", "interference", "run-ties", "run-tv"])
 def test_reports_and_extract_hold_scratch_not_tensors(report_inputs, command, margin):
     """diff, cosine and extract read by position into chunk scratch, and
     extract writes each delta as it is made, so each peaks within 10 MiB
@@ -359,7 +367,10 @@ def test_reports_and_extract_hold_scratch_not_tensors(report_inputs, command, ma
     works one tensor at a time and reads by position too: `merge ties` and
     `interference` hold one buffer per vector as long as the largest
     tensor, and about two more, so they peak within (vectors + 2) float64
-    copies of that tensor of `merge tv`."""
+    copies of that tensor of `merge tv`. `run` makes a fine-tuned source's
+    delta per tensor: TV holds each vector's delta of one tensor and about
+    two more copies, and TIES, the report's buffers too, so about 2 x
+    vectors + 4."""
     root, merge_peak = report_inputs
     peak = _child_peak(command.format(r=root).split())
     assert peak < merge_peak + margin, \

@@ -17,6 +17,8 @@ from vecmerge import (Checkpoint, RecipeError, execute_recipe,
                       expand_sweep, extract_task_vector, parse_recipe,
                       read_archive, read_metrics, save_archive, select_best, tv_merge,
                       write_archive, TaskVector, Tensor, apply)
+from vecmerge import reports as reports_mod
+from vecmerge import tv as tv_mod
 from vecmerge.cli import main
 from vecmerge.dtypes import narrow
 from vecmerge.recipes import DEFAULT_GRID
@@ -445,6 +447,64 @@ class TestExecuteRecipe:
         with pytest.raises(OSError):
             execute_recipe(parse_recipe(json.dumps(doc)))
         assert not (ws / "never.st").exists()
+
+
+class TestFineTunedSources:
+    """`run` makes a fine-tuned source's delta per tensor where it is read.
+    Its archive and interference report equal those made from the deltas
+    that `extract_task_vector` holds whole."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("sources")
+        rng = np.random.default_rng(24)
+
+        def write(stem, specs, bound=1.0):
+            save_archive(Checkpoint({n: Tensor(dtype, narrow(rng.uniform(-bound, bound, shape),
+                                                             dtype))
+                                     for n, (dtype, shape) in specs.items()}), root / f"{stem}.st")
+
+        base = {"a": ("F32", (3, 5)), "b": ("BF16", (70001,)), "c": ("F64", (4,)),
+                "gone": ("F32", (2,)), "re": ("F32", (6,))}
+        mismatched = {"a": ("F16", (3, 5)), "b": base["b"], "c": base["c"],
+                      "re": ("F32", (3, 2)), "head": ("F16", (2,))}
+        huge = {"a": ("F64", (40,)), "b": ("F64", (3, 7))}  # finite deltas whose sums overflow
+        write("base", base)
+        write("base_huge", huge, 5e307)
+        for k in range(2):
+            write(f"matched{k}", base)
+            write(f"mismatched{k}", mismatched)
+            write(f"huge{k}", huge, 5e307)
+        return root
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("method", ["tv", "ties"])
+    @pytest.mark.parametrize("kind,policy", [
+        ("matched", "error"), ("mismatched", "ignore"), ("mismatched", "copy_from_finetuned"),
+        ("huge", "error")])
+    def test_run_writes_what_whole_deltas_give(self, sources, tmp_path, monkeypatch, method,
+                                              kind, policy, threads):
+        weights = [1.0, 0.5] if method == "ties" else [0.5, -1.0]
+        doc = {"base": str(sources / ("base_huge.st" if kind == "huge" else "base.st")),
+               "method": method, "mismatch": policy, "output": str(tmp_path / "out.st"),
+               "vectors": [{"source": str(sources / f"{kind}{k}.st"), "weight": w}
+                           for k, w in enumerate(weights)]}
+        if method == "ties":
+            doc["density"] = 0.3
+        recipe = parse_recipe(json.dumps(doc))
+        rescaled = []
+        rescale = reports_mod._rescale
+        monkeypatch.setattr(reports_mod, "_rescale",
+                            lambda arrays: rescaled.append(True) or rescale(arrays))
+        got = execute_recipe(recipe, threads=threads)
+        blob = (tmp_path / "out.st").read_bytes()
+        monkeypatch.setattr(tv_mod, "load_task_vector", lambda path, base, policy:
+                            extract_task_vector(base, read_archive(path), policy))
+        want = execute_recipe(recipe, threads=threads)
+        assert (tmp_path / "out.st").read_bytes() == blob
+        assert json.dumps(got["report"]) == json.dumps(want["report"])
+        assert bool(rescaled) == (kind == "huge" and method == "ties")
+        assert ("head" in read_archive(tmp_path / "out.st")) == (policy == "copy_from_finetuned")
 
 
 class TestSweepOracle:

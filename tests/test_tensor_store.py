@@ -517,6 +517,19 @@ elif case == "cli-extract":  # the CLI reads the fine-tuned archive, which is th
     cli.read_archive = read_then_truncate
     sys.exit(cli.main(["extract", "--base", root + "/base.st", "--finetuned", root + "/ft.st",
                        "--out", root + "/tv_out.st"]))
+elif case == "cli-run":  # the recipe's fine-tuned source is cut after it was read
+    import json
+    from vecmerge import tv as tv_mod
+    def read_then_truncate(path):
+        ckpt = read_archive(path)
+        if str(path).endswith("ft.st"):
+            os.truncate(path, 4096 + 4 * n // 2)
+        return ckpt
+    tv_mod.read_archive = read_then_truncate
+    with open(root + "/recipe.json", "w") as fh:
+        json.dump({"base": root + "/base.st", "method": "tv", "output": root + "/out.st",
+                   "vectors": [{"source": root + "/ft.st", "weight": 0.5}]}, fh)
+    sys.exit(cli.main(["run", "--recipe", root + "/recipe.json"]))
 else:
     operand = read_archive(root + "/ft.st")
     os.truncate(root + "/ft.st", 4096 + 4 * n // 2)
@@ -525,14 +538,16 @@ else:
 
 
 @pytest.mark.parametrize("case", ["merge", "extract", "unmerged", "diff", "cosine", "ties",
-                                  "interference", "trim", "cli-extract"])
+                                  "interference", "trim", "cli-extract", "cli-run"])
 def test_an_archive_truncated_after_reading_raises_not_a_signal(tmp_path, case):
     """Data read through the map past a truncated file's end kills the
-    process with SIGBUS; a positioned read finds the end and raises."""
+    process with SIGBUS; a positioned read finds the end and raises. `run`
+    keeps a fine-tuned source mapped through the merge, and exits 3."""
     env = dict(os.environ, PYTHONPATH=str(Path(vecmerge.__file__).parents[1]))
     child = subprocess.run([sys.executable, "-c", TRUNCATE, case, str(tmp_path)], env=env,
                            capture_output=True, text=True, timeout=120)
-    assert child.returncode == 1, f"exit {child.returncode}: {child.stderr}"
+    assert child.returncode == (3 if case == "cli-run" else 1), \
+        f"exit {child.returncode}: {child.stderr}"
     raised = "error" if case.startswith("cli") else "vecmerge.tensor_store.ArchiveError"
     assert child.stderr.splitlines()[-1].startswith(
         f"{raised}: archive truncated after it was read: byte ")

@@ -13,9 +13,11 @@ from hypothesis.extra.numpy import arrays
 import vecmerge.reports as reports_mod
 import vecmerge.ties as ties_mod
 from vecmerge import (Checkpoint, MergeError, TaskVector, apply,
-                      disjoint_merge, elect_signs, interference_stats, read_archive,
-                      save_archive, scale, tv_merge, ties_merge, trim, write_archive)
+                      disjoint_merge, elect_signs, extract_task_vector, interference_stats,
+                      read_archive, save_archive, scale, tv_merge, ties_merge, trim,
+                      write_archive)
 from vecmerge.cli import main
+from vecmerge.tv import LazyDelta, load_task_vector
 from vecmerge.recipes import DEFAULT_GRID
 
 from helpers import (DTYPES, naive_ties_vector, naive_trim, reference_disjoint_merge,
@@ -143,6 +145,55 @@ class TestNonFinite:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["base.st", "tv0.st", "tv1.st"]
+
+    @pytest.mark.parametrize("case", ["vector_order", "base_inf", "f64_overflow"])
+    def test_fine_tuned_sources_raise_before_any_tensor_is_made(self, case, tmp_path, capsys,
+                                                                monkeypatch):
+        """Deltas extracted from fine-tuned checkpoints, unmade until merged,
+        are checked as made ones are: ties_merge, interference_stats and a
+        TIES `run` raise the text the materialized deltas raise, naming the
+        first non-finite delta in vector order, before any tensor is
+        trimmed or written."""
+        dtype = "F64" if case == "f64_overflow" else "F32"
+        base = {"a": [0.0, 1.0, 2.0], "b": [0.0, -1.0, 2.0]}
+        fts = [{"a": [1.0, 2.0, 3.0], "b": [1.0, np.nan, 3.0]},  # vector 0 fails at 'b'
+               {"a": [np.inf, 2.0, 3.0], "b": [1.0, 2.0, 3.0]}]  # vector 1 at 'a'
+        name = "b"
+        if case == "base_inf":
+            base["a"][2] = np.inf
+            fts[0]["b"][1] = fts[1]["a"][0] = 0.5
+            name = "a"
+        elif case == "f64_overflow":  # finite, but 1.7e308 - -1.7e308 is inf
+            base["b"][1], fts[0]["b"][1], fts[1]["a"][0] = -1.7e308, 1.7e308, 0.5
+        save_archive(Checkpoint.from_arrays(base, dtype), tmp_path / "base.st")
+        for k, arrays in enumerate(fts):
+            save_archive(Checkpoint.from_arrays(arrays, dtype), tmp_path / f"ft{k}.st")
+        base_ckpt = read_archive(tmp_path / "base.st")
+        paths = [tmp_path / f"ft{k}.st" for k in range(2)]
+        tvs = [load_task_vector(p, base_ckpt) for p in paths]
+        assert all(isinstance(d, LazyDelta) for tv in tvs for d in tv.deltas.values())
+        message = f"tensor {name!r}: non-finite delta cannot be trimmed"
+        made = [extract_task_vector(base_ckpt, read_archive(p)) for p in paths]
+        with pytest.raises(MergeError, match=f"^{message}$"):
+            interference_stats(made, 0.5)  # the whole deltas raise the same text
+
+        trimmed = []
+        for module in (ties_mod, reports_mod):
+            monkeypatch.setattr(module, "trim", lambda *args, **kwargs: trimmed.append(args))
+        with pytest.raises(MergeError, match=f"^{message}$"):
+            ties_merge(base_ckpt, [(tv, 1.0) for tv in tvs], 0.5, 1.0)
+        with pytest.raises(MergeError, match=f"^{message}$"):
+            interference_stats(tvs, 0.5)
+        assert trimmed == []
+
+        (tmp_path / "recipe.json").write_text(json.dumps({
+            "base": str(tmp_path / "base.st"), "method": "ties", "density": 0.5,
+            "vectors": [{"source": str(p), "weight": 1.0} for p in paths],
+            "output": str(tmp_path / "out.st")}))
+        assert main(["run", "--recipe", str(tmp_path / "recipe.json")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "base.st", "ft0.st", "ft1.st", "recipe.json"]
 
     def test_tv_merge_passes_through(self, bad):
         base = Checkpoint.from_arrays({"w": np.ones(5)})

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vecmerge import (Checkpoint, LazyCheckpoint, MergeError, TaskVector, Tensor, apply,
-                      extract_task_vector, read_archive, save_archive, scale, ties_merge,
+                      cosine, disjoint_merge, elect_signs, extract_task_vector,
+                      interference_stats, read_archive, save_archive, scale, ties_merge, trim,
                       tv_merge, write_archive)
 from vecmerge import tensor_store as store_mod
 from vecmerge import tv as tv_mod
@@ -108,6 +109,47 @@ class TestExtract:
         for name, d in got.deltas.items():
             assert d.dtype == np.float64 and d.shape == want[name].shape
             assert d.tobytes() == want[name].tobytes(), name
+
+
+class TestLazyDelta:
+    def test_public_functions_take_an_unmade_vector(self, tmp_path):
+        """load_task_vector extracts a fine-tuned source as LazyDeltas, made
+        where they are read: every public function that takes a vector
+        gives, bit for bit, what it gives on the deltas made whole."""
+        rng = np.random.default_rng(24)
+        shapes = {"b": (70001,), "w": (5, 7)}  # "b" crosses a merge chunk
+        save_archive(Checkpoint({n: Tensor(dtype, narrow(rng.normal(size=shapes[n]), dtype))
+                                 for n, dtype in (("b", "BF16"), ("w", "F32"))}),
+                     tmp_path / "base.st")
+        for k in range(2):
+            save_archive(ckpt({n: rng.normal(size=s) for n, s in shapes.items()}, "F32"),
+                         tmp_path / f"ft{k}.st")
+        base = read_archive(tmp_path / "base.st")
+        lazy = [tv_mod.load_task_vector(tmp_path / f"ft{k}.st", base) for k in range(2)]
+        made = [extract_task_vector(base, read_archive(tmp_path / f"ft{k}.st")) for k in range(2)]
+        assert all(isinstance(d, tv_mod.LazyDelta) for tv in lazy for d in tv.deltas.values())
+        assert lazy[0].deltas["b"].shape == (70001,) and lazy[0].deltas["b"].size == 70001
+
+        def bits(tv):
+            return {n: np.asarray(d).tobytes() for n, d in tv.deltas.items()}
+
+        assert [bits(tv) for tv in lazy] == [bits(tv) for tv in made]
+        assert bits(trim(lazy[0], 0.3)) == bits(trim(made[0], 0.3))
+        signs = elect_signs(lazy, [1.0, 2.0])
+        assert ({n: s.tobytes() for n, s in signs.items()}
+                == {n: s.tobytes() for n, s in elect_signs(made, [1.0, 2.0]).items()})
+        assert (bits(disjoint_merge(lazy, [1.0, 2.0], signs))
+                == bits(disjoint_merge(made, [1.0, 2.0], signs)))
+        assert cosine(*lazy) == cosine(*made)
+        assert bits(scale(lazy[1], -0.3)) == bits(scale(made[1], -0.3))
+        assert write_archive(lazy[0].to_checkpoint()) == write_archive(made[0].to_checkpoint())
+        assert interference_stats(lazy, 0.3) == interference_stats(made, 0.3)
+        for threads in (1, 2):
+            assert (write_archive(tv_merge(base, [(lazy[0], 0.5), (lazy[1], -1.0)], threads))
+                    == write_archive(tv_merge(base, [(made[0], 0.5), (made[1], -1.0)])))
+            assert (write_archive(ties_merge(base, [(lazy[0], 1.0), (lazy[1], 2.0)], 0.3,
+                                             threads=threads))
+                    == write_archive(ties_merge(base, [(made[0], 1.0), (made[1], 2.0)], 0.3)))
 
 
 class TestScaleAdd:
