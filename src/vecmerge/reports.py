@@ -195,26 +195,30 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
 def cosine(tv_a: TaskVector, tv_b: TaskVector) -> float:
     """Cosine similarity of the flattened concatenation over shared names,
     from sums as np.add.reduce makes them, not a BLAS dot product's, which
-    depend on the CPU."""
+    depend on the CPU. Tensor by tensor, the two deltas are made if they
+    are `LazyDelta`s, summed and dropped, anew at each pass over them."""
     shared = [n for n in tv_a.names() if n in tv_b.deltas]
     if not shared:
         raise MergeError("no shared tensors between task vectors")
     for n in shared:
         if tv_a.deltas[n].shape != tv_b.deltas[n].shape:
             raise MergeError(f"tensor {n!r}: shape conflict")
-    pairs = [_raveled(np.asarray(tv_a.deltas[n]), np.asarray(tv_b.deltas[n])) for n in shared]
 
     def products(sa: float, sb: float) -> np.ndarray:  # [a.b, a.a, b.b], a * sa and b * sb
         def terms(ca: np.ndarray, cb: np.ndarray):
             u, v = ca * sa, cb * sb
             yield from (u * v, u * u, v * v)
 
-        return sum((_pairwise(pair, terms) for pair in pairs), np.zeros(3))
+        return sum((_pairwise(_raveled(np.asarray(tv_a.deltas[n]), np.asarray(tv_b.deltas[n])),
+                              terms) for n in shared), np.zeros(3))
+
+    def made(tv: TaskVector):
+        return (np.asarray(tv.deltas[n]) for n in shared)
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is rescaled
         dot, na, nb = products(1.0, 1.0)
         if not math.isfinite(dot + na * nb):
-            dot, na, nb = products(_rescale(a for a, _ in pairs), _rescale(b for _, b in pairs))
+            dot, na, nb = products(_rescale(made(tv_a)), _rescale(made(tv_b)))
     if na == 0.0 or nb == 0.0:
         raise MergeError("undefined cosine: zero vector")
     return float(np.clip(dot / math.sqrt(na * nb), -1.0, 1.0))

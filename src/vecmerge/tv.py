@@ -41,7 +41,8 @@ class LazyDelta:
     """The float64 delta of a fine-tuned tensor against its base tensor,
     not yet made: it holds the two tensors and knows its shape and size.
     It is an array-like, so np.asarray, numpy's functions and every kernel
-    that takes a delta make it, by `make`, anew at each call."""
+    that takes a delta make it, by `make`, anew at each call, as a whole
+    tensor of 8 bytes an entry that the caller holds while it keeps it."""
 
     finetuned: Tensor
     base: Tensor

@@ -151,6 +151,27 @@ class TestLazyDelta:
                                              threads=threads))
                     == write_archive(ties_merge(base, [(made[0], 1.0), (made[1], 2.0)], 0.3)))
 
+    @pytest.mark.parametrize("magnitude", [1.0, 1e300])  # 1e300 takes the rescaled path
+    def test_cosine_holds_one_tensor_of_an_unmade_vector(self, magnitude):
+        """cosine makes the two deltas of one tensor at a time, at each pass,
+        so its peak is that tensor's pair, not two whole extracted vectors."""
+        n, names = 1 << 18, "abcdef"  # 2 MiB of float64 per delta, 24 MiB for both vectors
+        rng = np.random.default_rng(5)
+        base = Checkpoint({name: Tensor("F64", np.zeros(n)) for name in names})
+        lazy = [tv_mod.extract(base, Checkpoint({name: Tensor("F64", magnitude * rng.normal(size=n))
+                                                 for name in names}))[0] for _ in range(2)]
+        tracemalloc.start()
+        try:
+            result = cosine(*lazy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == cosine(*(TaskVector({k: np.asarray(d) for k, d in tv.deltas.items()})
+                                  for tv in lazy))
+        scratch = 8 * 8 * store_mod._CHUNK  # making one delta and summing a pair, by chunk
+        assert peak < 2 * 8 * n + scratch, \
+            f"peak {peak / 2**20:.1f} MiB holds more than one tensor's pair and scratch"
+
 
 class TestScaleAdd:
     def test_scale(self):
