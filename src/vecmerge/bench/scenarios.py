@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from ..recipes import DEFAULT_GRID, select_best
-from ..tensor_store import _each
 from ..ties import ties_merge
 from ..tv import extract_task_vector, tv_merge
 from .data import Dataset, ModelSpec, concat, gen_dataset
@@ -78,15 +77,10 @@ class _SeedContext:
 def _run_pipeline(name: str, ctx: _SeedContext):
     """Returns (test macro-F1, sweep-selection info or None); `run_bench` checked `name`."""
     cfg = ctx.cfg
-    if name == "full_ft":
-        model = train(ctx.base, ctx.target_train, cfg)
-        return ctx.f1(model, ctx.target_test), None
-    if name == "seq_ft":
-        model = train(ctx.aux_model, ctx.target_train, cfg)
-        return ctx.f1(model, ctx.target_test), None
-    if name == "joint_ft":
-        model = train(ctx.base, concat(ctx.aux_data, ctx.target_train), cfg)
-        return ctx.f1(model, ctx.target_test), None
+    if name in ("full_ft", "seq_ft", "joint_ft"):
+        start = ctx.aux_model if name == "seq_ft" else ctx.base
+        data = concat(ctx.aux_data, ctx.target_train) if name == "joint_ft" else ctx.target_train
+        return ctx.f1(train(start, data, cfg), ctx.target_test), None
     if name == "tv_merge_ft":
         merged = [tv_merge(ctx.base, [(ctx.aux_vector, lam)]) for lam in DEFAULT_GRID]
     else:
@@ -100,7 +94,7 @@ def _run_pipeline(name: str, ctx: _SeedContext):
 
 
 def run_bench(scenarios: list[str], seeds: list[int], sizes: BenchSizes | None = None,
-              cfg: TrainConfig | None = None, threads: int = 1) -> dict:
+              cfg: TrainConfig | None = None) -> dict:
     """Each scenario's test macro-F1 per seed, their mean and std, and the
     merge scenarios' per-seed sweep choices, over shared per-seed contexts.
     Scenario names and the seed list are checked before any context is built."""
@@ -111,7 +105,7 @@ def run_bench(scenarios: list[str], seeds: list[int], sizes: BenchSizes | None =
         raise ValueError("the bench needs at least one seed")
     sizes = sizes or BenchSizes()
     cfg = cfg or TrainConfig()
-    contexts = _each(lambda s: _SeedContext(s, sizes, cfg), seeds, threads)
+    contexts = [_SeedContext(seed, sizes, cfg) for seed in seeds]
     reports = {}
     for name in scenarios:
         runs = [_run_pipeline(name, ctx) for ctx in contexts]

@@ -40,9 +40,9 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    tv, deltas = extract(read_archive(args.base), read_archive(args.finetuned), args.on_mismatch)
-    save_archive(deltas, args.out)  # each delta is made as it is written
-    print(_json({"deltas": len(deltas), "extras": sorted(tv.extras), "ignored": tv.ignored,
+    tv = extract(read_archive(args.base), read_archive(args.finetuned), args.on_mismatch)
+    save_archive(tv.to_checkpoint(), args.out)  # each delta is made as it is written
+    print(_json({"deltas": len(tv.deltas), "extras": sorted(tv.extras), "ignored": tv.ignored,
                  "out": args.out}))
     return 0
 
@@ -133,8 +133,7 @@ def _cmd_bench(args) -> int:
     names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
     seeds = list(range(args.seeds))
     result = run_bench(names, seeds, BenchSizes(),
-                       TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs),
-                       threads=args.threads)
+                       TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(_json(result))
@@ -214,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--epochs", type=int, default=80)
     p.add_argument("--learning-rate", type=float, default=0.03)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 

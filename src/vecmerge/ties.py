@@ -30,7 +30,7 @@ import numpy as np
 
 from .dtypes import decode
 from .tensor_store import _CHUNK as _READ_CHUNK
-from .tensor_store import Checkpoint, LazyCheckpoint, read_chunk
+from .tensor_store import Checkpoint, LazyCheckpoint, Tensor, read_chunk
 from .tv import LazyDelta, MergeError, TaskVector, _lazy_merge
 
 DEFAULT_DENSITY = 0.2
@@ -71,32 +71,35 @@ def _check_density(density: float) -> None:
 
 def _check_trimmable(tvs: list[TaskVector], density: float) -> None:
     """Raise as trimming each of `tvs` in turn would: for the density, then
-    for the first non-finite delta in vector order. Stored forms are read a
-    chunk at a time by position (see read_chunk); a chunk whose sum is finite
-    holds no NaN or inf, so only the others are checked entry by entry. A
-    `LazyDelta` is not made unless a side of it is F64: narrower, it is
-    finite exactly where its fine-tuned and base tensors are, so those are
-    checked, each base tensor once. A difference of F64s may overflow, so
-    such a delta is made and checked a chunk at a time. Making every delta
-    here would run a whole extraction per check, which made a TIES sweep
-    over F32 sources ~15% slower."""
+    for the first non-finite delta in vector order. A delta is checked on
+    the stored arrays it is made from: a stored delta, or both sides of a
+    `LazyDelta`, each array read once per call. A side narrower than F64 is
+    at most 3.4e38, far below half an ulp of the largest float64, so its
+    difference with any finite value is finite. Only a `LazyDelta` of two
+    F64 sides may overflow (1.7e308 - -1.7e308 is inf), so it alone is
+    made, a chunk at a time. Arrays are read a chunk at a time by position
+    (see read_chunk); a chunk whose sum is finite holds no NaN or inf, so
+    only the others are checked entry by entry."""
     _check_density(density)
     size = min(_READ_CHUNK, max((d.size for tv in tvs for d in tv.deltas.values()), default=0))
     scratch: dict[np.dtype, np.ndarray] = {}
-    bases: dict[int, bool] = {}  # id of a base tensor -> whether it is finite
+    seen: dict[int, bool] = {}  # id of a stored delta or Tensor the vectors hold -> finite
 
     def finite(chunk: np.ndarray) -> bool:
         if chunk.dtype == np.uint16:
             chunk = decode(chunk, "BF16")
         return math.isfinite(np.add.reduce(chunk)) or bool(np.isfinite(chunk).all())
 
-    def all_finite(data: np.ndarray) -> bool:
-        flat = data.reshape(-1)
-        if flat.dtype not in scratch:
-            scratch[flat.dtype] = np.empty(size, flat.dtype)
-        buffer = scratch[flat.dtype]
-        return all(finite(read_chunk(flat, start, buffer[:min(size, flat.size - start)]))
-                   for start in range(0, flat.size, _READ_CHUNK))
+    def all_finite(stored: np.ndarray | Tensor) -> bool:
+        if id(stored) not in seen:
+            flat = stored.data.reshape(-1) if isinstance(stored, Tensor) else _flat(stored)
+            if flat.dtype not in scratch:
+                scratch[flat.dtype] = np.empty(size, flat.dtype)
+            buffer = scratch[flat.dtype]
+            seen[id(stored)] = all(
+                finite(read_chunk(flat, start, buffer[:min(size, flat.size - start)]))
+                for start in range(0, flat.size, _READ_CHUNK))
+        return seen[id(stored)]
 
     def check(name: str, ok: bool) -> None:
         if not ok:
@@ -105,14 +108,11 @@ def _check_trimmable(tvs: list[TaskVector], density: float) -> None:
     with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow, and inf - inf is NaN
         for tv in tvs:
             for name, d in tv.deltas.items():
-                if not isinstance(d, LazyDelta):
-                    check(name, all_finite(_flat(d)))
-                elif "F64" in (d.finetuned.dtype, d.base.dtype):
+                if isinstance(d, LazyDelta) and d.finetuned.dtype == d.base.dtype == "F64":
                     d.make(lambda start, chunk: check(name, finite(chunk)))
                 else:
-                    if id(d.base) not in bases:
-                        bases[id(d.base)] = all_finite(d.base.data)
-                    check(name, bases[id(d.base)] and all_finite(d.finetuned.data))
+                    sides = (d.base, d.finetuned) if isinstance(d, LazyDelta) else (d,)
+                    check(name, all(map(all_finite, sides)))
 
 
 def trim(tv: TaskVector, density: float, out: np.ndarray | None = None) -> TaskVector:
@@ -276,11 +276,11 @@ def ties_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
                threads: int = 1) -> LazyCheckpoint:
     """Full TIES pipeline over (vector, weight) pairs: base + lam * the
     disjoint mean of the trimmed vectors under their elected signs, lazily,
-    as `tv_merge` gives it. The operands are checked now, a `LazyDelta`
-    without being made (see _check_trimmable). Each tensor is trimmed,
-    elected and merged when it is made, in buffers that each thread keeps,
-    one per vector as long as the largest tensor, from its deltas, each
-    `LazyDelta` made in that thread."""
+    as `tv_merge` gives it. The operands are checked now (see
+    _check_trimmable). Each tensor is trimmed, elected and merged when it
+    is made, in buffers that each thread keeps, one per vector as long as
+    the largest tensor, from its deltas, each `LazyDelta` made in that
+    thread."""
     if not weighted:
         raise MergeError("ties_merge requires at least one task vector")
     if not np.isfinite(lam):

@@ -1,18 +1,22 @@
 """Task-vector extraction and scaled vector-addition merging.
 
-All arithmetic accumulates in float64 regardless of storage dtype; the
-rounding back to the output's dtype happens exactly once per element.
-One kernel, `_merge_tensor`, merges and extracts (fine-tuned + -1 *
-base, kept as float64). It goes through the operands' stored forms in
-cache-sized chunks, read by position where the file is mapped (see
-`read_chunk`), so temporaries stay small whatever the tensor size and no
-mapped page is touched. A merge (`tv_merge`) and an extraction
-(`extract`) are `LazyCheckpoint`s: the writer takes each rounded chunk
-from the kernel's scratch to its offset in the file, so threads make
-whole tensors in any order and hold only their scratch; `materialize()`
-keeps them in memory instead. A vector extracted from a fine-tuned
-checkpoint holds `LazyDelta`s: a merge makes each tensor's delta in the
-thread that merges that tensor, so no whole extracted vector is held.
+All arithmetic accumulates in float64 regardless of storage dtype; a
+merge rounds each element once, to its base tensor's dtype. A writer's
+`dtype_policy` other than "keep" (a recipe's `dtype`) casts that rounded
+result, so where the policy's dtype is not the base's, an element is
+rounded twice, not once to the dtype written. One kernel,
+`_merge_tensor`, merges and extracts (fine-tuned + -1 * base, kept as
+float64). It goes through the operands' stored forms in cache-sized
+chunks, read by position where the file is mapped (see `read_chunk`), so
+temporaries stay small whatever the tensor size and no mapped page is
+touched. A merge (`tv_merge`) and a vector's archive
+(`TaskVector.to_checkpoint`) are `LazyCheckpoint`s: the writer takes
+each rounded chunk from the kernel's scratch to its offset in the file,
+so threads make whole tensors in any order and hold only their scratch;
+`materialize()` keeps them in memory instead. A vector extracted from a
+fine-tuned checkpoint holds `LazyDelta`s: a merge makes each tensor's
+delta in the thread that merges that tensor, so no whole extracted
+vector is held.
 """
 
 from __future__ import annotations
@@ -86,10 +90,15 @@ class TaskVector:
     def metadata(self) -> dict[str, str]:
         return {KIND_KEY: TASK_VECTOR_KIND, "vecmerge.origin": self.origin}
 
-    def to_checkpoint(self) -> Checkpoint:
-        """The deltas as F64 tensors in memory, each `LazyDelta` made."""
-        return Checkpoint({name: Tensor("F64", np.asarray(d)) for name, d in self.deltas.items()},
-                          self.metadata)
+    def to_checkpoint(self) -> LazyCheckpoint:
+        """The deltas as F64 tensors, each `LazyDelta` made as it is written,
+        so a written vector holds the kernel's scratch, not its deltas."""
+        def make(name: str, put) -> Tensor | None:
+            d = self.deltas[name]
+            return d.make(put) if isinstance(d, LazyDelta) else Tensor("F64", np.asarray(d))
+
+        return LazyCheckpoint({name: ("F64", d.shape) for name, d in self.deltas.items()}, make,
+                              self.metadata)
 
     @staticmethod
     def from_checkpoint(ckpt: Checkpoint) -> "TaskVector":
@@ -110,12 +119,10 @@ def is_task_vector_archive(ckpt: Checkpoint) -> bool:
     return bool(ckpt.metadata) and ckpt.metadata.get(KIND_KEY) == TASK_VECTOR_KIND
 
 
-def extract(base: Checkpoint, finetuned: Checkpoint,
-            policy: str = "error") -> tuple[TaskVector, LazyCheckpoint]:
-    """finetuned - base over the shared name/shape intersection, as (the
-    task vector, whose deltas are `LazyDelta`s, and its archive, each
-    delta made as it is written). Other tensors go per `policy`: error
-    aborts, ignore drops them, and copy_from_finetuned makes the
+def extract(base: Checkpoint, finetuned: Checkpoint, policy: str = "error") -> TaskVector:
+    """finetuned - base over the shared name/shape intersection, as a task
+    vector whose deltas are `LazyDelta`s. Other tensors go per `policy`:
+    error aborts, ignore drops them, and copy_from_finetuned makes the
     fine-tuned-only ones extras and drops a reshaped one, as a merge keeps
     the base's."""
     if policy not in MISMATCH_MODES:
@@ -132,15 +139,14 @@ def extract(base: Checkpoint, finetuned: Checkpoint,
     tv = TaskVector({n: LazyDelta(finetuned[n], base[n]) for n in shared}, extras=extras,
                     ignored=[n for n in mismatched if n not in extras],
                     origin=f"extract(base={len(base)} tensors, finetuned={len(finetuned)} tensors)")
-    return tv, LazyCheckpoint({n: ("F64", finetuned[n].shape) for n in shared},
-                              lambda name, put: tv.deltas[name].make(put), tv.metadata)
+    return tv
 
 
 def extract_task_vector(base: Checkpoint, finetuned: Checkpoint,
                         policy: str = "error") -> TaskVector:
     """`extract`'s task vector, with its deltas in memory."""
-    tv, deltas = extract(base, finetuned, policy)
-    tv.deltas = {name: t.data for name, t in deltas.materialize().items()}
+    tv = extract(base, finetuned, policy)
+    tv.deltas = {name: t.data for name, t in tv.to_checkpoint().materialize().items()}
     return tv
 
 
@@ -157,7 +163,7 @@ def load_task_vector(path, base: Checkpoint | None = None, policy: str = "error"
         return TaskVector.from_checkpoint(ckpt)
     if base is None:
         raise ArchiveError(f"{path} is not a stored task vector archive")
-    return extract(base, ckpt, policy)[0]
+    return extract(base, ckpt, policy)
 
 
 def scale(tv: TaskVector, lam: float) -> TaskVector:

@@ -579,9 +579,8 @@ class TestScenarios:
     def test_bad_arguments_build_no_context(self, monkeypatch, names, seeds, message):
         built = []
         monkeypatch.setattr(bench_scenarios, "_SeedContext", lambda *args: built.append(args))
-        for threads in (1, 2):
-            with pytest.raises(ValueError, match=message):
-                run_bench(names, seeds, SMALL, FAST, threads=threads)
+        with pytest.raises(ValueError, match=message):
+            run_bench(names, seeds, SMALL, FAST)
         with pytest.raises(ValueError, match=message):
             run_bench(names[-1:], seeds, SMALL, FAST)
         assert built == []
@@ -598,11 +597,6 @@ class TestScenarios:
         assert all("seed" not in rep["train_config"] for rep in res["scenarios"].values())
         again = run_bench(["full_ft", "tv_merge_ft"], [0, 1], SMALL, FAST)
         assert json.dumps(res, sort_keys=True) == json.dumps(again, sort_keys=True)
-
-    def test_run_bench_threads_identical(self):
-        serial = run_bench(["full_ft"], [0, 1], SMALL, FAST, threads=1)
-        threaded = run_bench(["full_ft"], [0, 1], SMALL, FAST, threads=4)
-        assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
     def test_sweep_selection_recorded(self):
         rep = run_bench(["tv_merge_ft"], [0], SMALL, FAST)["scenarios"]["tv_merge_ft"]

@@ -420,14 +420,23 @@ class TestBenchCommand:
         assert err == "error: the bench needs at least one seed\n"
         assert not (tmp_path / "report.json").exists()
 
+    def test_bench_has_no_threads_option(self, tmp_path, capsys):
+        """The seeds' work holds the GIL, so the bench runs them in order
+        and takes no --threads; argparse refuses it with exit 2."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", "--scenario", "full_ft", "--seeds", "1", "--threads", "2",
+                  "--out", str(tmp_path / "report.json")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 @pytest.mark.parametrize("command", [
     "merge tv --base {w}/base.st --vector {w}/tv.st --weight 1.0 --out {w}/out.st",
     "merge ties --base {w}/base.st --vector {w}/tv.st --weight 1.0 --out {w}/out.st",
     "run --recipe {w}/recipe.json",
-    "bench --scenario full_ft --seeds 1 --epochs 3 --out {w}/out.st",
-], ids=["merge-tv", "merge-ties", "run", "bench"])
+], ids=["merge-tv", "merge-ties", "run"])
 def test_threads_must_be_a_positive_integer(workspace, capsys, command, value):
     (workspace / "recipe.json").write_text(json.dumps({
         "base": str(workspace / "base.st"), "method": "tv", "output": str(workspace / "out.st"),

@@ -471,21 +471,29 @@ class TestFineTunedSources:
         huge = {"a": ("F64", (40,)), "b": ("F64", (3, 7))}  # finite deltas whose sums overflow
         write("base", base)
         write("base_huge", huge, 5e307)
+        # F64 fine-tuned tensors up to +-1.7e308 over an F32 base up to +-3e38:
+        # every delta is finite, so the check reads the stored sides unmade
+        write("base_mixed", {n: ("F32", shape) for n, (_, shape) in huge.items()}, 3e38)
         for k in range(2):
             write(f"matched{k}", base)
             write(f"mismatched{k}", mismatched)
             write(f"huge{k}", huge, 5e307)
+            extreme = {n: 1.7e308 * rng.uniform(-1.0, 1.0, shape) for n, (_, shape) in huge.items()}
+            for values in extreme.values():
+                values.flat[:2] = 1.7e308, -1.7e308
+            save_archive(Checkpoint.from_arrays(extreme), root / f"mixed{k}.st")
         return root
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("method", ["tv", "ties"])
     @pytest.mark.parametrize("kind,policy", [
         ("matched", "error"), ("mismatched", "ignore"), ("mismatched", "copy_from_finetuned"),
-        ("huge", "error")])
+        ("huge", "error"), ("mixed", "error")])
     def test_run_writes_what_whole_deltas_give(self, sources, tmp_path, monkeypatch, method,
                                               kind, policy, threads):
         weights = [1.0, 0.5] if method == "ties" else [0.5, -1.0]
-        doc = {"base": str(sources / ("base_huge.st" if kind == "huge" else "base.st")),
+        base = f"base_{kind}.st" if kind in ("huge", "mixed") else "base.st"
+        doc = {"base": str(sources / base),
                "method": method, "mismatch": policy, "output": str(tmp_path / "out.st"),
                "vectors": [{"source": str(sources / f"{kind}{k}.st"), "weight": w}
                            for k, w in enumerate(weights)]}
@@ -503,7 +511,7 @@ class TestFineTunedSources:
         want = execute_recipe(recipe, threads=threads)
         assert (tmp_path / "out.st").read_bytes() == blob
         assert json.dumps(got["report"]) == json.dumps(want["report"])
-        assert bool(rescaled) == (kind == "huge" and method == "ties")
+        assert bool(rescaled) == (kind in ("huge", "mixed") and method == "ties")
         assert ("head" in read_archive(tmp_path / "out.st")) == (policy == "copy_from_finetuned")
 
 

@@ -146,15 +146,17 @@ class TestNonFinite:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["base.st", "tv0.st", "tv1.st"]
 
-    @pytest.mark.parametrize("case", ["vector_order", "base_inf", "f64_overflow"])
+    @pytest.mark.parametrize("case", ["vector_order", "base_inf", "f64_overflow", "bf16", "mixed"])
     def test_fine_tuned_sources_raise_before_any_tensor_is_made(self, case, tmp_path, capsys,
                                                                 monkeypatch):
         """Deltas extracted from fine-tuned checkpoints, unmade until merged,
         are checked as made ones are: ties_merge, interference_stats and a
         TIES `run` raise the text the materialized deltas raise, naming the
         first non-finite delta in vector order, before any tensor is
-        trimmed or written."""
-        dtype = "F64" if case == "f64_overflow" else "F32"
+        trimmed or written. BF16 sides and an F64 source over an F32 base
+        are checked on their stored arrays, an F64 pair on its difference."""
+        ft_dtype, base_dtype = {"f64_overflow": ("F64", "F64"), "bf16": ("BF16", "BF16"),
+                                "mixed": ("F64", "F32")}.get(case, ("F32", "F32"))
         base = {"a": [0.0, 1.0, 2.0], "b": [0.0, -1.0, 2.0]}
         fts = [{"a": [1.0, 2.0, 3.0], "b": [1.0, np.nan, 3.0]},  # vector 0 fails at 'b'
                {"a": [np.inf, 2.0, 3.0], "b": [1.0, 2.0, 3.0]}]  # vector 1 at 'a'
@@ -165,9 +167,9 @@ class TestNonFinite:
             name = "a"
         elif case == "f64_overflow":  # finite, but 1.7e308 - -1.7e308 is inf
             base["b"][1], fts[0]["b"][1], fts[1]["a"][0] = -1.7e308, 1.7e308, 0.5
-        save_archive(Checkpoint.from_arrays(base, dtype), tmp_path / "base.st")
+        save_archive(Checkpoint.from_arrays(base, base_dtype), tmp_path / "base.st")
         for k, arrays in enumerate(fts):
-            save_archive(Checkpoint.from_arrays(arrays, dtype), tmp_path / f"ft{k}.st")
+            save_archive(Checkpoint.from_arrays(arrays, ft_dtype), tmp_path / f"ft{k}.st")
         base_ckpt = read_archive(tmp_path / "base.st")
         paths = [tmp_path / f"ft{k}.st" for k in range(2)]
         tvs = [load_task_vector(p, base_ckpt) for p in paths]

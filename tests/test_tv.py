@@ -159,7 +159,7 @@ class TestLazyDelta:
         rng = np.random.default_rng(5)
         base = Checkpoint({name: Tensor("F64", np.zeros(n)) for name in names})
         lazy = [tv_mod.extract(base, Checkpoint({name: Tensor("F64", magnitude * rng.normal(size=n))
-                                                 for name in names}))[0] for _ in range(2)]
+                                                 for name in names})) for _ in range(2)]
         tracemalloc.start()
         try:
             result = cosine(*lazy)
@@ -171,6 +171,27 @@ class TestLazyDelta:
         scratch = 8 * 8 * store_mod._CHUNK  # making one delta and summing a pair, by chunk
         assert peak < 2 * 8 * n + scratch, \
             f"peak {peak / 2**20:.1f} MiB holds more than one tensor's pair and scratch"
+
+    def test_a_written_vector_holds_scratch_not_its_deltas(self, tmp_path):
+        """to_checkpoint makes each LazyDelta as the writer writes it, so
+        saving an unmade vector holds the kernel's scratch, not one whole
+        delta, and writes the bytes of the vector made whole."""
+        n, names = 1 << 18, "abcdef"  # 2 MiB of float64 per delta, 12 MiB for the vector
+        rng = np.random.default_rng(6)
+        for stem in ("base", "ft"):
+            save_archive(Checkpoint({name: Tensor("F32", rng.normal(size=n).astype(np.float32))
+                                     for name in names}), tmp_path / f"{stem}.st")
+        base = read_archive(tmp_path / "base.st")
+        lazy = tv_mod.load_task_vector(tmp_path / "ft.st", base)
+        tracemalloc.start()
+        try:
+            save_archive(lazy.to_checkpoint(), tmp_path / "tv.st")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        made = extract_task_vector(base, read_archive(tmp_path / "ft.st"))
+        assert (tmp_path / "tv.st").read_bytes() == write_archive(made.to_checkpoint())
+        assert peak < 8 * n, f"peak {peak / 2**20:.2f} MiB holds a whole delta"
 
 
 class TestScaleAdd:
