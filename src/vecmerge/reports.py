@@ -15,7 +15,7 @@ import numpy as np
 from .dtypes import widen
 from .tensor_store import _CHUNK, Checkpoint, read_chunk
 from .ties import _check_trimmable, _union_shapes, elect_signs, trim
-from .tv import MergeError, TaskVector
+from .tv import LazyDelta, MergeError, TaskVector
 
 MAX_ALL_PAIRS = 8  # above this, only adjacent pairs (quadratic blowup guard)
 
@@ -38,16 +38,18 @@ def _pairwise(arrays: list[np.ndarray], terms: Callable, ufunc=np.add) -> np.nda
     return sums
 
 
-def _raveled(*arrays: np.ndarray) -> list[np.ndarray]:
-    """Same-shape arrays as 1-d, in the element order numpy's elementwise
-    operations take: their memory order where all share one, else C order."""
-    layouts = {tuple(s / a.itemsize for s in a.strides) for a in arrays}
+def _raveled(*arrays: np.ndarray | LazyDelta) -> list[np.ndarray | LazyDelta]:
+    """Same-shape deltas as 1-d, in the element order numpy's elementwise
+    operations take: their memory order where all share one, else C order,
+    which is a `LazyDelta`'s (as `make` lays it out)."""
+    layouts = {tuple(s / a.itemsize for s in a.strides) if isinstance(a, np.ndarray) else None
+               for a in arrays}
     return [a.ravel("K" if len(layouts) == 1 else "C") for a in arrays]
 
 
 def _rescale(arrays) -> float:
     """A power of two that brings every |entry| of `arrays` under 1, so sums stay finite."""
-    top = max((float(_pairwise([d.reshape(-1)], lambda c: (np.abs(c),), np.maximum)[0])
+    top = max((float(_pairwise([d.ravel()], lambda c: (np.abs(c),), np.maximum)[0])
                for d in arrays if d.size), default=0.0)
     return 2.0 ** -math.frexp(top)[1] if math.isfinite(top) else 1.0
 
@@ -109,16 +111,15 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)]
 
 
-def _mass(kept: np.ndarray, delta: np.ndarray, scale: float) -> tuple[float, float]:
-    """(sum |kept|, sum |delta|), each entry times `scale`, as np.sum(np.abs(d)) sums them."""
-    magnitude = np.empty(min(delta.size, _CHUNK))
+def _mass(d: np.ndarray, scale: float) -> float:
+    """sum |d|, each entry times `scale`, as np.sum(np.abs(d)) sums it."""
+    magnitude = np.empty(min(d.size, _CHUNK))
 
-    def terms(*chunks):
-        for c in chunks:
-            m = np.abs(c, out=magnitude[:c.size])
-            yield m if scale == 1.0 else np.multiply(m, scale, out=m)
+    def terms(c: np.ndarray):
+        m = np.abs(c, out=magnitude[:c.size])
+        yield m if scale == 1.0 else np.multiply(m, scale, out=m)
 
-    return tuple(map(float, _pairwise([kept.ravel("K"), delta.ravel("K")], terms)))
+    return float(_pairwise([d.ravel("K")], terms)[0])
 
 
 def _ratio(part: float, whole: float) -> float:
@@ -138,10 +139,12 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
     `sign_agreement` maps "i-j" to the agreement of vectors i and j where
     both keep a nonzero entry (none for a single vector).
 
-    Tensor by tensor, each vector's delta is made if it is a `LazyDelta`,
-    trimmed into a buffer of the call's, counted and dropped. If a vector's
-    total mass overflows, its masses are summed again, all rescaled by one
-    power of two, which keeps their ratios."""
+    Tensor by tensor, each vector's delta is trimmed into a buffer of the
+    call's, one per vector, counted and dropped. A `LazyDelta` is read once
+    into its buffer, and its mass summed there, before it is trimmed in
+    place; a stored delta's is summed in its own memory order. If a
+    vector's total mass overflows, its masses are summed again from the
+    deltas, all rescaled by one power of two, which keeps their ratios."""
     if not tvs:
         raise MergeError("interference_stats requires at least one task vector")
     _check_trimmable(tvs, density)
@@ -153,11 +156,14 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
 
     def trimmed(i: int, name: str, scale: float = 1.0) -> TaskVector:
         """Vector i's tensor `name` trimmed into buffer i, its masses times
-        `scale` put in `masses`, from one making of the delta."""
-        delta = np.asarray(tvs[i].deltas[name])
+        `scale` put in `masses`, from one read of the delta."""
+        delta = tvs[i].deltas[name]
+        if isinstance(delta, LazyDelta):
+            delta = read_chunk(delta, 0, buffers[i][:delta.size]).reshape(delta.shape)
+        whole = _mass(delta, scale)  # before the buffer is trimmed in place
         kept = trim(TaskVector({name: delta}), density, out=buffers[i])
         # at density 1 the delta is kept whole, in its own order
-        masses[i][name] = _mass(delta if density == 1.0 else kept.deltas[name], delta, scale)
+        masses[i][name] = (whole if density == 1.0 else _mass(kept.deltas[name], scale), whole)
         return kept
 
     agree = {f"{i}-{j}": (i, j, [0, 0]) for i, j in _pairs(len(tvs))}  # agreeing, joint
@@ -181,7 +187,7 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
                                 "zero_sign_count": int(np.count_nonzero(signs == 0))}
         for i, tv in enumerate(tvs):
             if not math.isfinite(sum(all_mass for _, all_mass in masses[i].values())):
-                scale = _rescale(map(np.asarray, tv.deltas.values()))
+                scale = _rescale(tv.deltas.values())
                 for name in list(masses[i]):
                     trimmed(i, name, scale)
     for name, stats in per_tensor.items():
@@ -195,8 +201,8 @@ def interference_stats(tvs: list[TaskVector], density: float) -> dict:
 def cosine(tv_a: TaskVector, tv_b: TaskVector) -> float:
     """Cosine similarity of the flattened concatenation over shared names,
     from sums as np.add.reduce makes them, not a BLAS dot product's, which
-    depend on the CPU. Tensor by tensor, the two deltas are made if they
-    are `LazyDelta`s, summed and dropped, anew at each pass over them."""
+    depend on the CPU. Tensor by tensor, the two deltas are read a chunk
+    at a time, `LazyDelta`s from their stored sides, at each pass."""
     shared = [n for n in tv_a.names() if n in tv_b.deltas]
     if not shared:
         raise MergeError("no shared tensors between task vectors")
@@ -209,16 +215,13 @@ def cosine(tv_a: TaskVector, tv_b: TaskVector) -> float:
             u, v = ca * sa, cb * sb
             yield from (u * v, u * u, v * v)
 
-        return sum((_pairwise(_raveled(np.asarray(tv_a.deltas[n]), np.asarray(tv_b.deltas[n])),
-                              terms) for n in shared), np.zeros(3))
-
-    def made(tv: TaskVector):
-        return (np.asarray(tv.deltas[n]) for n in shared)
+        return sum((_pairwise(_raveled(tv_a.deltas[n], tv_b.deltas[n]), terms) for n in shared),
+                   np.zeros(3))
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is rescaled
         dot, na, nb = products(1.0, 1.0)
         if not math.isfinite(dot + na * nb):
-            dot, na, nb = products(_rescale(made(tv_a)), _rescale(made(tv_b)))
+            dot, na, nb = products(*(_rescale(tv.deltas[n] for n in shared) for tv in (tv_a, tv_b)))
     if na == 0.0 or nb == 0.0:
         raise MergeError("undefined cosine: zero vector")
     return float(np.clip(dot / math.sqrt(na * nb), -1.0, 1.0))

@@ -18,7 +18,9 @@ the bytes read, which may be misaligned. The merge kernel (extract runs
 it too), the writer, `diff`, `cosine` and the TIES kernels (`trim`, so
 `interference` and `ties`) read mapped data chunk by chunk with
 `read_chunk`, a positioned read, so they hold no mapped page, and raise
-ArchiveError on a file truncated after it was read. Only `values` still
+ArchiveError on a file truncated after it was read. `read_chunk` reads a
+fine-tuned tensor's delta (a `LazyDelta`) from its two stored tensors
+in the same way, so no kernel makes the delta whole. Only `values` still
 reads the map; such a file kills the process with SIGBUS. `_layout`
 alone decides what is valid: the reader raises its first problem, and
 `validate_archive` lists them all, then gaps and trailing bytes.
@@ -307,11 +309,16 @@ def _open_archive(path) -> memoryview:
     return memoryview(mapped)
 
 
-def read_chunk(array: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
+def read_chunk(array, start: int, out: np.ndarray) -> np.ndarray:
     """Elements [start, start + out.size) of 1-d stored form `array`: `out`
     (contiguous) read full of them from the file by position, touching no
     page of the map, if `array` views a map read_archive made and has out's
-    dtype; else its own view of them (in memory, over bytes, a caller's map)."""
+    dtype; else its own view of them (in memory, over bytes, a caller's map).
+    A `LazyDelta` (see tv), flat in C order, fills `out` (float64) with
+    widen(finetuned) - base, the subtraction its `make` does, so the same
+    bits, a chunk at a time from the two sides, each read so."""
+    if not isinstance(array, np.ndarray):
+        return _read_delta(array, start, out)
     view = array.base
     while isinstance(view, np.ndarray):
         view = view.base
@@ -326,6 +333,24 @@ def read_chunk(array: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
         if not got:
             raise ArchiveError(f"archive truncated after it was read: byte {offset + done} is gone")
         done += got
+    return out
+
+
+def _read_delta(delta, start: int, out: np.ndarray) -> np.ndarray:
+    finetuned, base = delta.finetuned.data.reshape(-1), delta.base.data.reshape(-1)
+    n = min(out.size, _CHUNK)
+    narrow_side = None if finetuned.dtype == np.float64 else np.empty(n, finetuned.dtype)
+    base_side = np.empty(n, base.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1.7e308 - -1.7e308 is inf
+        for at in range(0, out.size, _CHUNK):
+            part = out[at:at + _CHUNK]
+            k = part.size  # an F64 side is read straight into `out`
+            widen(read_chunk(finetuned, start + at, part if narrow_side is None
+                             else narrow_side[:k]), part)
+            stored = read_chunk(base, start + at, base_side[:k])
+            np.subtract(part, decode(stored, "BF16") if stored.dtype == np.uint16 else stored,
+                        out=part)
+            part[np.isnan(part)] = np.nan
     return out
 
 

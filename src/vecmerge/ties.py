@@ -2,9 +2,11 @@
 
 Trimming is per-tensor, and so are the sign election and the disjoint
 mean, so `ties_merge` makes each tensor alone when it is written, as
-`tv_merge` does, trimming into buffers each thread keeps, and holds no
-whole trimmed vector, nor a whole extracted one: each `LazyDelta` of the
-tensor is made in the thread that makes the tensor. Per-vector weights
+`tv_merge` does, in buffers each thread keeps, one per vector: each
+delta of the tensor, a `LazyDelta` read from its two stored sides too,
+is read once into its buffer and trimmed in place, and the disjoint mean
+is written over the first buffer. So a merge holds no whole trimmed or
+extracted vector, and no made delta. Per-vector weights
 enter both the sign election and the disjoint weighted mean, which keeps
 the single-vector, density-1 case an exact reduction to plain scaled
 vector addition.
@@ -24,6 +26,7 @@ kernel touches a page of the map.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -43,6 +46,11 @@ _CHUNK = 1 << 14
 _MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)  # every bit of a float64 but its sign
 _MAX_FINITE = np.uint64(0x7FEF_FFFF_FFFF_FFFF)  # the magnitude bits of the largest float64
 _LEAST_SUBNORMAL = np.float64(5e-324)
+_HIGH = 1 if sys.byteorder == "little" else 0  # a float64's high word, as two uint32
+_KEY_SHIFT = np.uint64(32)  # a magnitude's key: its high word, the top 31 bits but the sign
+_KEY_BITS = np.uint32(0x7FFF_FFFF)
+_SIGN32 = np.uint32(0x8000_0000)
+_MAX_FINITE_KEY = np.uint32(_MAX_FINITE >> _KEY_SHIFT)
 
 
 def _check_weights(weights: list[float], n_vectors: int) -> None:
@@ -77,22 +85,22 @@ def _check_trimmable(tvs: list[TaskVector], density: float) -> None:
     at most 3.4e38, far below half an ulp of the largest float64, so its
     difference with any finite value is finite. Only a `LazyDelta` of two
     F64 sides may overflow (1.7e308 - -1.7e308 is inf), so it alone is
-    made, a chunk at a time. Arrays are read a chunk at a time by position
-    (see read_chunk); a chunk whose sum is finite holds no NaN or inf, so
-    only the others are checked entry by entry."""
+    read as the delta. All are read a chunk at a time by position (see
+    read_chunk); a chunk whose sum is finite holds no NaN or inf, so only
+    the others are checked entry by entry."""
     _check_density(density)
     size = min(_READ_CHUNK, max((d.size for tv in tvs for d in tv.deltas.values()), default=0))
     scratch: dict[np.dtype, np.ndarray] = {}
-    seen: dict[int, bool] = {}  # id of a stored delta or Tensor the vectors hold -> finite
+    seen: dict[int, bool] = {}  # id of a delta or Tensor the vectors hold -> finite
 
     def finite(chunk: np.ndarray) -> bool:
         if chunk.dtype == np.uint16:
             chunk = decode(chunk, "BF16")
         return math.isfinite(np.add.reduce(chunk)) or bool(np.isfinite(chunk).all())
 
-    def all_finite(stored: np.ndarray | Tensor) -> bool:
+    def all_finite(stored: np.ndarray | Tensor | LazyDelta) -> bool:
         if id(stored) not in seen:
-            flat = stored.data.reshape(-1) if isinstance(stored, Tensor) else _flat(stored)
+            flat = stored.data.reshape(-1) if isinstance(stored, Tensor) else stored.ravel()
             if flat.dtype not in scratch:
                 scratch[flat.dtype] = np.empty(size, flat.dtype)
             buffer = scratch[flat.dtype]
@@ -101,77 +109,132 @@ def _check_trimmable(tvs: list[TaskVector], density: float) -> None:
                 for start in range(0, flat.size, _READ_CHUNK))
         return seen[id(stored)]
 
-    def check(name: str, ok: bool) -> None:
-        if not ok:
-            raise MergeError(f"tensor {name!r}: non-finite delta cannot be trimmed")
-
     with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow, and inf - inf is NaN
         for tv in tvs:
             for name, d in tv.deltas.items():
-                if isinstance(d, LazyDelta) and d.finetuned.dtype == d.base.dtype == "F64":
-                    d.make(lambda start, chunk: check(name, finite(chunk)))
-                else:
-                    sides = (d.base, d.finetuned) if isinstance(d, LazyDelta) else (d,)
-                    check(name, all(map(all_finite, sides)))
+                sides = ((d.base, d.finetuned) if isinstance(d, LazyDelta)
+                         and not d.finetuned.dtype == d.base.dtype == "F64" else (d,))
+                if not all(map(all_finite, sides)):
+                    raise MergeError(f"tensor {name!r}: non-finite delta cannot be trimmed")
+
+
+def _buffer(out: np.ndarray | None, size: int) -> np.ndarray:
+    """`out` if it is a contiguous 1-d float64 buffer of `size` or more
+    entries, else ValueError; a new buffer without `out`."""
+    if out is None:
+        return np.empty(size)
+    if not (out.dtype == np.float64 and out.ndim == 1 and out.flags.c_contiguous
+            and out.size >= size):
+        raise ValueError(f"out must be a contiguous 1-d float64 buffer of {size} or more entries")
+    return out
+
+
+def _magnitudes(bits: np.ndarray, mag: np.ndarray):
+    """(chunk, its magnitude bits in `mag`) over the chunks of `bits`."""
+    for start in range(0, bits.size, mag.size):
+        part = bits[start:start + mag.size]
+        yield part, np.bitwise_and(part, _MAGNITUDE, out=mag[:part.size])
+
+
+def _largest(fill, n: int, k: int, step: int) -> tuple[np.uint32, int, bool, np.uint32]:
+    """(the k-th largest's complement, how many of the k largest are
+    larger, whether a value equal to it is left out, the largest's
+    complement) of more than k uint32 values, which fill(start, out) writes
+    as complements (~value, so the largest lead) into `out` for each start
+    in range(0, n, step), at most `step` a call, returning how many. The k
+    largest so far are kept by a partition of a buffer of k + step."""
+    held = np.empty(min(n, k + step), np.uint32)
+    count, dropped = 0, []  # the least complement left out at each partition
+    for start in range(0, n, step):
+        count += fill(start, held[count:])
+        if count > k:
+            held[:count].partition(k - 1)
+            dropped.append(held[k:count].min())
+            count = k
+    kept, least = held[:k], held[k - 1]  # set by the last partition
+    return least, int(np.count_nonzero(kept < least)), min(dropped) == least, kept.min()
+
+
+def _cut(bits: np.ndarray, k: int, mag: np.ndarray) -> tuple[np.uint64, int, bool]:
+    """(cut, room, finite): the k < n largest magnitudes of float64 `bits`
+    are those above `cut` and the first `room` equal to it; `finite` tells
+    whether all are finite. A magnitude is ranked by its high word but the
+    sign (its key, the top 31 bits) in runs of max(k, chunk) (see
+    _largest). Only where an entry of the cut's key is left out are the low
+    words of that key's entries ranked the same way."""
+    high, low = bits.view(np.uint32)[_HIGH::2], bits.view(np.uint32)[1 - _HIGH::2]
+    n, step = bits.size, max(k, mag.size)
+
+    def keys(start: int, out: np.ndarray) -> int:  # as complements: 0x7FFF_FFFF - key
+        run = out[:high[start:start + step].size]
+        np.invert(np.bitwise_or(high[start:start + step], _SIGN32, out=run), out=run)
+        return run.size
+
+    least, above, shared, top = _largest(keys, n, k, step)
+    key, finite = _KEY_BITS - least, top >= _KEY_BITS - _MAX_FINITE_KEY
+    cut = np.uint64(key) << _KEY_SHIFT
+    if shared:  # the low words of the cut key's entries decide
+
+        def lows(start: int, out: np.ndarray) -> int:
+            run = slice(start, start + step)
+            words = np.invert(low[run][np.bitwise_and(high[run], _KEY_BITS) == key])
+            out[:words.size] = words
+            return words.size
+
+        least, higher, shared, _ = _largest(lows, n, k - above, step)
+        cut |= np.uint64(np.invert(least))
+        if shared:  # the lowest-index ties fill the slots left above the threshold
+            return cut, k - above - higher, finite
+    return cut - np.uint64(1), 0, finite
 
 
 def trim(tv: TaskVector, density: float, out: np.ndarray | None = None) -> TaskVector:
     """Keep the ceil(density*numel) largest-|value| entries per tensor.
 
-    Selection is a linear-time partition threshold: entries above it are
-    kept, and entries equal to it fill the remaining slots in ascending
-    flattened index order, so ties keep the smaller index. Non-finite
-    deltas raise MergeError at every density, since they have no rank.
+    Entries above the k-th largest magnitude are kept, and entries equal to
+    it fill the remaining slots in ascending flattened index order, so ties
+    keep the smaller index. Non-finite deltas raise MergeError at every
+    density, since they have no rank.
 
     Entries are ranked by their magnitude bits, `bits & 0x7FF...F` as
     uint64, whose order is that of |value| for finite floats. The trimmed
     tensors lie one after another in `out`, a contiguous 1-d float64
-    buffer, or in a new one: it holds the partition, then the trimmed
-    entries, a kept one with its bits (-0.0 included) and a dropped one as
-    +0.0. Each delta is read by position (see read_chunk), whole into the
-    buffer to rank it and a chunk at a time to select, so a trim touches no
-    mapped page.
+    buffer, or in a new one. Each delta, a `LazyDelta` too, is read once,
+    by position (see read_chunk), into its place there, and trimmed in
+    place: a kept entry keeps its bits (-0.0 included), a dropped one
+    becomes +0.0. The cut is found without a copy of the tensor (see
+    _cut): the top halves of its magnitudes, then, where the cut splits
+    the entries of one top half, their low halves, are ranked in a buffer
+    of k + max(k, chunk) 4-byte entries. So a trim touches no mapped page
+    and holds `out`, that buffer and chunk scratch.
     """
     _check_density(density)
-    size = sum(d.size for d in tv.deltas.values())
-    if out is None:
-        out = np.empty(size)
-    elif not (out.dtype == np.float64 and out.ndim == 1 and out.flags.c_contiguous
-              and out.size >= size):
-        raise ValueError(f"out must be a contiguous 1-d float64 buffer of {size} or more entries")
+    out = _buffer(out, sum(d.size for d in tv.deltas.values()))
     trimmed = TaskVector(extras=dict(tv.extras), ignored=list(tv.ignored))
-    source = np.empty(min(_CHUNK, max((d.size for d in tv.deltas.values()), default=0)))
+    largest = max((d.size for d in tv.deltas.values()), default=0)
+    mag = np.empty(max(1, min(_READ_CHUNK, largest)), np.uint64)  # a chunk of magnitudes
     offset = 0
     for name, d in tv.deltas.items():
-        flat, n = _flat(d), d.size
-        k = math.ceil(density * n)
-        kept = out[offset:offset + n].view(np.uint64)
+        n, k = d.size, math.ceil(density * d.size)
+        row = out[offset:offset + n]
         offset += n
-        np.bitwise_and(read_chunk(flat, 0, kept.view(np.float64)).view(np.uint64), _MAGNITUDE,
-                       out=kept)
+        np.copyto(row, read_chunk(d.ravel(), 0, row))
+        bits = row.view(np.uint64)
         if k < n:
-            kept.partition(n - k)  # the k largest, so the greatest of all, sit from n - k on
-            threshold = kept[n - k]
-            if kept[:n - k].max() < threshold:  # no tie across the cut: keep all >= threshold
-                cut, room = threshold - np.uint64(1), 0
-            else:  # the lowest-index ties fill the slots left above the threshold
-                cut, room = threshold, k - int(np.count_nonzero(kept[n - k + 1:] > threshold))
-        if n and kept[n - k:].max() > _MAX_FINITE:
+            cut, room, finite = _cut(bits, k, mag)
+        else:  # kept whole
+            finite = all(m.max() <= _MAX_FINITE for _, m in _magnitudes(bits, mag))
+        if not finite:
             raise MergeError(f"tensor {name!r}: non-finite delta cannot be trimmed")
-        for start in range(0, n, _CHUNK):
-            part = kept[start:start + _CHUNK]
-            src = read_chunk(flat, start, source[:part.size]).view(np.uint64)
-            if k == n:  # every entry is kept
-                np.copyto(part, src)
-                continue
-            np.bitwise_and(src, _MAGNITUDE, out=part)
-            tied = np.flatnonzero(part == threshold)[:room] if room else []
-            room -= len(tied)
-            np.greater(part, cut, out=part)
-            part[tied] = 1
-            np.negative(part, out=part)
-            np.bitwise_and(part, src, out=part)
-        kept = kept.view(np.float64).reshape(d.shape)
+        if k < n:
+            for part, m in _magnitudes(bits, mag):
+                tied = np.flatnonzero(m == cut)[:room] if room else []
+                room -= len(tied)
+                np.greater(m, cut, out=m)
+                m[tied] = 1
+                np.negative(m, out=m)
+                np.bitwise_and(part, m, out=part)
+        kept = row.reshape(d.shape)
         kept.setflags(write=False)
         trimmed.deltas[name] = kept
     return trimmed
@@ -218,13 +281,17 @@ def elect_signs(trimmed: list[TaskVector], weights: list[float]) -> dict[str, np
 
 
 def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
-                   signs: dict[str, np.ndarray]) -> TaskVector:
+                   signs: dict[str, np.ndarray], out: np.ndarray | None = None) -> TaskVector:
     """Weighted mean over contributions agreeing with the elected sign.
 
     merged_p = sum_{t in A_p} w_t tau_tp / sum_{t in A_p} w_t with
     A_p = {t : sign(tau_tp) = gamma_p}; elected sign 0 or empty A_p
     gives 0. Both sums run in vector order from +0.0. `signs` needs an
-    entry of each tensor's shape, or MergeError is raised.
+    entry of each tensor's shape, or MergeError is raised. The merged
+    tensors lie one after another in `out`, as `trim` lays them out, or in
+    a new buffer. `out` may be the buffer trimmed[0]'s tensors lie in, at
+    the same places: each chunk of every vector is read before that chunk
+    of the mean is written.
     """
     _check_weights(weights, len(trimmed))
     shapes = _union_shapes(trimmed)
@@ -234,21 +301,24 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
         if np.shape(signs[name]) != shape:
             raise MergeError(
                 f"tensor {name!r}: signs of shape {np.shape(signs[name])} for shape {shape}")
-    gamma, den, term, agree = _chunk_scratch(
-        shapes.values(), np.float64, np.float64, np.float64, np.uint64)
+    out = _buffer(out, sum(math.prod(shape) for shape in shapes.values()))
+    total, gamma, den, term, agree = _chunk_scratch(
+        shapes.values(), np.float64, np.float64, np.float64, np.float64, np.uint64)
     term_bits = term.view(np.uint64)
-    out = TaskVector()
+    result = TaskVector()
+    offset = 0
     # weighted products may overflow to inf, and inf / inf is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         for name, shape in shapes.items():
             elected = np.asarray(signs[name]).reshape(-1)
             terms = [(_flat(tv.deltas[name]), float(w), np.float64(w).view(np.uint64))
                      for tv, w in zip(trimmed, weights) if name in tv.deltas]
-            merged = np.empty(elected.size)
+            merged = out[offset:offset + elected.size]
+            offset += elected.size
             for start in range(0, merged.size, _CHUNK):
                 stop = min(start + _CHUNK, merged.size)
                 m = stop - start
-                num, g, dn, t, a = merged[start:stop], gamma[:m], den[:m], term[:m], agree[:m]
+                num, g, dn, t, a = total[:m], gamma[:m], den[:m], term[:m], agree[:m]
                 np.copyto(g, elected[start:stop])
                 num.fill(0.0)
                 dn.fill(0.0)
@@ -264,11 +334,11 @@ def disjoint_merge(trimmed: list[TaskVector], weights: list[float],
                 # raising den to the least subnormal makes those quotients +0.0
                 # without a 0/0 and leaves every other den as it is
                 np.maximum(dn, _LEAST_SUBNORMAL, out=dn)
-                np.divide(num, dn, out=num)
+                np.divide(num, dn, out=merged[start:stop])
             merged = merged.reshape(shape)
             merged.setflags(write=False)
-            out.deltas[name] = merged
-    return out
+            result.deltas[name] = merged
+    return result
 
 
 def ties_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
@@ -279,8 +349,9 @@ def ties_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
     as `tv_merge` gives it. The operands are checked now (see
     _check_trimmable). Each tensor is trimmed, elected and merged when it
     is made, in buffers that each thread keeps, one per vector as long as
-    the largest tensor, from its deltas, each `LazyDelta` made in that
-    thread."""
+    the largest tensor: each delta, a `LazyDelta` too, is read once into
+    its buffer and trimmed there, and the disjoint mean is written over
+    the first vector's trimmed entries."""
     if not weighted:
         raise MergeError("ties_merge requires at least one task vector")
     if not np.isfinite(lam):
@@ -292,7 +363,7 @@ def ties_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
     largest = max((d.size for tv in tvs for d in tv.deltas.values()), default=0)
     held = threading.local()
 
-    def combine(name: str, deltas: list[tuple[np.ndarray, float]]) -> list:
+    def combine(name: str, deltas: list[tuple[np.ndarray | LazyDelta, float]]) -> list:
         if not hasattr(held, "buffers"):
             # rows of one allocation: freed, it lifts glibc's trim threshold above one
             # tensor's temporaries, where tensor-sized buffers of their own left the
@@ -301,8 +372,8 @@ def ties_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
         trimmed = [trim(TaskVector({name: d}), density, out=buffer)
                    for (d, _), buffer in zip(deltas, held.buffers)]
         tensor_weights = [w for _, w in deltas]
-        merged = disjoint_merge(trimmed, tensor_weights,
-                                elect_signs(trimmed, tensor_weights)).deltas[name]
+        merged = disjoint_merge(trimmed, tensor_weights, elect_signs(trimmed, tensor_weights),
+                                out=held.buffers[0]).deltas[name]
         return [(merged, float(lam))]
 
     return _lazy_merge(base, weighted, threads, combine)

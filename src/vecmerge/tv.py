@@ -14,9 +14,10 @@ touched. A merge (`tv_merge`) and a vector's archive
 each rounded chunk from the kernel's scratch to its offset in the file,
 so threads make whole tensors in any order and hold only their scratch;
 `materialize()` keeps them in memory instead. A vector extracted from a
-fine-tuned checkpoint holds `LazyDelta`s: a merge makes each tensor's
-delta in the thread that merges that tensor, so no whole extracted
-vector is held.
+fine-tuned checkpoint holds `LazyDelta`s, which `read_chunk` reads as
+the difference of their two stored sides, a chunk at a time: the merge
+kernel reads them chunk by chunk, and TIES once, straight into its trim
+buffer, so no whole extracted vector, nor any made delta, is held.
 """
 
 from __future__ import annotations
@@ -43,13 +44,16 @@ class MergeError(ValueError):
 @dataclass(frozen=True)
 class LazyDelta:
     """The float64 delta of a fine-tuned tensor against its base tensor,
-    not yet made: it holds the two tensors and knows its shape and size.
-    It is an array-like, so np.asarray, numpy's functions and every kernel
-    that takes a delta make it, by `make`, anew at each call, as a whole
-    tensor of 8 bytes an entry that the caller holds while it keeps it."""
+    not yet made: it holds the two tensors and knows its shape, size and
+    dtype. `read_chunk` reads any run of it from the two stored sides, so
+    the merge kernel, `trim`, the interference report and `cosine` read it
+    a chunk at a time, or once into a buffer of theirs, and make nothing.
+    It is also an array-like: np.asarray and numpy's functions make it, by
+    `make`, anew at each call, as a whole tensor that the caller holds."""
 
     finetuned: Tensor
     base: Tensor
+    dtype = np.dtype(np.float64)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -58,6 +62,10 @@ class LazyDelta:
     @property
     def size(self) -> int:
         return self.finetuned.data.size
+
+    def ravel(self, order: str = "C") -> "LazyDelta":
+        """Itself: `read_chunk` reads it flat, in C order, as `make` lays it out."""
+        return self
 
     def make(self, put: Callable[[int, np.ndarray], None] | None = None) -> Tensor | None:
         """finetuned + -1 * base by `_merge_tensor`: an F64 tensor, or given
@@ -71,7 +79,7 @@ class LazyDelta:
 @dataclass
 class TaskVector:
     """Per-tensor float64 deltas (fine-tuned minus base), each an array or
-    a `LazyDelta`, which is made where it is read.
+    a `LazyDelta`, which is read from its two sides where it is used.
 
     `extras` carries fine-tuned-only tensors (e.g. task heads) under the
     copy_from_finetuned policy, for verbatim re-attachment on apply.
@@ -155,7 +163,7 @@ def load_task_vector(path, base: Checkpoint | None = None, policy: str = "error"
 
     Any other archive is taken as a fine-tuned checkpoint whose vector is
     extracted against `base` under `policy`, as `extract` makes it: each
-    delta is a `LazyDelta`, made where it is read. Without a base it is
+    delta is a `LazyDelta`, read where it is used. Without a base it is
     rejected.
     """
     ckpt = read_archive(path)
@@ -198,7 +206,7 @@ def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]], dtype: s
     stored = np.empty(n, src.dtype)
     acc = None if out.dtype == np.float64 else np.empty(n)  # float64 sums in `out` itself
     term = np.empty(n)
-    flat = [(d.reshape(-1), np.float64(lam),
+    flat = [(d.ravel(), np.float64(lam),
              term if d.dtype == np.float64 else np.empty(n, d.dtype)) for d, lam in deltas]
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, src.size, _CHUNK):
@@ -232,8 +240,8 @@ def tv_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]],
     """Scaled vector addition, out = base + sum(lam_i * tv_i), accumulated
     once in float64 and cast once per tensor. The operands are checked now;
     each tensor is merged when it is written or `materialize()`d, up to
-    `threads` at once in any order, so a written merge holds only scratch
-    and the `LazyDelta`s of the tensors in flight, made there."""
+    `threads` at once in any order, so a written merge holds only scratch,
+    a `LazyDelta` read into it a chunk at a time."""
     if not weighted:
         raise MergeError("tv_merge requires at least one (vector, weight) pair")
     for _, lam in weighted:
@@ -247,8 +255,8 @@ def _lazy_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]], thre
     """The base with each tensor that a vector holds merged by `_merge_tensor`
     from its [(delta, weight)] in vector order, or from what combine(name,
     those pairs) makes of them, and each extra the base lacks appended.
-    Every delta is checked against the base now; a `LazyDelta` is made in
-    the thread that makes its tensor, just before it is merged."""
+    Every delta is checked against the base now; a `LazyDelta` is read in
+    the thread that makes its tensor, as it is merged."""
     per_name: dict[str, list[tuple[np.ndarray | LazyDelta, float]]] = {}
     extras: dict[str, Tensor] = {}
     for tv, lam in weighted:
@@ -267,7 +275,7 @@ def _lazy_merge(base: Checkpoint, weighted: list[tuple[TaskVector, float]], thre
     def make(name: str, put) -> Tensor | None:
         if name not in per_name:
             return base[name] if name in base else extras[name]
-        deltas = [(np.asarray(d), lam) for d, lam in per_name[name]]
+        deltas = per_name[name]
         if combine is not None:
             deltas = combine(name, deltas)
         return _merge_tensor(base[name], deltas, base[name].dtype, put)

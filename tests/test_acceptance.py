@@ -358,8 +358,8 @@ _TENSOR = max(math.prod(shape) for shape in _LAYERS.values())  # entries of the 
     ("merge ties --base {r}/base.st --vector {r}/tau1.st --weight 1.0 --vector {r}/tau2.st "
      "--weight 0.5 --out {r}/ties.st", (2 + 2) * 8 * _TENSOR),
     ("interference --vector {r}/tau1.st --vector {r}/tau2.st", (2 + 2) * 8 * _TENSOR),
-    ("run --recipe {r}/ties.json", (2 * 2 + 4) * 8 * _TENSOR),
-    ("run --recipe {r}/tv.json", (2 + 2) * 8 * _TENSOR)],
+    ("run --recipe {r}/ties.json", (2 + 2) * 8 * _TENSOR),
+    ("run --recipe {r}/tv.json", 10 * 2**20)],
     ids=["diff", "cosine", "extract", "merge-ties", "interference", "run-ties", "run-tv"])
 def test_reports_and_extract_hold_scratch_not_tensors(report_inputs, command, margin):
     """diff, cosine and extract read by position into chunk scratch, and
@@ -368,14 +368,44 @@ def test_reports_and_extract_hold_scratch_not_tensors(report_inputs, command, ma
     works one tensor at a time and reads by position too: `merge ties` and
     `interference` hold one buffer per vector as long as the largest
     tensor, and about two more, so they peak within (vectors + 2) float64
-    copies of that tensor of `merge tv`. `run` makes a fine-tuned source's
-    delta per tensor: TV holds each vector's delta of one tensor and about
-    two more copies, and TIES, the report's buffers too, so about 2 x
-    vectors + 4."""
+    copies of that tensor of `merge tv`. `run` reads a fine-tuned source's
+    delta from its two sides: TV a chunk at a time, so within 10 MiB of
+    `merge tv`, and TIES once into each trim buffer, which the report's
+    buffers precede, so within (vectors + 2) copies too."""
     root, merge_peak = report_inputs
     peak = _child_peak(command.format(r=root).split())
     assert peak < merge_peak + margin, \
         f"peak {peak / 2**20:.1f} MiB against merge tv {merge_peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_ties_sweep_over_fine_tuned_sources_holds_its_buffers(tmp_path):
+    """A TIES `run --sweep` over three F32 fine-tuned sources reads each
+    delta once, into the trim buffer of its vector, trims it there and
+    writes the disjoint mean over the first: it peaks within (vectors + 2)
+    float64 copies of the largest tensor (400 x 400) of a `merge tv` of the
+    same vectors, stored, into the same base."""
+    layout = {"w0": (400, 400), "w1": (400, 400), **{f"b{i}": (1024,) for i in range(8)}}
+    rng = np.random.default_rng(26)
+    base = {n: rng.normal(size=s).astype(np.float32) for n, s in layout.items()}
+    save_archive(Checkpoint({n: Tensor("F32", a) for n, a in base.items()}), tmp_path / "base.st")
+    sources, vectors = [tmp_path / f"ft{j}.st" for j in range(3)], []
+    for j, source in enumerate(sources):
+        save_archive(Checkpoint({n: Tensor("F32", a + np.float32(0.01) * rng.normal(
+            size=a.shape).astype(np.float32)) for n, a in base.items()}), source)
+        vectors.append(tmp_path / f"tau{j}.st")
+        save_archive(extract_task_vector(read_archive(tmp_path / "base.st"),
+                                         read_archive(source)).to_checkpoint(), vectors[-1])
+    recipe = tmp_path / "sweep.json"
+    recipe.write_text(json.dumps({
+        "base": str(tmp_path / "base.st"), "method": "ties", "density": 0.2,
+        "lambda": {"grid": [0.5, 1.0]}, "output": str(tmp_path / "merged.st"),
+        "vectors": [{"source": str(source), "weight": 1.0} for source in sources]}))
+    merge_peak = _child_peak(_merge_tv_argv(tmp_path / "base.st", vectors, tmp_path / "tv.st"))
+    peak = _child_peak(["run", "--recipe", recipe, "--sweep"])
+    largest = 8 * 400 * 400
+    assert peak < merge_peak + (3 + 2) * largest, \
+        f"peak {peak / 2**20:.2f} MiB against merge tv {merge_peak / 2**20:.2f} MiB"
 
 
 def test_criterion_10_determinism(bench_runs):

@@ -90,6 +90,56 @@ class TestTrim:
         want = np.array(naive_trim(values, density), dtype=np.float64)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @staticmethod
+    def _trimmed_or_error(trimming, tv, density):
+        try:
+            return trimming(tv, density).deltas["w"].reshape(-1).view(np.uint64).tolist()
+        except MergeError as exc:
+            return str(exc)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_runs_of_keys_match_the_reference(self, data):
+        """trim ranks a tensor's keys (the top 31 bits of its magnitudes) in
+        runs of max(k, chunk scratch) that join the k largest so far, and
+        ranks the low words of the cut key's entries only where one of them
+        is left out. With a 64-entry scratch, tensors of up to 700
+        entries take from one run to many: against reference_trim, bit for
+        bit, with ties forced across the cut, keys shared by magnitudes that
+        differ in their low bits, one magnitude throughout, +-0.0 and
+        subnormals, and NaN or inf raising the reference's text."""
+        n = data.draw(st.integers(0, 700), label="n")
+        pool = data.draw(st.sampled_from([
+            [0.5, 1.0, 2.0],  # few magnitudes: ties across the cut
+            [1.0, 1.0 + 2**-40, 1.0 + 2**-52, 1.0 - 2**-53],  # one key, several magnitudes
+            [3.0],  # one magnitude throughout
+            [0.0, 5e-324, 1e-310, 2.2250738585072014e-308],  # zeros and subnormals
+        ]), label="pool")
+        elements = st.sampled_from([sign * m for m in pool for sign in (1.0, -1.0)])
+        if data.draw(st.booleans(), label="continuous"):
+            values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=n)
+        else:
+            values = data.draw(arrays(np.float64, n, elements=elements), label="values")
+        if n and data.draw(st.booleans(), label="non-finite"):
+            values[data.draw(st.integers(0, n - 1))] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+        density = data.draw(st.floats(0.0, 1.0, exclude_min=True), label="density")
+        tv = tv_of(values)
+        with mock.patch.object(ties_mod, "_READ_CHUNK", data.draw(st.sampled_from([64, 1 << 16]))):
+            got = self._trimmed_or_error(trim, tv, density)
+        assert got == self._trimmed_or_error(reference_trim, tv, density)
+
+    @pytest.mark.parametrize("kind", ["normal", "ties", "equal"])
+    @pytest.mark.parametrize("density", [0.05, 0.2, 0.7])
+    def test_tensors_above_the_chunk_scratch_match_the_reference(self, kind, density):
+        n = 3 * ties_mod._READ_CHUNK + 5
+        rng = np.random.default_rng(26)
+        values = {"normal": rng.normal(size=n), "ties": np.round(rng.normal(size=n), 2),
+                  "equal": np.where(rng.random(n) < 0.5, -0.25, 0.25)}[kind]
+        tv = tv_of(values)
+        assert (self._trimmed_or_error(trim, tv, density)
+                == self._trimmed_or_error(reference_trim, tv, density))
+
 
 class TestNonFinite:
     """Non-finite deltas have no magnitude rank: TIES rejects them, TV passes them on."""
@@ -273,6 +323,25 @@ class TestDisjointMerge:
         np.testing.assert_array_equal(
             np.sign(merged.deltas["w"])[nz], signs["w"][nz])
 
+    def test_out_may_be_the_buffer_of_the_first_trimmed_vector(self):
+        """ties_merge writes the disjoint mean over the first vector's trimmed
+        entries: each chunk of every vector is read before that chunk of the
+        mean is written, so the bytes are a fresh output's."""
+        rng = np.random.default_rng(26)
+        shapes = {"a": (3 * ties_mod._CHUNK + 7,), "b": (5, 3)}
+        tvs = [TaskVector.from_arrays({n: rng.normal(size=s) for n, s in shapes.items()})
+               for _ in range(3)]
+        buffer = np.empty(sum(math.prod(s) for s in shapes.values()))
+        trimmed = [trim(tvs[0], 0.3, out=buffer)] + [trim(tv, 0.3) for tv in tvs[1:]]
+        weights = [1.0, 0.5, 2.0]
+        signs = elect_signs(trimmed, weights)
+        want = {n: d.tobytes() for n, d in disjoint_merge(trimmed, weights, signs).deltas.items()}
+        got = disjoint_merge(trimmed, weights, signs, out=buffer).deltas
+        assert {n: d.tobytes() for n, d in got.items()} == want
+        assert all(np.shares_memory(d, buffer) for d in got.values())
+        with pytest.raises(ValueError, match=f"{buffer.size} or more entries"):
+            disjoint_merge(trimmed, weights, signs, out=buffer[1:])
+
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -361,7 +430,9 @@ class TestAllocationCeiling:
     included. The whole-tensor kernels peaked at 2.125 (trim), 2.125
     (elect), 4.125 (disjoint) and 5.125 (interference). Each ceiling is at
     most that, and half a tensor above the chunked kernel's own peak, so
-    one more full-size temporary breaks it."""
+    one more full-size temporary breaks it: trim reads into its output and
+    ranks keys in a buffer of k + max(k, chunk) 4-byte entries (1.29), and
+    interference holds one buffer per vector and their signs (3.75)."""
 
     N = 1 << 20
 
@@ -373,7 +444,7 @@ class TestAllocationCeiling:
         return tvs, trimmed, elect_signs(trimmed, [1.0, 0.5, 2.0])
 
     @pytest.mark.parametrize("kernel, ceiling", [
-        ("trim", 1.5), ("elect", 0.75), ("disjoint", 1.75), ("interference", 5.125)])
+        ("trim", 1.5), ("elect", 0.75), ("disjoint", 1.75), ("interference", 4.25)])
     def test_peak(self, vectors, kernel, ceiling):
         tvs, trimmed, signs = vectors
         weights = [1.0, 0.5, 2.0]

@@ -151,6 +151,41 @@ class TestLazyDelta:
                                              threads=threads))
                     == write_archive(ties_merge(base, [(made[0], 1.0), (made[1], 2.0)], 0.3)))
 
+    @settings(max_examples=80, deadline=None)
+    @given(finetuned=st.sampled_from(DTYPES), base=st.sampled_from(DTYPES),
+           mapped=st.tuples(st.booleans(), st.booleans()), extreme=st.booleans(),
+           size=st.sampled_from([0, 1, store_mod._CHUNK - 1, store_mod._CHUNK,
+                                 store_mod._CHUNK + 1, 2 * store_mod._CHUNK + 3]),
+           data=st.data())
+    def test_read_chunk_gives_the_bits_make_gives(self, tmp_path_factory, finetuned, base,
+                                                  mapped, extreme, size, data):
+        """read_chunk reads any run of a LazyDelta from its two stored sides,
+        mapped or in memory, a chunk at a time, into the caller's float64
+        buffer, with the bits `make` gives: two F64 sides that overflow give
+        +-inf, and a NaN is the positive quiet NaN."""
+        start = data.draw(st.integers(0, size), label="start")
+        count = data.draw(st.integers(0, size - start), label="count")
+        rng = np.random.default_rng(size)
+        values = rng.normal(size=(2, size))
+        if extreme:
+            values[0, ::3], values[1, ::3] = 1.7e308, -1.7e308  # F64 - F64 overflows to inf
+            values[0, 1::3], values[1, 1::3] = -1.7e308, 1.7e308
+            values[0, 2::7], values[1, 5::11] = np.nan, -np.inf
+        root = tmp_path_factory.mktemp("lazy")
+        sides = []
+        for side, (dtype, on_map) in enumerate(zip((finetuned, base), mapped)):
+            with np.errstate(over="ignore"):  # 1.7e308 narrows to inf
+                tensor = Tensor(dtype, narrow(values[side], dtype))
+            if on_map:
+                save_archive(Checkpoint({"w": tensor}), root / f"{side}.st")
+                tensor = read_archive(root / f"{side}.st")["w"]
+            sides.append(tensor)
+        delta = tv_mod.LazyDelta(*sides)
+        out = np.full(count, 7.0)
+        got = store_mod.read_chunk(delta, start, out)
+        assert delta.dtype == np.float64 and got is out
+        assert got.tobytes() == delta.make().data[start:start + count].tobytes()
+
     @pytest.mark.parametrize("magnitude", [1.0, 1e300])  # 1e300 takes the rescaled path
     def test_cosine_holds_one_tensor_of_an_unmade_vector(self, magnitude):
         """cosine makes the two deltas of one tensor at a time, at each pass,
