@@ -8,6 +8,7 @@ archive, merge, and diff machinery as any other checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -70,35 +71,37 @@ def forward(model: Checkpoint, X: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    """Softmax along the last axis, shifted by a column-by-column max. A max does not
+    round and exp(±0.0) is 1.0, so all but NaN payloads match `logits.max(axis=-1)`."""
+    top = reduce(np.maximum, (logits[..., j] for j in range(logits.shape[-1])))
+    e = np.exp(logits - top[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def _workspace(k: int, n: int, h: int) -> list[np.ndarray]:
-    """The k x n x h buffers of one stacked step, reused across epochs:
-    z, hidden, d_z, and the ReLU mask as uint64, all ones where z > 0
-    and zero elsewhere (NaN z included)."""
-    return [np.empty((k, n, h)) for _ in range(3)] + [np.empty((k, n, h), dtype=np.uint64)]
+    """The three k x n x h buffers of one stacked step, reused across epochs:
+    hidden (first the pre-activation z), d_z, and the ReLU mask as uint64,
+    all ones where hidden > 0 (exactly where z > 0, NaN and ±0.0 too), else zero."""
+    return [np.empty((k, n, h)) for _ in range(2)] + [np.empty((k, n, h), dtype=np.uint64)]
 
 
 def _step(params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray, work: list[np.ndarray]):
     """Mean softmax cross-entropy per model and analytic gradients per
     tensor for a stack of k models that share one dataset.
 
-    `params` maps each tensor name to a (k, ...) array, and `work` holds
-    at least k slices. Every matmul is stacked, so BLAS runs one gemm
-    per slice, and every sum runs along one slice's axis in the order of
-    a single model's step: each slice's bits equal its solo step's.
-    The returned gradients never alias `work`.
+    `params` maps each tensor name to a (k, ...) array, and `work` holds at least k
+    slices. Every matmul is stacked, so BLAS runs one gemm per slice, and every sum
+    runs along one slice's axis in the order of a single model's step: each slice's
+    bits equal its solo step's. ReLU runs in place in `hidden`, so the mask is
+    `hidden > 0`. The returned gradients never alias `work`.
     """
     w0, w1 = params["layer0.weight"], params["layer1.weight"]
     k, n, rows = len(w0), len(y), np.arange(len(y))
-    z, hidden, d_z, keep = (buf[:k] for buf in work)
+    hidden, d_z, keep = (buf[:k] for buf in work)
     X = np.asarray(X, dtype=np.float64)
-    np.matmul(X, w0.transpose(0, 2, 1), out=z)
-    z += params["layer0.bias"][:, None]
-    np.maximum(z, 0.0, out=hidden)
+    np.matmul(X, w0.transpose(0, 2, 1), out=hidden)
+    hidden += params["layer0.bias"][:, None]
+    np.maximum(hidden, 0.0, out=hidden)
     probs = softmax(hidden @ w1.transpose(0, 2, 1) + params["layer1.bias"][:, None])
     with np.errstate(divide="ignore"):
         # a zero probability yields inf loss, reported as divergence upstream;
@@ -110,7 +113,7 @@ def _step(params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray, work: lis
     g /= n
     np.matmul(g, w1, out=d_z)
     # the ReLU mask as a bit AND: +0.0 where z is not > 0, d_z kept elsewhere
-    np.greater(z, 0.0, out=keep)
+    np.greater(hidden, 0.0, out=keep)
     np.negative(keep, out=keep)
     bits = d_z.view(np.uint64)
     np.bitwise_and(bits, keep, out=bits)

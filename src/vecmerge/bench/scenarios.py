@@ -97,7 +97,10 @@ def run_bench(scenarios: list[str], seeds: list[int], sizes: BenchSizes | None =
               cfg: TrainConfig | None = None) -> dict:
     """Each scenario's test macro-F1 per seed, their mean and std, and the
     merge scenarios' per-seed sweep choices, over shared per-seed contexts.
-    Scenario names and the seed list are checked before any context is built."""
+    Scenario names and the seed list are checked before any context is built.
+    Contexts are built one seed at a time, each dropped before the next. Per
+    seed, the context comes first, then the scenarios in the order given
+    (`SCENARIOS` order from the CLI), and the first error in that order is raised."""
     for name in scenarios:
         if name not in SCENARIOS:
             raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
@@ -105,17 +108,21 @@ def run_bench(scenarios: list[str], seeds: list[int], sizes: BenchSizes | None =
         raise ValueError("the bench needs at least one seed")
     sizes = sizes or BenchSizes()
     cfg = cfg or TrainConfig()
-    contexts = [_SeedContext(seed, sizes, cfg) for seed in seeds]
+    runs = {name: [] for name in scenarios}
+    for seed in seeds:
+        ctx = _SeedContext(seed, sizes, cfg)
+        for name in runs:
+            runs[name].append(_run_pipeline(name, ctx))
+        del ctx  # freed before the next seed's context is built
     reports = {}
     for name in scenarios:
-        runs = [_run_pipeline(name, ctx) for ctx in contexts]
-        scores = [f1 for f1, _ in runs]
+        scores = [f1 for f1, _ in runs[name]]
         mean = sum(scores) / len(scores)
         std = (sum((s - mean) ** 2 for s in scores) / len(scores)) ** 0.5
         reports[name] = {
             "name": name, "seeds": list(seeds), "per_seed_f1": scores, "mean_f1": mean,
             "std_f1": std, "sizes": asdict(sizes), "train_config": asdict(cfg),
             "selected": [{"seed": seed, **info}
-                         for seed, (_, info) in zip(seeds, runs) if info is not None]}
+                         for seed, (_, info) in zip(seeds, runs[name]) if info is not None]}
     return {"scenarios": reports, "seeds": list(seeds), "sizes": asdict(sizes),
             "train_config": asdict(cfg)}

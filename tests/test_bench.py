@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +23,7 @@ from vecmerge.bench import (BenchSizes, Dataset, DivergenceError, ModelSpec,
 from vecmerge.bench import data as bench_data
 from vecmerge.bench import scenarios as bench_scenarios
 from vecmerge.bench.model import _step, _workspace, softmax
-from vecmerge.bench.scenarios import _SeedContext
+from vecmerge.bench.scenarios import SCENARIOS, _SeedContext
 from vecmerge.cli import main
 
 from helpers import (blas_core_types, naive_gaussians, naive_gen_dataset, naive_loss_and_grads,
@@ -224,6 +225,26 @@ class TestForward:
         rng = np.random.default_rng(0)
         probs = softmax(rng.normal(size=(50, 7)) * 20)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @given(lead=st.sampled_from([(), (4,), (3, 5)]), c=st.integers(1, 9), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_softmax_matches_the_max_form_bits(self, lead, c, data):
+        special = st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 700.0, -750.0])
+        size = math.prod(lead) * c
+        values = data.draw(st.lists(st.one_of(special, st.floats(width=64)),
+                                    min_size=size, max_size=size))
+        logits = np.array(values).reshape(*lead, c)
+        with np.errstate(all="ignore"):
+            got = softmax(logits)
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            want = e / e.sum(axis=-1, keepdims=True)
+        # a NaN's sign and payload are whatever numpy's max loops pass on; with
+        # only the default quiet NaN in the input, the raw bits agree too
+        canonical = [_bits(np.where(np.isnan(a), np.nan, a)) for a in (got, want)]
+        assert canonical[0] == canonical[1]
+        nans = logits[np.isnan(logits)]
+        if _bits(nans) == _bits(np.full(len(nans), np.nan)):
+            assert _bits(got) == _bits(want)
 
 
 class TestTrain:
@@ -445,6 +466,28 @@ class TestTrainStack:
         assert info.value.epoch == 0
         assert np.isnan(losses[2]) and np.isfinite(np.delete(losses, 2)).all()
 
+    def test_stacked_non_finite_pre_activations_match_naive_bits(self):
+        # the mask is taken from hidden after relu: NaN, +-inf and zero
+        # pre-activations in every slice of a stack of three
+        data = gen_dataset("L1", 30, self.spec, 0)
+        models = [init_model(self.spec, i) for i in range(3)]
+        stacked = {n: np.stack([m.values(n) for m in models]) for n in models[0].names()}
+        stacked["layer0.weight"][:, 5] = 0.0
+        stacked["layer0.bias"][:, 5] = -0.0
+        stacked["layer0.weight"][0, 2, 0] = np.nan
+        stacked["layer0.bias"][1, 3] = -np.inf
+        stacked["layer0.bias"][2, [1, 4]] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            losses, grads = _step(stacked, data.X, data.y, _workspace(3, 30, 6))
+            for i in range(3):
+                params = {n: p[i] for n, p in stacked.items()}
+                want_loss, want_grads = naive_loss_and_grads(params, data.X, data.y)
+                assert _bits(losses[i]) == _bits(want_loss)
+                for name, g in grads.items():
+                    assert _bits(g[i]) == _bits(want_grads[name])
+        assert np.isnan(losses[[0, 2]]).all() and np.isfinite(losses[1])
+        assert (grads["layer0.bias"][1, [3, 5]] == 0).all()
+
     @pytest.mark.parametrize("order", [
         ("ok", "late", "ok", "early", "ok"),
         ("early", "late", "ok"),
@@ -584,6 +627,46 @@ class TestScenarios:
         with pytest.raises(ValueError, match=message):
             run_bench(names[-1:], seeds, SMALL, FAST)
         assert built == []
+
+    def test_one_seed_context_is_alive_at_a_time(self, monkeypatch):
+        alive, most = weakref.WeakSet(), []
+
+        class Counted(_SeedContext):
+            def __init__(self, *args):
+                alive.add(self)
+                most.append(len(alive))
+                super().__init__(*args)
+
+        monkeypatch.setattr(bench_scenarios, "_SeedContext", Counted)
+        report = run_bench(SCENARIOS, [0, 1, 2], SMALL, FAST)
+        assert most == [1, 1, 1]
+        assert [len(rep["per_seed_f1"]) for rep in report["scenarios"].values()] == [3] * 5
+
+    @pytest.mark.parametrize("failing", [None, "seq_ft"])
+    def test_errors_surface_in_seed_major_order(self, monkeypatch, failing):
+        ran = []
+
+        def context(seed, sizes, cfg):
+            if seed == 1:
+                raise RuntimeError("context of seed 1")
+            return seed
+
+        def pipeline(name, seed):
+            ran.append((seed, name))
+            if name == failing:
+                raise RuntimeError(f"{name} of seed {seed}")
+            return 0.5, None
+
+        monkeypatch.setattr(bench_scenarios, "_SeedContext", context)
+        monkeypatch.setattr(bench_scenarios, "_run_pipeline", pipeline)
+        with pytest.raises(RuntimeError) as err:
+            run_bench(SCENARIOS, [0, 1], SMALL, FAST)
+        if failing:
+            assert str(err.value) == "seq_ft of seed 0"
+            assert ran == [(0, "full_ft"), (0, "seq_ft")]
+        else:
+            assert str(err.value) == "context of seed 1"
+            assert ran == [(0, name) for name in SCENARIOS]
 
     def test_a_scenarios_report_does_not_depend_on_the_others(self):
         alone = run_bench(["ties_merge_ft"], [1], SMALL, FAST)["scenarios"]["ties_merge_ft"]
