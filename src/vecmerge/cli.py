@@ -41,7 +41,7 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_extract(args) -> int:
     tv = extract(read_archive(args.base), read_archive(args.finetuned), args.on_mismatch)
-    save_archive(tv.to_checkpoint(), args.out)  # each delta is made as it is written
+    save_archive(tv.to_checkpoint(), args.out)  # each delta is read by chunks as it is written
     print(_json({"deltas": len(tv.deltas), "extras": sorted(tv.extras), "ignored": tv.ignored,
                  "out": args.out}))
     return 0

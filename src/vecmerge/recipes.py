@@ -200,7 +200,7 @@ def expand_sweep(recipe: MergeRecipe) -> list[MergeRecipe]:
 def execute_recipe(recipe: MergeRecipe, threads: int = 1) -> dict:
     """Run one grid-free recipe: load, merge, write atomically. A
     fine-tuned source is never extracted whole: its deltas are
-    `LazyDelta`s, which the report and the merge make one tensor at a
+    `LazyDelta`s, which the report and the merge read one tensor at a
     time. Returns the outcome `vecmerge run` prints: output path, tensor
     count, wall time, and for TIES the interference report."""
     if recipe.grids():

@@ -41,7 +41,7 @@ def _pairwise(arrays: list[np.ndarray], terms: Callable, ufunc=np.add) -> np.nda
 def _raveled(*arrays: np.ndarray | LazyDelta) -> list[np.ndarray | LazyDelta]:
     """Same-shape deltas as 1-d, in the element order numpy's elementwise
     operations take: their memory order where all share one, else C order,
-    which is a `LazyDelta`'s (as `make` lays it out)."""
+    which is the order `read_chunk` reads a `LazyDelta` in."""
     layouts = {tuple(s / a.itemsize for s in a.strides) if isinstance(a, np.ndarray) else None
                for a in arrays}
     return [a.ravel("K" if len(layouts) == 1 else "C") for a in arrays]

@@ -14,8 +14,8 @@ Every tensor holds one form, its stored form: the archive encoding, with
 BF16 as uint16 bits (see dtypes). Its `values` are a decoded view, made
 anew at each read and never cached. Files are mapped read-only, and
 nothing is copied at read: each tensor's data is a view of the map or of
-the bytes read, which may be misaligned. The merge kernel (extract runs
-it too), the writer, `diff`, `cosine` and the TIES kernels (`trim`, so
+the bytes read, which may be misaligned. The merge kernel, the writer,
+`extract`, `diff`, `cosine` and the TIES kernels (`trim`, so
 `interference` and `ties`) read mapped data chunk by chunk with
 `read_chunk`, a positioned read, so they hold no mapped page, and raise
 ArchiveError on a file truncated after it was read. `read_chunk` reads a
@@ -141,14 +141,14 @@ class LazyCheckpoint:
 
     `layout` maps each name to its (dtype, shape), so the header, and each
     tensor's place in the file, is fixed before any tensor is made.
-    `make(name, put)` returns tensor `name` whole, or, given `put`, may
-    instead hand its stored elements to `put(start, data)` in 1-d pieces
-    that go at flat index `start` and return None. The writer and
-    `materialize` make each tensor once, up to `threads` at once, in any
-    order."""
+    `make(name, put)` returns tensor `name` whole, or hands its stored
+    elements to `put(start, data)` in 1-d pieces that go at flat index
+    `start` and returns None. The writer and `materialize`, which copies
+    the pieces into a new array, make each tensor once, up to `threads` at
+    once, in any order, and check it against the layout alike (see _make)."""
 
     layout: dict[str, tuple[str, tuple[int, ...]]]
-    make: Callable[[str, Callable[[int, np.ndarray], None] | None], Tensor | None]
+    make: Callable[[str, Callable[[int, np.ndarray], None]], Tensor | None]
     metadata: dict[str, str] | None = None
     threads: int = 1
 
@@ -159,9 +159,41 @@ class LazyCheckpoint:
         return sorted(self.layout)
 
     def materialize(self) -> Checkpoint:
+        def made(name: str) -> Tensor:
+            dtype, shape = self.layout[name]
+            data = np.empty(math.prod(shape), storage_dtype(dtype))
+            tensor = _make(self, name, lambda at, piece: np.copyto(data[at:at + piece.size], piece))
+            return Tensor(dtype, data.reshape(shape)) if tensor is None else tensor
+
         names = self.names()
-        made = _each(lambda name: self.make(name, None), names, self.threads)
-        return Checkpoint(dict(zip(names, made)), self.metadata)
+        return Checkpoint(dict(zip(names, _each(made, names, self.threads))), self.metadata)
+
+
+def _make(checkpoint: LazyCheckpoint, name: str,
+          place: Callable[[int, np.ndarray], None]) -> Tensor | None:
+    """checkpoint.make(name, put), each piece checked as put gets it before
+    place(at, piece) takes it: a piece of another dtype or past the end, a
+    whole tensor unlike the layout or a tensor left short raise ValueError."""
+    dtype, shape = checkpoint.layout[name]
+    size, made = math.prod(shape), 0
+
+    def unlike(what: str) -> ValueError:
+        return ValueError(f"tensor {name!r} was made as {what} "
+                          f"where the header holds {name!r} {dtype} {list(shape)}")
+
+    def put(at: int, piece: np.ndarray) -> None:
+        nonlocal made
+        if piece.dtype != storage_dtype(dtype) or not 0 <= at <= size - piece.size:
+            raise unlike(f"{piece.dtype} elements [{at}, {at + piece.size})")
+        place(at, piece)
+        made += piece.size
+
+    tensor = checkpoint.make(name, put)
+    if tensor is not None and (tensor.dtype, tensor.shape) != (dtype, shape):
+        raise unlike(f"{tensor.dtype} {list(tensor.shape)}")
+    if tensor is None and made != size:
+        raise unlike(f"{made} elements")
+    return tensor
 
 
 def _each(fn: Callable, items: list, threads: int) -> list:
@@ -315,8 +347,8 @@ def read_chunk(array, start: int, out: np.ndarray) -> np.ndarray:
     page of the map, if `array` views a map read_archive made and has out's
     dtype; else its own view of them (in memory, over bytes, a caller's map).
     A `LazyDelta` (see tv), flat in C order, fills `out` (float64) with
-    widen(finetuned) - base, the subtraction its `make` does, so the same
-    bits, a chunk at a time from the two sides, each read so."""
+    widen(finetuned) - base, a chunk at a time from the two sides, each
+    read so (see _read_delta)."""
     if not isinstance(array, np.ndarray):
         return _read_delta(array, start, out)
     view = array.base
@@ -336,7 +368,19 @@ def read_chunk(array, start: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def read_chunks(array) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, the chunk there) over flat stored form `array`, a `LazyDelta`
+    too, each read by `read_chunk` into one scratch that the next reuses."""
+    flat = array.ravel()
+    scratch = np.empty(min(flat.size, _CHUNK), flat.dtype)
+    for start in range(0, flat.size, _CHUNK):
+        yield start, read_chunk(flat, start, scratch[:flat.size - start])
+
+
 def _read_delta(delta, start: int, out: np.ndarray) -> np.ndarray:
+    """The one definition of a delta's bits, read by extract archives,
+    np.asarray, `trim`, the merge and the reports; each NaN is written as
+    the positive quiet NaN, which extract archives and np.asarray get here alone."""
     finetuned, base = delta.finetuned.data.reshape(-1), delta.base.data.reshape(-1)
     n = min(out.size, _CHUNK)
     narrow_side = None if finetuned.dtype == np.float64 else np.empty(n, finetuned.dtype)
@@ -348,8 +392,7 @@ def _read_delta(delta, start: int, out: np.ndarray) -> np.ndarray:
             widen(read_chunk(finetuned, start + at, part if narrow_side is None
                              else narrow_side[:k]), part)
             stored = read_chunk(base, start + at, base_side[:k])
-            np.subtract(part, decode(stored, "BF16") if stored.dtype == np.uint16 else stored,
-                        out=part)
+            np.subtract(part, decode(stored, delta.base.dtype), out=part)
             part[np.isnan(part)] = np.nan
     return out
 
@@ -380,7 +423,7 @@ def _write(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str,
     """Write an archive into `fh` by position: the header, from dtypes and
     shapes alone, then each tensor at its own offset, in pieces as it is
     made, from whatever thread makes it. A whole tensor is copied chunk by
-    chunk through `read_chunk`, so a mapped one is read by position."""
+    chunk (see read_chunks), so a mapped one is read by position."""
     if dtype_policy != "keep" and dtype_policy not in DTYPE_SIZES:
         raise ValueError(f"invalid dtype policy {dtype_policy!r}")
     header: dict[str, dict] = {}
@@ -398,7 +441,6 @@ def _write(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str,
         offset += nbytes
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
     start = 8 + len(header_bytes)
-    made = dict.fromkeys(layout, 0)  # elements written, per tensor
     lazy = isinstance(checkpoint, LazyCheckpoint)
     positioned = hasattr(os, "pwrite") and isinstance(fh, io.FileIO)
     seeking = threading.Lock()  # keeps each seek with its write
@@ -416,37 +458,20 @@ def _write(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str,
                 raise OSError(f"write at byte {offset + done} made no progress")
             done += got
 
-    def unlike(name: str, what: str) -> ValueError:
-        dtype, shape = layout[name]
-        return ValueError(f"tensor {name!r} was made as {what} "
-                          f"where the header holds {name!r} {dtype} {list(shape)}")
-
-    def put(name: str, first: int, data: np.ndarray) -> None:
-        (dtype, shape), stored = layout[name], header[name]["dtype"]
-        if data.dtype != storage_dtype(dtype) or not 0 <= first <= math.prod(shape) - data.size:
-            raise unlike(name, f"{data.dtype} elements [{first}, {first + data.size})")
-        piece = encode(data if stored == dtype else narrow(widen(data), stored), stored)
-        write_at(piece.view(np.uint8), start + header[name]["data_offsets"][0]
-                 + first * dtype_size(stored))
-        made[name] += data.size  # one thread makes each tensor
-
     def make(name: str) -> None:
-        tensor = (checkpoint.make(name, lambda first, data: put(name, first, data)) if lazy
-                  else checkpoint[name])
-        if tensor is None:
-            return
-        if (tensor.dtype, tensor.shape) != layout[name]:
-            raise unlike(name, f"{tensor.dtype} {list(tensor.shape)}")
-        data = tensor.data.reshape(-1)
-        scratch = np.empty(min(data.size, _CHUNK), data.dtype)
-        for first in range(0, data.size, _CHUNK):
-            put(name, first, read_chunk(data, first, scratch[:min(_CHUNK, data.size - first)]))
+        dtype, stored = layout[name][0], header[name]["dtype"]
+
+        def place(at: int, data: np.ndarray) -> None:
+            piece = encode(data if stored == dtype else narrow(widen(data), stored), stored)
+            write_at(piece.view(np.uint8),
+                     start + header[name]["data_offsets"][0] + at * dtype_size(stored))
+
+        tensor = _make(checkpoint, name, place) if lazy else checkpoint[name]
+        for at, chunk in read_chunks(tensor.data) if tensor is not None else ():
+            place(at, chunk)
 
     write_at(np.frombuffer(len(header_bytes).to_bytes(8, "little") + header_bytes, np.uint8), 0)
     _each(make, list(layout), checkpoint.threads if lazy else 1)
-    for name, (_, shape) in layout.items():
-        if made[name] != math.prod(shape):
-            raise unlike(name, f"{made[name]} elements")
 
 
 def write_archive(checkpoint: Checkpoint | LazyCheckpoint, dtype_policy: str = "keep") -> bytes:

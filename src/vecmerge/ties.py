@@ -6,7 +6,7 @@ mean, so `ties_merge` makes each tensor alone when it is written, as
 delta of the tensor, a `LazyDelta` read from its two stored sides too,
 is read once into its buffer and trimmed in place, and the disjoint mean
 is written over the first buffer. So a merge holds no whole trimmed or
-extracted vector, and no made delta. Per-vector weights
+extracted vector, and no whole delta. Per-vector weights
 enter both the sign election and the disjoint weighted mean, which keeps
 the single-vector, density-1 case an exact reduction to plain scaled
 vector addition.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .dtypes import decode
 from .tensor_store import _CHUNK as _READ_CHUNK
-from .tensor_store import Checkpoint, LazyCheckpoint, Tensor, read_chunk
+from .tensor_store import Checkpoint, LazyCheckpoint, read_chunk, read_chunks
 from .tv import LazyDelta, MergeError, TaskVector, _lazy_merge
 
 DEFAULT_DENSITY = 0.2
@@ -86,33 +86,25 @@ def _check_trimmable(tvs: list[TaskVector], density: float) -> None:
     difference with any finite value is finite. Only a `LazyDelta` of two
     F64 sides may overflow (1.7e308 - -1.7e308 is inf), so it alone is
     read as the delta. All are read a chunk at a time by position (see
-    read_chunk); a chunk whose sum is finite holds no NaN or inf, so only
+    read_chunks); a chunk whose sum is finite holds no NaN or inf, so only
     the others are checked entry by entry."""
     _check_density(density)
-    size = min(_READ_CHUNK, max((d.size for tv in tvs for d in tv.deltas.values()), default=0))
-    scratch: dict[np.dtype, np.ndarray] = {}
-    seen: dict[int, bool] = {}  # id of a delta or Tensor the vectors hold -> finite
+    seen: dict[int, bool] = {}  # id of a delta or stored array the vectors hold -> finite
 
     def finite(chunk: np.ndarray) -> bool:
         if chunk.dtype == np.uint16:
             chunk = decode(chunk, "BF16")
         return math.isfinite(np.add.reduce(chunk)) or bool(np.isfinite(chunk).all())
 
-    def all_finite(stored: np.ndarray | Tensor | LazyDelta) -> bool:
+    def all_finite(stored: np.ndarray | LazyDelta) -> bool:
         if id(stored) not in seen:
-            flat = stored.data.reshape(-1) if isinstance(stored, Tensor) else stored.ravel()
-            if flat.dtype not in scratch:
-                scratch[flat.dtype] = np.empty(size, flat.dtype)
-            buffer = scratch[flat.dtype]
-            seen[id(stored)] = all(
-                finite(read_chunk(flat, start, buffer[:min(size, flat.size - start)]))
-                for start in range(0, flat.size, _READ_CHUNK))
+            seen[id(stored)] = all(finite(chunk) for _, chunk in read_chunks(stored))
         return seen[id(stored)]
 
     with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow, and inf - inf is NaN
         for tv in tvs:
             for name, d in tv.deltas.items():
-                sides = ((d.base, d.finetuned) if isinstance(d, LazyDelta)
+                sides = ((d.base.data, d.finetuned.data) if isinstance(d, LazyDelta)
                          and not d.finetuned.dtype == d.base.dtype == "F64" else (d,))
                 if not all(map(all_finite, sides)):
                     raise MergeError(f"tensor {name!r}: non-finite delta cannot be trimmed")

@@ -5,19 +5,15 @@ merge rounds each element once, to its base tensor's dtype. A writer's
 `dtype_policy` other than "keep" (a recipe's `dtype`) casts that rounded
 result, so where the policy's dtype is not the base's, an element is
 rounded twice, not once to the dtype written. One kernel,
-`_merge_tensor`, merges and extracts (fine-tuned + -1 * base, kept as
-float64). It goes through the operands' stored forms in cache-sized
-chunks, read by position where the file is mapped (see `read_chunk`), so
+`_merge_tensor`, merges, a cache-sized chunk at a time, each operand
+read by position where the file is mapped (see `read_chunk`), so
 temporaries stay small whatever the tensor size and no mapped page is
 touched. A merge (`tv_merge`) and a vector's archive
-(`TaskVector.to_checkpoint`) are `LazyCheckpoint`s: the writer takes
-each rounded chunk from the kernel's scratch to its offset in the file,
-so threads make whole tensors in any order and hold only their scratch;
-`materialize()` keeps them in memory instead. A vector extracted from a
-fine-tuned checkpoint holds `LazyDelta`s, which `read_chunk` reads as
-the difference of their two stored sides, a chunk at a time: the merge
-kernel reads them chunk by chunk, and TIES once, straight into its trim
-buffer, so no whole extracted vector, nor any made delta, is held.
+(`TaskVector.to_checkpoint`) are `LazyCheckpoint`s whose makers hand
+each chunk on as it is made, so threads make whole tensors in any order
+and hold only their scratch. A vector extracted from a fine-tuned
+checkpoint holds `LazyDelta`s, read as the difference of their two
+stored sides (see `read_chunk`), so no whole extracted vector is held.
 """
 
 from __future__ import annotations
@@ -27,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dtypes import decode, narrow, storage_dtype, widen
+from .dtypes import narrow, storage_dtype, widen
 from .tensor_store import (_CHUNK, ArchiveError, Checkpoint, LazyCheckpoint, Tensor,
-                           read_archive, read_chunk)
+                           read_archive, read_chunk, read_chunks)
 
 TASK_VECTOR_KIND = "task_vector"
 KIND_KEY = "vecmerge.kind"
@@ -44,12 +40,9 @@ class MergeError(ValueError):
 @dataclass(frozen=True)
 class LazyDelta:
     """The float64 delta of a fine-tuned tensor against its base tensor,
-    not yet made: it holds the two tensors and knows its shape, size and
-    dtype. `read_chunk` reads any run of it from the two stored sides, so
-    the merge kernel, `trim`, the interference report and `cosine` read it
-    a chunk at a time, or once into a buffer of theirs, and make nothing.
-    It is also an array-like: np.asarray and numpy's functions make it, by
-    `make`, anew at each call, as a whole tensor that the caller holds."""
+    unread: it holds the two tensors and knows its shape, size and dtype.
+    `read_chunk` reads any run of it from the two stored sides, and numpy,
+    as it is an array-like, reads it whole, anew at each call."""
 
     finetuned: Tensor
     base: Tensor
@@ -64,16 +57,11 @@ class LazyDelta:
         return self.finetuned.data.size
 
     def ravel(self, order: str = "C") -> "LazyDelta":
-        """Itself: `read_chunk` reads it flat, in C order, as `make` lays it out."""
+        """Itself: `read_chunk` reads it flat, in C order."""
         return self
 
-    def make(self, put: Callable[[int, np.ndarray], None] | None = None) -> Tensor | None:
-        """finetuned + -1 * base by `_merge_tensor`: an F64 tensor, or given
-        `put`, its chunks handed on as the kernel makes them."""
-        return _merge_tensor(self.finetuned, [(self.base.data, -1.0)], "F64", put)
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:  # numpy casts to `dtype`
-        return self.make().data
+        return read_chunk(self, 0, np.empty(self.size)).reshape(self.shape)
 
 
 @dataclass
@@ -99,11 +87,11 @@ class TaskVector:
         return {KIND_KEY: TASK_VECTOR_KIND, "vecmerge.origin": self.origin}
 
     def to_checkpoint(self) -> LazyCheckpoint:
-        """The deltas as F64 tensors, each `LazyDelta` made as it is written,
-        so a written vector holds the kernel's scratch, not its deltas."""
-        def make(name: str, put) -> Tensor | None:
-            d = self.deltas[name]
-            return d.make(put) if isinstance(d, LazyDelta) else Tensor("F64", np.asarray(d))
+        """The deltas as F64 tensors, each read a chunk at a time as it is
+        written (see read_chunks), so a written vector holds no delta."""
+        def make(name: str, put) -> None:
+            for start, chunk in read_chunks(self.deltas[name]):
+                put(start, chunk)
 
         return LazyCheckpoint({name: ("F64", d.shape) for name, d in self.deltas.items()}, make,
                               self.metadata)
@@ -191,42 +179,36 @@ def scale(tv: TaskVector, lam: float) -> TaskVector:
     return out
 
 
-def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray, float]], dtype: str,
-                  put: Callable[[int, np.ndarray], None] | None = None) -> Tensor | None:
-    """base + sum(lam*delta) in float64, chunk by chunk, each read into
-    per-call scratch (see read_chunk), rounded once to `dtype`'s stored
-    form: into a new Tensor, returned, or, given `put`, into scratch handed
-    on as put(start, chunk). A delta is float64 or a stored form. Every NaN
-    is written as the positive quiet NaN of `dtype`, since sign and payload
-    follow numpy's loop choice and so the chunk length and CPU. Overflow
-    and NaN are results, not warnings, in pool threads too."""
+def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray | LazyDelta, float]], dtype: str,
+                  put: Callable[[int, np.ndarray], None]) -> None:
+    """base + sum(lam*delta) in float64, chunk by chunk, each operand read
+    into per-call scratch (see read_chunk), rounded once to `dtype`'s
+    stored form in scratch handed on as put(start, chunk). A delta is a
+    float64 array or a `LazyDelta`. Every NaN is written as the positive
+    quiet NaN of `dtype`, since sign and payload follow numpy's loop choice
+    and so the chunk length and CPU. Overflow and NaN are results, not
+    warnings, in pool threads too."""
     src = base.data.reshape(-1)
     n = min(src.size, _CHUNK)
-    out = np.empty(src.size if put is None else n, dtype=storage_dtype(dtype))
+    out = np.empty(n, dtype=storage_dtype(dtype))
     stored = np.empty(n, src.dtype)
     acc = None if out.dtype == np.float64 else np.empty(n)  # float64 sums in `out` itself
     term = np.empty(n)
-    flat = [(d.ravel(), np.float64(lam),
-             term if d.dtype == np.float64 else np.empty(n, d.dtype)) for d, lam in deltas]
+    flat = [(d.ravel(), np.float64(lam)) for d, lam in deltas]
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, src.size, _CHUNK):
             k = min(_CHUNK, src.size - start)
-            dst = out[start:start + k] if put is None else out[:k]
-            part = widen(read_chunk(src, start, stored[:k]), dst if acc is None else acc[:k])
-            for delta, lam, scratch in flat:
-                chunk = read_chunk(delta, start, scratch[:k])
-                if chunk.dtype == np.uint16:
-                    chunk = decode(chunk, "BF16")
+            part = widen(read_chunk(src, start, stored[:k]), out[:k] if acc is None else acc[:k])
+            for delta, lam in flat:
+                chunk = read_chunk(delta, start, term[:k])
                 if abs(lam) == 1.0:  # +-1 scales exactly, and x + -y rounds as x - y
                     (np.add if lam > 0 else np.subtract)(part, chunk, out=part)
-                else:  # a float64 lam widens the chunk; one read into term scales in place
+                else:  # one read into term scales in place
                     part += np.multiply(chunk, lam, out=term[:k])
             part[np.isnan(part)] = np.nan
             if acc is not None:
-                narrow(part, dtype, dst)
-            if put is not None:
-                put(start, dst)
-    return None if put is not None else Tensor(dtype, out.reshape(base.shape))
+                narrow(part, dtype, out[:k])
+            put(start, out[:k])
 
 
 def apply(base: Checkpoint, tv: TaskVector) -> Checkpoint:

@@ -20,6 +20,7 @@ import vecmerge
 from vecmerge import (ArchiveError, Checkpoint, LazyCheckpoint, TaskVector, Tensor,
                       read_archive, save_archive, tv_merge, validate_archive,
                       write_archive)
+from vecmerge import tensor_store as store_mod
 from vecmerge import tv as tv_mod
 from vecmerge.cli import main
 from vecmerge.dtypes import _f32_to_bf16_bits, cast_values, dtype_size, encode, narrow
@@ -384,13 +385,15 @@ class TestMappedRead:
             return read_chunk(array, start, out)
 
         monkeypatch.setattr(tv_mod, "read_chunk", observed)
+        monkeypatch.setattr(store_mod, "read_chunk", observed)
         base, ft = read_archive(paths[0]), read_archive(paths[1])
         tv = load_task_vector(paths[2])
         assert not tv.deltas["w"].flags.aligned  # a view of vecmerge's own misaligned data
         got = (write_archive(tv_merge(base, [(tv, 0.5)])),
                extract_task_vector(base, ft).deltas["w"].tobytes())
         assert got == want
-        assert len(seen) == 4 * n // tv_mod._CHUNK  # two operands a chunk, in each kernel
+        # a chunk: the merge reads its two operands, extract the delta and its two sides
+        assert len(seen) == 5 * n // tv_mod._CHUNK
         bound = FOLIO + 16 * mmap.PAGESIZE  # the header's page and its fault-around
         seen.extend(mapped_rss(path) for path in paths)  # after the op, the maps still open
         assert max(seen) <= bound, f"{max(seen)} bytes of a mapped operand resident"
@@ -821,13 +824,39 @@ class TestWriteArchive:
         (0, np.zeros(3, "<f4"), "3 elements"),
     ], ids=["wrong-dtype", "past-the-end", "too-few"])
     def test_pieces_unlike_the_header(self, first, piece, made):
+        """The writer and materialize check a maker's pieces alike."""
         def make(name, put):
             put(first, piece)
 
         lazy = LazyCheckpoint({"w": ("F32", (4,))}, make)
-        with pytest.raises(ValueError) as err:
-            write_archive(lazy)
-        assert str(err.value) == f"tensor 'w' was made as {made} where the header holds 'w' F32 [4]"
+        for run in (write_archive, LazyCheckpoint.materialize):
+            with pytest.raises(ValueError) as err:
+                run(lazy)
+            assert str(err.value) == \
+                f"tensor 'w' was made as {made} where the header holds 'w' F32 [4]"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_materialize_fills_tensors_from_pieces_in_any_order(self, threads):
+        """A maker that only calls put, last piece first, materializes to the
+        bits the writer writes, a zero-size tensor included."""
+        rng = np.random.default_rng(3)
+        tensors = {"a": Tensor("BF16", narrow(rng.normal(size=(3, 5)), "BF16")),
+                   "b": Tensor("F64", rng.normal(size=7)),
+                   "c": Tensor("F64", np.zeros((2, 0)))}
+
+        def make(name, put):
+            flat = tensors[name].data.reshape(-1)
+            cut = flat.size // 2
+            put(cut, flat[cut:])
+            put(0, flat[:cut])
+
+        lazy = LazyCheckpoint({name: (t.dtype, t.shape) for name, t in tensors.items()}, make,
+                              threads=threads)
+        made, written = lazy.materialize(), read_archive(write_archive(lazy))
+        assert made.names() == written.names() == sorted(tensors)
+        for name, tensor in made.items():
+            assert (tensor.dtype, tensor.shape) == (written[name].dtype, written[name].shape)
+            assert tensor.data.tobytes() == written[name].data.tobytes()
 
     def test_metadata_serialized_first(self):
         ckpt = Checkpoint({"w": Tensor("F64", np.zeros(1))}, metadata={"k": "v"})
