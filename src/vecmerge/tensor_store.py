@@ -379,19 +379,17 @@ def read_chunks(array) -> Iterator[tuple[int, np.ndarray]]:
 
 def _read_delta(delta, start: int, out: np.ndarray) -> np.ndarray:
     """The one definition of a delta's bits, read by extract archives,
-    np.asarray, `trim`, the merge and the reports; each NaN is written as
-    the positive quiet NaN, which extract archives and np.asarray get here alone."""
-    finetuned, base = delta.finetuned.data.reshape(-1), delta.base.data.reshape(-1)
-    n = min(out.size, _CHUNK)
-    narrow_side = None if finetuned.dtype == np.float64 else np.empty(n, finetuned.dtype)
-    base_side = np.empty(n, base.dtype)
+    np.asarray, `trim`, the merge and the reports: both sides' elements
+    [start, start + out.size), walked together by `read_chunks`, the
+    fine-tuned chunk widened into `out` less the decoded base chunk. Each
+    NaN is written as the positive quiet NaN, which extract archives and
+    np.asarray get here alone."""
+    end = start + out.size
+    finetuned = delta.finetuned.data.reshape(-1)[start:end]
+    base = delta.base.data.reshape(-1)[start:end]
     with np.errstate(over="ignore", invalid="ignore"):  # 1.7e308 - -1.7e308 is inf
-        for at in range(0, out.size, _CHUNK):
-            part = out[at:at + _CHUNK]
-            k = part.size  # an F64 side is read straight into `out`
-            widen(read_chunk(finetuned, start + at, part if narrow_side is None
-                             else narrow_side[:k]), part)
-            stored = read_chunk(base, start + at, base_side[:k])
+        for (at, fine), (_, stored) in zip(read_chunks(finetuned), read_chunks(base)):
+            part = widen(fine, out[at:at + fine.size])
             np.subtract(part, decode(stored, delta.base.dtype), out=part)
             part[np.isnan(part)] = np.nan
     return out

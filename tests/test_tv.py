@@ -468,7 +468,7 @@ class TestChunking:
                       w) for tv, w in pairs]
         chunk = data.draw(st.integers(1, 9), label="_CHUNK")
         for threads in (1, 2):
-            with mock.patch.object(tv_mod, "_CHUNK", chunk):
+            with mock.patch.object(store_mod, "_CHUNK", chunk):
                 blob = write_archive(tv_merge(base, pairs, threads=threads))
             start = 8 + int.from_bytes(blob[:8], "little")
             assert blob[start:start + len(want)] == want, (threads, chunk)
@@ -486,7 +486,7 @@ class TestChunking:
         weighted = list(zip(deltas, [0.0, 0.0, 1.0, 1.0]))
         base = Checkpoint({"w": Tensor(dtype, narrow(np.zeros(n), dtype))})
         pairs = [(TaskVector.from_arrays({"w": d}), w) for d, w in weighted]
-        with mock.patch.object(tv_mod, "_CHUNK", chunk):
+        with mock.patch.object(store_mod, "_CHUNK", chunk):
             blob = write_archive(tv_merge(base, pairs))
         want = np.zeros(n, f"<u{dtype_size(dtype)}")
         want[[3, 5, 10]] = nan_bits
