@@ -1,10 +1,10 @@
 """Dtype registry and bit-reproducible conversions for archive tensors.
 
-A tensor is held in one form, its stored form: the archive encoding as a
-numpy array, little-endian F64/F32/F16 floats, and BF16 (which has no
-numpy dtype) as its uint16 bit patterns. `decode` gives a tensor's
-values, BF16 as exact float32. Merge kernels `widen` the stored form to
-float64 and `narrow` float64 back to it, rounding once.
+A tensor is held in its stored form: the archive encoding as a numpy
+array, little-endian F64/F32/F16 floats, and BF16 (no numpy dtype) as
+uint16 bits. `decode` gives its values, BF16 as exact float32. Merge
+kernels `widen` it to float64 and `narrow` float64 back, rounding once;
+BF16 converts in the float64 scratch `work` they pass, so no chunk allocates.
 """
 
 from __future__ import annotations
@@ -31,30 +31,37 @@ def dtype_size(dtype: str) -> int:
     return storage_dtype(dtype).itemsize
 
 
-def _f32_to_bf16_bits(arr32: np.ndarray) -> np.ndarray:
-    """Round float32 to bfloat16 bit patterns (round-to-nearest-even).
-
-    The sum u + 0x7FFF + lsb wraps in uint32 only for u > 0xFFFF8000,
-    which are all NaN patterns, and the NaN branch overwrites those.
-    """
-    u = np.ascontiguousarray(arr32, dtype="<f4").view(np.uint32)
-    r = u >> 16
-    r &= 1  # in place: each 256 KiB temporary of a merge chunk costs page faults
+def _f32_to_bf16_bits(values: np.ndarray, out: np.ndarray | None = None,
+                      work: np.ndarray | None = None) -> np.ndarray:
+    """Round `values` to float32, then to bfloat16 bit patterns, each
+    round-to-nearest-even, into `out` or else a new array. Both steps run in
+    `work`, float64 scratch as long as `values` (a new one without it): the
+    float32 in its first half, the uint32 rounding in its second. The sum
+    u + 0x7FFF + lsb wraps in uint32 only for u > 0xFFFF8000, which are all
+    NaN patterns, and the NaN branch overwrites those."""
+    halves = (np.empty(values.size) if work is None else work[:values.size]).view(np.uint32)
+    u, r = np.split(halves, 2)
+    np.copyto(u.view(np.float32).reshape(values.shape), values, casting="unsafe")
+    np.right_shift(u, 16, out=r)
+    r &= 1
     r += u
     r += 0x7FFF
     r >>= 16
-    rounded = r.astype(np.uint16)
-    nan = np.isnan(arr32)
-    if nan.any():
-        # keep NaNs NaN: set the quiet bit, drop the rounding result
-        rounded = np.where(nan, ((u >> 16) | 0x0040).astype(np.uint16), rounded)
-    return rounded
+    if u.view(np.int32).max(initial=0) > 0x7F800000 or u.max(initial=0) > 0xFF800000:
+        nan = np.isnan(u.view(np.float32))  # keep NaNs NaN: set the quiet bit, drop the rounding
+        r[nan] = (u[nan] >> 16) | 0x0040
+    out = np.empty(values.shape, np.uint16) if out is None else out
+    np.copyto(out, r.reshape(out.shape), casting="unsafe")
+    return out
 
 
-def _bf16_bits_to_f32(bits: np.ndarray) -> np.ndarray:
-    u = bits.astype(np.uint32)
+def _bf16_bits_to_f32(bits: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """BF16 bits as exact float32, built in the first bits.nbytes * 2
+    bytes of contiguous `work`, or else in a new array."""
+    u = np.empty(bits.size, np.uint32) if work is None else work.view(np.uint32)[:bits.size]
+    np.copyto(u.reshape(bits.shape), bits)
     u <<= 16
-    return u.view(np.float32)
+    return u.view(np.float32).reshape(bits.shape)
 
 
 def encode(data: np.ndarray, dtype: str) -> np.ndarray:
@@ -82,12 +89,12 @@ def stored_view(buf, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def decode(data: np.ndarray, dtype: str) -> np.ndarray:
+def decode(data: np.ndarray, dtype: str, work: np.ndarray | None = None) -> np.ndarray:
     """A tensor's values from its stored form, read-only: BF16 as exact
-    float32, misaligned data as an aligned copy, and anything else as it is.
-    """
+    float32 (built in `work` if given), misaligned data as an aligned copy,
+    and anything else as it is."""
     if dtype == "BF16":
-        out = _bf16_bits_to_f32(data)
+        out = _bf16_bits_to_f32(data, work)
     elif data.flags.aligned:
         return data
     else:
@@ -96,28 +103,30 @@ def decode(data: np.ndarray, dtype: str) -> np.ndarray:
     return out
 
 
-def widen(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A stored form as float64 (uint16 data is BF16 bits). Written into
-    `out` if given; without `out`, float64 data is returned as it is."""
+def widen(data: np.ndarray, out: np.ndarray | None = None,
+          work: np.ndarray | None = None) -> np.ndarray:
+    """A stored form as float64 (uint16 data is BF16 bits, decoded in `work`
+    if given), written into `out` if given; else float64 data as it is."""
     if data.dtype == np.uint16:
-        data = _bf16_bits_to_f32(data)
+        data = _bf16_bits_to_f32(data, work)
     if out is None:
         return np.asarray(data, dtype=np.float64)
     np.copyto(out, data)
     return out
 
 
-def narrow(acc: np.ndarray, dtype: str, out: np.ndarray | None = None) -> np.ndarray:
+def narrow(acc: np.ndarray, dtype: str, out: np.ndarray | None = None,
+           work: np.ndarray | None = None) -> np.ndarray:
     """Round float64 `acc` to `dtype`'s stored form, into `out` if given or
     else a new array, and return it.
 
     Rounding is round-to-nearest-even at every narrowing step; BF16 goes
-    through float32, as `cast_values` does.
+    through float32, as `cast_values` does, in scratch `work` if given.
     """
     if out is None:
         out = np.empty(acc.shape, _STORAGE[dtype])
     if dtype == "BF16":
-        out[...] = _f32_to_bf16_bits(acc.astype(np.float32))
+        _f32_to_bf16_bits(acc, out, work)
     else:
         np.copyto(out, acc, casting="unsafe")
     return out
@@ -134,5 +143,5 @@ def cast_values(values: np.ndarray, dtype: str) -> np.ndarray:
     """
     values = np.asarray(values)
     if dtype == "BF16":
-        return _bf16_bits_to_f32(_f32_to_bf16_bits(values.astype(np.float32))).reshape(values.shape)
+        return _bf16_bits_to_f32(_f32_to_bf16_bits(values))
     return values.astype(_STORAGE[dtype])

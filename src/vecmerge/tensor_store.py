@@ -381,16 +381,18 @@ def _read_delta(delta, start: int, out: np.ndarray) -> np.ndarray:
     """The one definition of a delta's bits, read by extract archives,
     np.asarray, `trim`, the merge and the reports: both sides' elements
     [start, start + out.size), walked together by `read_chunks`, the
-    fine-tuned chunk widened into `out` less the decoded base chunk. Each
-    NaN is written as the positive quiet NaN, which extract archives and
-    np.asarray get here alone."""
+    fine-tuned chunk widened into `out` less the decoded base chunk, BF16
+    decoded in one scratch per call. Each NaN is written as the positive
+    quiet NaN, which extract archives and np.asarray get here alone."""
     end = start + out.size
     finetuned = delta.finetuned.data.reshape(-1)[start:end]
     base = delta.base.data.reshape(-1)[start:end]
+    bf16 = "BF16" in (delta.finetuned.dtype, delta.base.dtype)  # an unused scratch still costs faults
+    work = np.empty(min(out.size, _CHUNK), np.uint32) if bf16 else None  # either side's BF16 bits
     with np.errstate(over="ignore", invalid="ignore"):  # 1.7e308 - -1.7e308 is inf
         for (at, fine), (_, stored) in zip(read_chunks(finetuned), read_chunks(base)):
-            part = widen(fine, out[at:at + fine.size])
-            np.subtract(part, decode(stored, delta.base.dtype), out=part)
+            part = widen(fine, out[at:at + fine.size], work)
+            np.subtract(part, decode(stored, delta.base.dtype, work), out=part)
             part[np.isnan(part)] = np.nan
     return out
 

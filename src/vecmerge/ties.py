@@ -31,7 +31,6 @@ import threading
 
 import numpy as np
 
-from .dtypes import decode
 from .tensor_store import _CHUNK as _READ_CHUNK
 from .tensor_store import Checkpoint, LazyCheckpoint, read_chunk, read_chunks
 from .tv import LazyDelta, MergeError, TaskVector, _lazy_merge
@@ -92,8 +91,8 @@ def _check_trimmable(tvs: list[TaskVector], density: float) -> None:
     seen: dict[int, bool] = {}  # id of a delta or stored array the vectors hold -> finite
 
     def finite(chunk: np.ndarray) -> bool:
-        if chunk.dtype == np.uint16:
-            chunk = decode(chunk, "BF16")
+        if chunk.dtype == np.uint16:  # BF16 bits: inf and NaN are 0x7F80-0x7FFF, 0xFF80-0xFFFF
+            return chunk.view(np.int16).max() < 0x7F80 and chunk.max() < 0xFF80
         return math.isfinite(np.add.reduce(chunk)) or bool(np.isfinite(chunk).all())
 
     def all_finite(stored: np.ndarray | LazyDelta) -> bool:

@@ -195,7 +195,7 @@ def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray | LazyDelta, float
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stored in read_chunks(base.data):
             k = stored.size
-            part = widen(stored, acc[:k])
+            part = widen(stored, acc[:k], term[:k])  # term is idle here and at narrow
             for delta, lam in flat:
                 chunk = read_chunk(delta, start, term[:k])
                 # +-1 scales exactly, and x + -y rounds as x - y; skipping the multiply
@@ -204,8 +204,8 @@ def _merge_tensor(base: Tensor, deltas: list[tuple[np.ndarray | LazyDelta, float
                     (np.add if lam > 0 else np.subtract)(part, chunk, out=part)
                 else:  # one read into term scales in place
                     part += np.multiply(chunk, lam, out=term[:k])
-            part[np.isnan(part)] = np.nan
-            put(start, narrow(part, dtype, out[:k]))
+            part[np.isnan(part, out=out[:k].view(np.bool_)[:k])] = np.nan  # out is idle
+            put(start, narrow(part, dtype, out[:k], term[:k]))
 
 
 def apply(base: Checkpoint, tv: TaskVector) -> Checkpoint:

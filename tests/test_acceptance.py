@@ -24,6 +24,7 @@ from vecmerge import (Checkpoint, LazyCheckpoint, TaskVector, Tensor,
 from vecmerge.bench import SCENARIOS, run_bench
 from vecmerge.bench.model import init_model, loss_and_grads
 from vecmerge.bench.data import ModelSpec, gen_dataset
+from vecmerge.dtypes import narrow
 
 from helpers import naive_ties_vector, random_checkpoint
 
@@ -324,6 +325,25 @@ def test_criterion_9_merge_tv_child_memory(tmp_path, write, bound):
     assert peak < bound * inputs, \
         f"peak {peak / 2**20:.0f} MiB >= {bound} x {inputs / 2**20:.0f} MiB of inputs"
     ok(9, f"merge tv child peak {peak / 2**20:.0f} MiB for {inputs / 2**20:.0f} MiB of inputs")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_a_bf16_merge_holds_no_more_than_an_f32_merge(tmp_path):
+    """`merge tv --threads 2` widens and rounds a BF16 base in the kernel's
+    own scratch, so it peaks within 0.5 MiB of the same merge into an F32
+    base of the same shapes."""
+    vectors = [tmp_path / "tau1.st", tmp_path / "tau2.st"]
+    for k, path in enumerate(vectors, 1):
+        _write_plain(path, "F64", k, _TV_META)
+    peaks = {}
+    for dtype in ("BF16", "F32"):
+        layout = {name: (dtype, shape) for name, shape in _LAYERS.items()}
+        save_archive(LazyCheckpoint(layout, lambda name, put: Tensor(
+            dtype, narrow(_layer(0, name, "F32"), dtype))), tmp_path / "base.st")
+        peaks[dtype] = _child_peak(_merge_tv_argv(tmp_path / "base.st", vectors,
+                                                  tmp_path / "merged.st") + ["--threads", "2"])
+    assert peaks["BF16"] < peaks["F32"] + 2**19, \
+        f"BF16 peak {peaks['BF16'] / 2**20:.2f} MiB against F32 {peaks['F32'] / 2**20:.2f} MiB"
 
 
 @pytest.fixture(scope="module")

@@ -700,3 +700,18 @@ def test_report_bytes_on_every_blas_core_type(tmp_path, capsys):
         subprocess.run([sys.executable, "-m", "vecmerge.cli", *args, str(out)], env=env,
                        check=True, capture_output=True, timeout=300)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, core
+
+
+def test_report_bytes_at_one_and_two_blas_threads(tmp_path):
+    """The bench report is byte-identical whether OpenBLAS runs one thread
+    or two, so OPENBLAS_NUM_THREADS=1 saves its spin-waits and changes no
+    byte."""
+    args = ["bench", "--scenario", "tv_merge_ft", "--seeds", "1", "--out"]
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(vecmerge.__file__).parents[1]))
+        reports.append(tmp_path / f"threads{threads}.json")
+        subprocess.run([sys.executable, "-m", "vecmerge.cli", *args, str(reports[-1])], env=env,
+                       check=True, capture_output=True, timeout=300)
+    assert reports[0].read_bytes() == reports[1].read_bytes()

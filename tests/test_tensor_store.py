@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,11 +24,11 @@ from vecmerge import (ArchiveError, Checkpoint, LazyCheckpoint, TaskVector, Tens
 from vecmerge import tensor_store as store_mod
 from vecmerge import tv as tv_mod
 from vecmerge.cli import main
-from vecmerge.dtypes import _f32_to_bf16_bits, cast_values, dtype_size, encode, narrow
+from vecmerge.dtypes import _f32_to_bf16_bits, cast_values, dtype_size, encode, narrow, widen
 from vecmerge.tensor_store import MAX_HEADER_BYTES, read_chunk
 from vecmerge.tv import extract_task_vector, load_task_vector
 
-from helpers import DTYPES, random_checkpoint
+from helpers import DTYPES, random_checkpoint, reference_tv_merge_bits
 
 
 def make_archive(header: dict, data: bytes) -> bytes:
@@ -1161,6 +1162,75 @@ class TestBF16Round:
         want = ((u.astype(np.uint64) + 0x7FFF + ((u >> 16) & 1)) >> 16).astype(np.uint16)
         want = np.where(np.isnan(f), ((u >> 16) | 0x0040).astype(np.uint16), want)
         np.testing.assert_array_equal(_f32_to_bf16_bits(f), want)
+
+
+def oracle_bf16_bits(values) -> np.ndarray:
+    """The bfloat16 bits of float64 `values` rounded to nearest even through
+    float32, by uint64 arithmetic over whole arrays; a NaN keeps its high
+    half with the quiet bit set."""
+    f = np.asarray(values, np.float64).astype(np.float32)
+    u = f.view(np.uint32).astype(np.uint64)
+    bits = (u + 0x7FFF + ((u >> 16) & 1)) >> 16
+    return np.where(np.isnan(f), (u >> 16) | 0x40, bits).astype(np.uint16)
+
+
+def _f64_bits(f32_bits: int) -> int:
+    """The float64 bit pattern of a finite float32 one, widened exactly."""
+    f32 = np.array([f32_bits], np.uint32).view(np.float32)
+    return int(f32.astype(np.float64).view(np.uint64)[0])
+
+
+_F64_EDGES = [int(b) for b in np.array([
+    np.inf, -np.inf, 3.4028235e38, -3.39e38, 3.3895314e38, 1e39, -1e300,  # past BF16's max
+    0.0, -0.0, 5e-324, 1e-45, -1e-40, 9.2e-41, -2e-39]).view(np.uint64)] + [
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FFABCDE12345678, 0xFFFFFFFFFFFFFFFF,  # quiet NaN
+    0x7FF0000000000001, 0xFFF4000000000000, 0x7FF7FFFFFFFFFFFF, 0xFFF0012300000000]  # signalling
+_F64_PATTERNS = st.one_of(
+    st.sampled_from(_F64_EDGES),
+    st.integers(0, 0xFFFF).filter(lambda h: h & 0x7F80 != 0x7F80)  # float32 ties, both ways
+    .map(lambda h: _f64_bits(h << 16 | 0x8000)),
+    st.integers(0, 2 ** 32 - 1).filter(lambda b: b & 0x7F800000 != 0x7F800000).map(_f64_bits),
+    st.integers(0, 2 ** 64 - 1))
+
+
+class TestBF16Scratch:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in casts, inf - inf
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_scratch_conversions_give_the_reference_bits(self, tmp_path_factory, data):
+        """narrow and widen give the oracle's BF16 bits in a caller's stale
+        scratch as in their own, as cast_values and _f32_to_bf16_bits do,
+        and a BF16 `merge tv` of such values gives them at every chunk
+        length and thread count."""
+        x = np.array(data.draw(st.lists(_F64_PATTERNS, max_size=24)), np.uint64).view(np.float64)
+        want = oracle_bf16_bits(x)
+        exact = (want.astype(np.uint32) << 16).view(np.float32)
+        work = np.full(x.size + data.draw(st.integers(0, 3), label="spare"), np.nan)
+        out = np.empty(x.size, np.uint16)
+        assert narrow(x, "BF16", out, work) is out and out.tobytes() == want.tobytes()
+        assert narrow(x, "BF16").tobytes() == want.tobytes()
+        assert _f32_to_bf16_bits(x.astype(np.float32)).tobytes() == want.tobytes()
+        assert cast_values(x, "BF16").tobytes() == exact.tobytes()
+        for scratch in (work, None):
+            widened = widen(want, np.empty(x.size), scratch)
+            assert widened.tobytes() == exact.astype(np.float64).tobytes()
+
+        weight = data.draw(st.sampled_from([1.0, -1.0, 0.3, 2.5]), label="weight")
+        y = x[::-1].copy()
+        ref = reference_tv_merge_bits(exact, "BF16", [(y, weight)])
+        ref += reference_tv_merge_bits(exact[::-1], "BF16", [(x, weight)])
+        root = tmp_path_factory.mktemp("bf16")
+        save_archive(Checkpoint({"v": Tensor("BF16", want),
+                                 "w": Tensor("BF16", want[::-1].copy())}), root / "base.st")
+        save_archive(TaskVector.from_arrays({"v": y, "w": x}).to_checkpoint(), root / "tv.st")
+        argv = ["merge", "tv", "--base", str(root / "base.st"), "--vector", str(root / "tv.st"),
+                "--weight", repr(weight), "--out", str(root / "out.st"), "--threads"]
+        chunk = data.draw(st.integers(1, 9), label="_CHUNK")
+        for threads in ("1", "2"):
+            with mock.patch.object(store_mod, "_CHUNK", chunk):
+                assert main(argv + [threads]) == 0
+            blob = (root / "out.st").read_bytes()
+            assert blob[8 + int.from_bytes(blob[:8], "little"):] == ref, (threads, chunk)
 
 
 def test_encode_quiets_each_bf16_nan_and_changes_nothing_else():

@@ -209,6 +209,27 @@ class TestLazyDelta:
         assert peak < 2 * 8 * n + scratch, \
             f"peak {peak / 2**20:.1f} MiB holds more than one tensor's pair and scratch"
 
+    def test_reading_a_bf16_delta_allocates_nothing_per_chunk(self):
+        """Both BF16 sides of a delta are decoded in one scratch per read, so
+        reading eight chunks peaks where reading one does."""
+        n = 8 * store_mod._CHUNK
+        rng = np.random.default_rng(19)
+        sides = [narrow(rng.normal(size=n), "BF16") for _ in range(2)]
+        peaks = []
+        for size in (store_mod._CHUNK, n):
+            delta = tv_mod.LazyDelta(*(Tensor("BF16", side[:size]) for side in sides))
+            out = np.empty(size)
+            tracemalloc.start()
+            try:
+                store_mod.read_chunk(delta, 0, out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            want = reference_extract(*(Checkpoint({"w": side}) for side in (delta.base,
+                                                                           delta.finetuned)))
+            assert out.tobytes() == want["w"].tobytes()
+        assert abs(peaks[1] - peaks[0]) <= 16 << 10, f"peaks {peaks} bytes for 1 and 8 chunks"
+
     def test_a_written_vector_holds_scratch_not_its_deltas(self, tmp_path):
         """to_checkpoint makes each LazyDelta as the writer writes it, so
         saving an unmade vector holds the kernel's scratch, not one whole
@@ -493,6 +514,26 @@ class TestChunking:
         start = 8 + int.from_bytes(blob[:8], "little")
         assert blob[start:] == want.tobytes()
         assert reference_tv_merge_bits(np.zeros(n), dtype, weighted) == want.tobytes()
+
+
+    def test_a_bf16_merge_allocates_nothing_per_chunk(self):
+        """The kernel widens and rounds BF16 in its own scratch, so its traced
+        peak is acc, term, out and the base chunk (8 + 8 + 2 + 2 bytes an
+        element) and a NaN mask, for one chunk as for eight."""
+        n = 8 * store_mod._CHUNK
+        rng = np.random.default_rng(17)
+        base, delta = narrow(rng.normal(size=n), "BF16"), rng.normal(size=n)
+        peaks = []
+        for size in (store_mod._CHUNK, n):
+            tracemalloc.start()
+            try:
+                tv_mod._merge_tensor(Tensor("BF16", base[:size]), [(delta[:size], 0.3)], "BF16",
+                                     lambda start, chunk: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 16 << 10, f"peaks {peaks} bytes for 1 and 8 chunks"
+        assert max(peaks) < 20 * store_mod._CHUNK + (64 << 10), f"peaks {peaks} bytes"
 
 
 class TestInversion:
